@@ -16,8 +16,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import baselines, synth
 from .agreement import cohen_kappa, krippendorff_alpha
 from .config import ExperimentConfig, dump_config, load_config
@@ -35,11 +33,23 @@ from .corpus import (
     save_fold_plan,
 )
 from .encoding import encode_dataset
-from .ensemble import EnsembleSpec, ensemble_vote_batch, resolve_members
+from .ensemble import (
+    CNN_KINDS,
+    KINDS,
+    TAG_KINDS,
+    EnsembleSpec,
+    ensemble_vote_batch,
+    input_flags,
+    load_member,
+    resolve_members,
+    save_baseline_member,
+)
 from .experiment import (
+    bow_features,
     build_feature_context,
     emit_report,
     run_experiment,
+    train_bow_member,
     train_cnn_member,
 )
 from .metrics import CSV_HEADER, compute_metrics
@@ -130,56 +140,47 @@ def cmd_dataset(args) -> int:
 # train / evaluate / ensemble / predict
 # ---------------------------------------------------------------------------
 
-def _encode_file(path, cfg: ExperimentConfig, needs_word: bool, needs_char: bool):
-    ds = load_dataset(path)
+def _encoder(cfg: ExperimentConfig, kinds):
+    """Dataset -> EncodedSet with the inputs that members of these kinds read."""
+    inputs = input_flags(kinds)
     ctx = build_feature_context(cfg)
-    if needs_word and ctx.table is None:
+    if inputs["with_word"] and ctx.table is None:
         raise ValueError("word models need an embeddings path in the config")
-    return ds, encode_dataset(ds, ctx, with_word=needs_word, with_char=needs_char)
+    return lambda ds: encode_dataset(ds, ctx, **inputs)
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     kind = args.kind
-    if kind in ("word_aux", "char_aux", "char_cnn"):
-        _, enc = _encode_file(args.train_data, cfg, kind == "word_aux",
-                              kind in ("char_aux", "char_cnn"))
-        seed = cfg.seed if args.seed is None else args.seed
+    enc = _encoder(cfg, [kind])(load_dataset(args.train_data))
+    seed = cfg.seed if args.seed is None else args.seed
+    if kind in CNN_KINDS:
         member, best = train_cnn_member(kind, enc, cfg, init_seed=seed,
                                         train_seed=seed + 1)
         save_checkpoint(best, args.output)
         print(f"best epoch {best.epoch}: "
               + " ".join(f"{k}={v:.4f}" for k, v in sorted(best.metrics.items())))
         return 0
-    if kind in ("svm", "rf", "nb"):
-        from .experiment import train_bow_member
-        _, enc = _encode_file(args.train_data, cfg, False, False)
-        vocab, idf = baselines.fit_tfidf(enc.tokens)
-        vectors = [baselines.vectorize(t, vocab, idf, a)
-                   for t, a in zip(enc.tokens, enc.aux)]
-        x = baselines.dense_matrix(vectors, len(vocab))
-        seed = cfg.seed if args.seed is None else args.seed
-        member = train_bow_member(kind, 0, enc, x, vocab, idf, enc.labels, cfg, seed)
-        from .ensemble import save_baseline_member
-        save_baseline_member(member, args.output)
-        print(f"trained {kind}, saved to {args.output}")
-        return 0
-    return _err(f"unknown model kind {args.kind!r}")
+    vocab, idf = baselines.fit_tfidf(enc.tokens)
+    x = bow_features(enc, vocab, idf)
+    member = train_bow_member(kind, 0, enc, x, vocab, idf, enc.labels, cfg, seed)
+    save_baseline_member(member, args.output)
+    print(f"trained {kind}, saved to {args.output}")
+    return 0
 
 
 def _member_from_path(path):
     cp = load_checkpoint(path)
     tag = cp.metadata.get("kind", "")
-    kind = {"NB1": "nb", "SVM1": "svm", "RF1": "rf"}.get(tag, tag)
-    from .ensemble import load_member
-    return kind, load_member(kind, cp)
+    if tag not in TAG_KINDS:
+        raise ValueError(f"{path}: unknown member kind tag {tag!r}")
+    return TAG_KINDS[tag], load_member(TAG_KINDS[tag], cp)
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     kind, member = _member_from_path(args.checkpoint)
-    _, enc = _encode_file(args.test_data, cfg, kind == "word_aux",
-                          kind in ("char_aux", "char_cnn"))
+    enc = _encoder(cfg, [kind])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     pred, _ = member.predict_batch(enc)
@@ -194,10 +195,7 @@ def cmd_ensemble(args) -> int:
     loaded = [_member_from_path(p) for p in args.members.split(",")]
     spec = EnsembleSpec(tuple((k, m) for k, m in loaded), mode=args.mode)
     members = resolve_members(spec)
-    kinds = {m.kind for m in members}
-    needs_word = "word_aux" in kinds
-    needs_char = bool(kinds & {"char_aux", "char_cnn"})
-    _, enc = _encode_file(args.test_data, cfg, needs_word, needs_char)
+    enc = _encoder(cfg, [m.kind for m in members])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     votes = ensemble_vote_batch(members, enc)
@@ -210,12 +208,7 @@ def cmd_ensemble(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     kind, member = _member_from_path(args.checkpoint)
-    ctx = build_feature_context(cfg)
-    if kind == "word_aux" and ctx.table is None:
-        return _err("word models need an embeddings path in the config")
-    ds = Dataset([Tweet("input0", args.text)])
-    enc = encode_dataset(ds, ctx, with_word=kind == "word_aux",
-                         with_char=kind in ("char_aux", "char_cnn"))
+    enc = _encoder(cfg, [kind])(Dataset([Tweet("input0", args.text)]))
     cls, p_pos = member.predict(enc, 0)
     label = "positive" if cls == 1 else "negative"
     print(f"{label}\tp_positive={p_pos:.6f}")
@@ -264,16 +257,11 @@ def cmd_prefilter(args) -> int:
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
     ds = load_dataset(args.input)
-    ctx = build_feature_context(cfg)
+    encode_set = _encoder(cfg, [kind])
 
-    def encode(text: str) -> np.ndarray:
-        from . import features
-        tokens = features.tokenize(text)
-        aux = features.build_aux_vector(tokens, ctx.abuse, ctx.slang, ctx.clusters)
-        if ctx.synonyms is not None:
-            tokens = features.expand_synonyms(tokens, ctx.synonyms, ctx.max_append)
-        bow = baselines.vectorize(tokens, member.vocab, member.idf, aux)
-        return bow.to_dense(len(member.vocab))
+    def encode(text: str):
+        enc = encode_set(Dataset([Tweet("item", text)]))
+        return bow_features(enc, member.vocab, member.idf)[0]
 
     result = baselines.prefilter(ds, member.model, encode, threshold=args.threshold,
                                  sample_n=args.sample, seed=args.seed)
@@ -337,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train one model and save its best epoch")
     tr.add_argument("--config", required=True)
-    tr.add_argument("--kind", required=True,
-                    choices=["word_aux", "char_aux", "char_cnn", "svm", "rf", "nb"])
+    tr.add_argument("--kind", required=True, choices=list(KINDS))
     tr.add_argument("--train-data", required=True)
     tr.add_argument("--output", required=True)
     tr.add_argument("--seed", type=int)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import ScenarioPlan
+from .ensemble import KINDS
 
 DEFAULT_SCENARIOS = "50:50:3450:690,40:60:2850:570,30:70:2450:490,20:80:2150:430,10:90:1900:380"
 DEFAULT_ROSTER = "char_aux:2,char_cnn:2,word_aux:2,svm:2,rf:2,nb:2"
-ROSTER_KINDS = ("char_aux", "char_cnn", "word_aux", "svm", "rf", "nb")
 
 
 class ConfigFileError(ValueError):
@@ -75,7 +75,7 @@ class ExperimentConfig:
         members = []
         for entry in (x for x in self.roster.split(",") if x.strip()):
             kind, sep, count = entry.strip().partition(":")
-            if kind not in ROSTER_KINDS:
+            if kind not in KINDS:
                 raise ConfigFileError(f"unknown roster kind {kind!r}")
             n = int(count) if sep else 1
             if n < 1:

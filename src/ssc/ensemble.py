@@ -1,8 +1,9 @@
 """Majority-vote ensembling over CNN and classical members.
 
-A member is anything with a kind and a per-example predict returning
-(class, positive probability). The two paper-faithful six-member rosters
-are 2x char_aux + 2x char_cnn + 2x word_aux (CNN ensemble) and
+A member has a kind and a batched predict returning (classes, positive
+probabilities); predict(enc, i) is the same for one example. KINDS below
+is the one registry of member kinds. The two paper-faithful six-member
+rosters are 2x char_aux + 2x char_cnn + 2x word_aux (CNN ensemble) and
 2x svm + 2x rf + 2x nb (classical ensemble); "free" mode allows arbitrary
 compositions.
 """
@@ -10,7 +11,7 @@ compositions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -20,31 +21,62 @@ from .baselines import NbModel, RfModel, SvmModel, Tree
 from .encoding import EncodedSet
 from .nn import ModelCheckpoint, load_checkpoint, save_checkpoint
 
-CNN_KINDS = ("char_aux", "char_cnn", "word_aux")
-ML_KINDS = ("svm", "rf", "nb")
-CNN_COMPOSITION = Counter({"char_aux": 2, "char_cnn": 2, "word_aux": 2})
-ML_COMPOSITION = Counter({"svm": 2, "rf": 2, "nb": 2})
+
+@dataclass(frozen=True)
+class Kind:
+    """One member kind: its ensemble, checkpoint tag and encoded inputs."""
+
+    ensemble: str       # "ensemble_cnn" | "ensemble_ml"
+    tag: str            # the "kind" entry of its checkpoint metadata
+    word: bool = False  # reads the word-embedding matrix
+    char: bool = False  # reads the character indices
+
+
+KINDS = {
+    "char_aux": Kind("ensemble_cnn", "char_aux", char=True),
+    "char_cnn": Kind("ensemble_cnn", "char_cnn", char=True),
+    "word_aux": Kind("ensemble_cnn", "word_aux", word=True),
+    "svm": Kind("ensemble_ml", "SVM1"),
+    "rf": Kind("ensemble_ml", "RF1"),
+    "nb": Kind("ensemble_ml", "NB1"),
+}
+CNN_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_cnn")
+ML_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_ml")
+# Each ensemble's strict composition: two members of each of its kinds.
+COMPOSITIONS = {"ensemble_cnn": Counter(dict.fromkeys(CNN_KINDS, 2)),
+                "ensemble_ml": Counter(dict.fromkeys(ML_KINDS, 2))}
+TAG_KINDS = {spec.tag: kind for kind, spec in KINDS.items()}
+
+
+def input_flags(kinds) -> dict[str, bool]:
+    """encode_dataset keywords that encode what the given member kinds read."""
+    specs = [KINDS[k] for k in kinds]
+    return {"with_word": any(s.word for s in specs), "with_char": any(s.char for s in specs)}
 
 
 class EnsembleError(RuntimeError):
     """A member failed to load or predict; the message names the member."""
 
 
-def majority_vote(votes: Sequence[int], probs: Sequence[float]) -> int:
-    """Strict majority of binary votes.
+def vote(classes: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Strict majority over (members, examples) binary votes, per example.
 
     On a tie, the mean positive probability decides: strictly above 0.5
     means positive, otherwise negative.
     """
+    positive = (classes == 1).sum(axis=0)
+    negative = classes.shape[0] - positive
+    tie = np.asarray(probs, dtype=np.float64).mean(axis=0) > 0.5
+    return np.where(positive == negative, tie, positive > negative).astype(np.int64)
+
+
+def majority_vote(votes: Sequence[int], probs: Sequence[float]) -> int:
+    """vote() for one example, from its members' votes and probabilities."""
     if len(votes) == 0:
         raise ValueError("majority_vote requires at least one vote")
     if len(votes) != len(probs):
         raise ValueError("votes and probabilities must be aligned")
-    positive = sum(1 for v in votes if v == 1)
-    negative = len(votes) - positive
-    if positive != negative:
-        return 1 if positive > negative else 0
-    return 1 if float(np.mean(probs)) > 0.5 else 0
+    return int(vote(np.asarray(votes)[:, None], np.asarray(probs)[:, None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +94,7 @@ class CnnMember:
         return self.model.kind
 
     def predict_batch(self, enc: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
-        classes = np.zeros(len(enc), dtype=np.int64)
-        probs = np.zeros(len(enc))
-        for start in range(0, len(enc), 256):
-            idx = np.arange(start, min(start + 256, len(enc)))
-            c, p = models.predict_batch(self.model, enc.subset(idx))
-            classes[idx] = c
-            probs[idx] = p
-        return classes, probs
+        return models.predict_batch(self.model, enc)
 
     def predict(self, enc: EncodedSet, i: int = 0) -> tuple[int, float]:
         c, p = models.predict_batch(self.model, enc.subset([i]))
@@ -127,7 +152,7 @@ class EnsembleSpec:
             raise ValueError("mode must be 'strict' or 'free'")
         if self.mode == "strict":
             composition = Counter(kind for kind, _ in self.members)
-            if composition not in (CNN_COMPOSITION, ML_COMPOSITION):
+            if composition not in COMPOSITIONS.values():
                 raise ValueError(
                     f"strict ensembles need 2x{'/2x'.join(CNN_KINDS)} or "
                     f"2x{'/2x'.join(ML_KINDS)}; got {dict(composition)}"
@@ -159,53 +184,23 @@ def resolve_members(spec: EnsembleSpec) -> list[Member]:
     return out
 
 
-def ensemble_predict(spec: EnsembleSpec, enc: EncodedSet,
-                     i: int = 0) -> tuple[int, list[tuple[str, int, float]]]:
-    """Vote all members on one encoded example.
-
-    Returns (ensemble class, per-member breakdown of (kind, vote, p_pos)).
-    """
-    members = resolve_members(spec)
-    breakdown = []
-    for j, member in enumerate(members):
-        try:
-            vote, p_pos = member.predict(enc, i)
-        except Exception as e:
-            raise EnsembleError(f"member {j} ({member.kind}): failed to predict: {e}") from e
-        breakdown.append((member.kind, vote, p_pos))
-    cls = majority_vote([v for _, v, _ in breakdown], [p for _, _, p in breakdown])
-    return cls, breakdown
-
-
 def ensemble_vote_batch(members: Sequence[Member], enc: EncodedSet) -> np.ndarray:
     """Majority-vote classes for every example, from per-member batch votes."""
-    all_classes = []
-    all_probs = []
-    for member in members:
-        c, p = member.predict_batch(enc)
-        all_classes.append(c)
-        all_probs.append(p)
-    classes = np.stack(all_classes)  # (M, N)
-    probs = np.stack(all_probs)
-    out = np.zeros(len(enc), dtype=np.int64)
-    for i in range(len(enc)):
-        out[i] = majority_vote(classes[:, i].tolist(), probs[:, i].tolist())
-    return out
+    predictions = [member.predict_batch(enc) for member in members]
+    return vote(np.stack([c for c, _ in predictions]), np.stack([p for _, p in predictions]))
 
 
 # ---------------------------------------------------------------------------
 # Baseline member serialization (shared checkpoint container)
 # ---------------------------------------------------------------------------
 
-_KIND_TAGS = {"nb": "NB1", "svm": "SVM1", "rf": "RF1"}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 
 
 def save_baseline_member(member: BowMember, path) -> None:
     """Serialize a classical member with its model-kind tag (NB1/SVM1/RF1)."""
-    tag = _KIND_TAGS[member.kind]
     arrays: dict[str, np.ndarray] = {}
-    metadata = {"kind": tag}
+    metadata = {"kind": KINDS[member.kind].tag}
     if member.kind == "nb":
         m: NbModel = member.model
         arrays["log_prior"] = m.log_prior
@@ -226,46 +221,28 @@ def save_baseline_member(member: BowMember, path) -> None:
             metadata["n_trees"] = str(len(m.trees))
             metadata["rf_seed"] = str(m.seed)
             for t, tree in enumerate(m.trees):
-                arrays[f"tree{t}_feature"] = tree.feature.astype(np.float64)
-                arrays[f"tree{t}_threshold"] = tree.threshold
-                arrays[f"tree{t}_left"] = tree.left.astype(np.float64)
-                arrays[f"tree{t}_right"] = tree.right.astype(np.float64)
-                arrays[f"tree{t}_counts"] = tree.counts
+                for name in _TREE_ARRAYS:
+                    arrays[f"tree{t}_{name}"] = getattr(tree, name)
     save_checkpoint(ModelCheckpoint(epoch=0, arrays=arrays, metadata=metadata), path)
 
 
 def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
     tag = cp.metadata.get("kind", "")
-    if _TAG_KINDS.get(tag) != kind:
+    if TAG_KINDS.get(tag) != kind:
         raise EnsembleError(f"checkpoint kind tag {tag!r} does not match {kind!r}")
+    if any(a.dtype == np.float32 for a in cp.arrays.values()):
+        raise EnsembleError(f"{kind} checkpoint holds float32 arrays (an ECNN1 file); "
+                            "classical members load only from exact ECNN2 checkpoints")
     terms = cp.metadata.get("vocab", "").split()
     vocab = {t: i for i, t in enumerate(terms)}
+    a = cp.arrays
     if kind == "nb":
-        model = NbModel(vocab, cp.arrays["log_prior"].astype(np.float64),
-                        _renormalize_rows(cp.arrays["log_likelihood"]))
-        return BowMember("nb", model)
-    idf = cp.arrays["idf"].astype(np.float64)
+        return BowMember(kind, NbModel(vocab, a["log_prior"], a["log_likelihood"]))
     if kind == "svm":
-        platt = cp.arrays["platt"]
-        model = SvmModel(weights=cp.arrays["weights"].astype(np.float64),
-                         bias=float(cp.arrays["bias"][0]),
-                         platt_a=float(platt[0]), platt_b=float(platt[1]))
-        return BowMember("svm", model, vocab, idf)
-    trees = []
-    for t in range(int(cp.metadata["n_trees"])):
-        trees.append(Tree(
-            feature=cp.arrays[f"tree{t}_feature"].astype(np.int64),
-            threshold=cp.arrays[f"tree{t}_threshold"].astype(np.float64),
-            left=cp.arrays[f"tree{t}_left"].astype(np.int64),
-            right=cp.arrays[f"tree{t}_right"].astype(np.int64),
-            counts=cp.arrays[f"tree{t}_counts"].astype(np.float64),
-        ))
+        model = SvmModel(weights=a["weights"], bias=float(a["bias"][0]),
+                         platt_a=float(a["platt"][0]), platt_b=float(a["platt"][1]))
+        return BowMember(kind, model, vocab, a["idf"])
+    trees = [Tree(**{name: a[f"tree{t}_{name}"] for name in _TREE_ARRAYS})
+             for t in range(int(cp.metadata["n_trees"]))]
     model = RfModel(trees, seed=int(cp.metadata.get("rf_seed", "0")))
-    return BowMember("rf", model, vocab, idf)
-
-
-def _renormalize_rows(log_likelihood: np.ndarray) -> np.ndarray:
-    """Repair float32 storage drift so the NbModel invariant holds on load."""
-    ll = log_likelihood.astype(np.float64)
-    ll -= np.log(np.exp(ll).sum(axis=1, keepdims=True))
-    return ll
+    return BowMember(kind, model, vocab, a["idf"])

@@ -25,21 +25,19 @@ from .corpus import Dataset, ScenarioPlan, fold_datasets, load_dataset, make_fol
 from .embeddings import load_embeddings
 from .encoding import EncodedSet, FeatureContext, encode_dataset
 from .ensemble import (
-    CNN_COMPOSITION,
-    ML_COMPOSITION,
+    CNN_KINDS,
+    COMPOSITIONS,
+    KINDS,
     BowMember,
     CnnMember,
     ensemble_vote_batch,
+    input_flags,
     save_baseline_member,
 )
 from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
 from .metrics import CSV_HEADER, MEASURES, MetricsReport, compute_metrics, mean_report
 from .models import CCnnConfig, TrainConfig, WCnnConfig
 from .nn import default_dtype, save_checkpoint
-
-MODEL_ORDER = ("ensemble_cnn", "ensemble_ml", "char_aux", "char_cnn",
-               "word_aux", "svm", "rf", "nb")
-CNN_KINDS = ("char_aux", "char_cnn", "word_aux")
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,7 @@ def _ccnn_config(cfg: ExperimentConfig) -> CCnnConfig:
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
     return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
-                       val_fraction=cfg.val_fraction, metric=cfg.selection_metric,
-                       lr=cfg.lr)
+                       val_fraction=cfg.val_fraction, lr=cfg.lr)
 
 
 def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
@@ -130,7 +127,8 @@ def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
-def _bow_features(enc: EncodedSet, vocab: dict, idf: np.ndarray) -> np.ndarray:
+def bow_features(enc: EncodedSet, vocab: dict, idf: np.ndarray) -> np.ndarray:
+    """Dense TF-IDF + aux rows of an encoded set under a fitted vectorizer."""
     vectors = [baselines.vectorize(t, vocab, idf, a) for t, a in zip(enc.tokens, enc.aux)]
     return baselines.dense_matrix(vectors, len(vocab))
 
@@ -139,9 +137,8 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
                   cfg: ExperimentConfig, ctx: FeatureContext, out: Path,
                   jobs: int, log) -> tuple[list[ReportRow], list[str]]:
     roster = cfg.roster_members()
-    needs_word = "word_aux" in roster
-    needs_char = any(k in roster for k in ("char_aux", "char_cnn"))
-    if needs_word and ctx.table is None:
+    inputs = input_flags(roster)
+    if inputs["with_word"] and ctx.table is None:
         raise ValueError("roster contains word models but no embeddings file is configured")
 
     folds = make_folds(pool, plan, cfg.folds)
@@ -167,8 +164,8 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
 
     for fold in range(cfg.folds):
         train_ds, test_ds = fold_datasets(pool, folds, fold)
-        enc_train = encode_dataset(train_ds, ctx, with_word=needs_word, with_char=needs_char)
-        enc_test = encode_dataset(test_ds, ctx, with_word=needs_word, with_char=needs_char)
+        enc_train = encode_dataset(train_ds, ctx, **inputs)
+        enc_test = encode_dataset(test_ds, ctx, **inputs)
         gold = list(enc_test.labels)
         fold_members: dict[int, object] = {}
 
@@ -192,7 +189,7 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
 
         if bow_units:
             vocab, idf = baselines.fit_tfidf(enc_train.tokens)
-            x_train = _bow_features(enc_train, vocab, idf)
+            x_train = bow_features(enc_train, vocab, idf)
             for i, kind in bow_units:
                 member = train_bow_member(
                     kind, kind_index[i], enc_train, x_train, vocab, idf,
@@ -210,15 +207,10 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
             per_fold_lines.append(
                 report.csv_row(plan.label, f"{kind}.m{kind_index[i]}") + f",{fold}")
 
-        roster_cnn = Counter(k for k in roster if k in CNN_KINDS)
-        roster_ml = Counter(k for k in roster if k not in CNN_KINDS)
-        for name, composition, kinds in (
-            ("ensemble_cnn", CNN_COMPOSITION, CNN_KINDS),
-            ("ensemble_ml", ML_COMPOSITION, ("svm", "rf", "nb")),
-        ):
-            current = roster_cnn if name == "ensemble_cnn" else roster_ml
-            if current == composition:
-                members = [fold_members[i] for i, k in enumerate(roster) if k in kinds]
+        for name, composition in COMPOSITIONS.items():
+            mine = [i for i, k in enumerate(roster) if KINDS[k].ensemble == name]
+            if Counter(roster[i] for i in mine) == composition:
+                members = [fold_members[i] for i in mine]
                 votes = ensemble_vote_batch(members, enc_test)
                 report = compute_metrics(votes.tolist(), gold)
                 ensemble_reports.setdefault(name, []).append(report)
@@ -237,7 +229,7 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
     for kind in present_kinds:
         all_reports = [r for (k, _), reps in member_reports.items() if k == kind for r in reps]
         kind_means[kind] = mean_report(all_reports)
-    for model_name in MODEL_ORDER:
+    for model_name in (*COMPOSITIONS, *KINDS):
         if model_name in kind_means:
             rows.append(ReportRow(plan.label, model_name, kind_means[model_name]))
     return rows, per_fold_lines

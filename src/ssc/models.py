@@ -23,6 +23,7 @@ from .nn import ModelCheckpoint, ParamSet, ParamSpec, Tensor
 
 DENSE_UNITS = 1024
 DENSE_LAYERS = 2
+PREDICT_ROWS = 256  # rows per inference forward pass
 
 
 class ConfigError(ValueError):
@@ -99,6 +100,18 @@ def _config_items(cfg) -> list[tuple[str, str]]:
     return out
 
 
+def _config_from_items(cls, items: dict[str, str]):
+    """Inverse of _config_items: parse each field by the type of its default."""
+    values = {}
+    for f in fields(cls):
+        text = items[f.name]
+        if isinstance(f.default, tuple):
+            values[f.name] = tuple(int(x) for x in text.split(","))
+        else:
+            values[f.name] = type(f.default)(text)
+    return cls(**values)
+
+
 def config_digest(*configs) -> str:
     text = "\n".join(f"{k}={v}" for cfg in configs for k, v in _config_items(cfg))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -116,9 +129,6 @@ class Model:
     def forward(self, batch: EncodedSet, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         raise NotImplementedError
-
-    def uses_aux(self) -> bool:
-        return not (self.kind == "char_cnn")
 
     def metadata(self) -> dict[str, str]:
         meta = {"kind": self.kind, "seed": str(self.seed)}
@@ -244,7 +254,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     val_fraction: float = 0.1
-    metric: str = "f1_p"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -271,28 +280,19 @@ def _stratified_val_split(labels: np.ndarray, fraction: float,
 
 
 def predict_batch(model: Model, batch: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted classes, positive-class probabilities) for a batch."""
-    logits = model.forward(batch, train=False)
-    probs = nn.softmax(logits.data)
-    classes = np.argmax(probs, axis=1)
-    return classes, probs[:, 1]
+    """(argmax classes, float64 positive-class probabilities) for every row.
 
-
-def predict(model: Model, example: EncodedSet) -> tuple[int, float]:
-    """Predict one example: argmax class (ties prefer negative) and p(positive)."""
-    if len(example) != 1:
-        example = example.subset([0])
-    classes, p_pos = predict_batch(model, example)
-    return int(classes[0]), float(p_pos[0])
-
-
-def _evaluate(model: Model, batch: EncodedSet, batch_size: int = 256):
-    preds = []
-    for start in range(0, len(batch), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(batch)))
-        classes, _ = predict_batch(model, batch.subset(idx))
-        preds.extend(int(c) for c in classes)
-    return compute_metrics(preds, list(batch.labels))
+    Rows go through the network PREDICT_ROWS at a time; an exact tie of the
+    two probabilities gives the negative class.
+    """
+    classes = np.zeros(len(batch), dtype=np.int64)
+    p_pos = np.zeros(len(batch))
+    for start in range(0, len(batch), PREDICT_ROWS):
+        rows = np.arange(start, min(start + PREDICT_ROWS, len(batch)))
+        probs = nn.softmax(model.forward(batch.subset(rows), train=False).data)
+        classes[rows] = np.argmax(probs, axis=1)
+        p_pos[rows] = probs[:, 1]
+    return classes, p_pos
 
 
 def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpoint]:
@@ -330,7 +330,7 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
             loss.backward()
             optimizer.step()
             epoch_loss += float(loss.data) * len(batch)
-        report = _evaluate(model, val)
+        report = compute_metrics(predict_batch(model, val)[0].tolist(), val.labels.tolist())
         metrics = {m: report.value(m) for m in
                    ("accuracy", "precision_p", "recall_p", "f1_p")}
         metrics["fit_loss"] = epoch_loss / n_fit
@@ -354,33 +354,23 @@ def select_best_epoch(checkpoints, metric: str = "f1_p") -> ModelCheckpoint:
 
 
 def model_from_checkpoint(cp: ModelCheckpoint, dtype=None) -> Model:
-    """Rebuild a model from a self-describing checkpoint and load its weights."""
+    """Rebuild a model from a self-describing checkpoint and load its weights.
+
+    The parameters take the dtype the checkpoint stores unless dtype is given.
+    """
+    if dtype is None and cp.arrays:
+        dtype = next(iter(cp.arrays.values())).dtype
     kind = cp.metadata.get("kind")
     conf = {k[len("config."):]: v for k, v in cp.metadata.items() if k.startswith("config.")}
     seed = int(cp.metadata.get("seed", "0"))
-
-    def tup(key):
-        return tuple(int(x) for x in conf[key].split(","))
-
-    if kind == "word_aux":
-        cfg = WCnnConfig(
-            kernel_sizes=tup("kernel_sizes"), filters=int(conf["filters"]),
-            pool_size=int(conf["pool_size"]), dense_units=int(conf["dense_units"]),
-            dense_layers=int(conf["dense_layers"]), aux_dim=int(conf["aux_dim"]),
-            seq_len=int(conf["seq_len"]), embed_dim=int(conf["embed_dim"]),
-            dropout=float(conf["dropout"]),
-        )
-        model = build_wcnn(cfg, seed=seed, dtype=dtype)
-    elif kind in ("char_aux", "char_cnn"):
-        cfg = CCnnConfig(
-            kernel_sizes=tup("kernel_sizes"), filters=int(conf["filters"]),
-            dense_units=int(conf["dense_units"]), dense_layers=int(conf["dense_layers"]),
-            aux_mode=conf["aux_mode"], aux_dim=int(conf["aux_dim"]),
-            seq_len=int(conf["seq_len"]), embed_dim=int(conf["embed_dim"]),
-            charset_size=int(conf["charset_size"]), dropout=float(conf["dropout"]),
-        )
-        model = build_ccnn(cfg, seed=seed, dtype=dtype)
-    else:
+    try:
+        if kind == "word_aux":
+            model = build_wcnn(_config_from_items(WCnnConfig, conf), seed=seed, dtype=dtype)
+        else:
+            model = build_ccnn(_config_from_items(CCnnConfig, conf), seed=seed, dtype=dtype)
+    except KeyError:
+        model = None
+    if model is None or model.kind != kind:
         raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})")
     model.params.load_state_dict(cp.arrays)
     return model

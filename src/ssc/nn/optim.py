@@ -36,9 +36,3 @@ class Adam:
             v += (1.0 - self.beta2) * np.square(g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def reset(self) -> None:
-        """Clear moments and the step counter."""
-        self.t = 0
-        for name in self.m:
-            self.m[name][...] = 0.0
-            self.v[name][...] = 0.0

@@ -4,7 +4,8 @@ A Tensor wraps a numpy array plus an optional gradient buffer. Ops build a
 graph of backward closures; Tensor.backward() walks it in reverse
 topological order. Training defaults to 32-bit floats; verification (e.g.
 finite-difference checks) runs in 64-bit. The SSC_PRECISION environment
-variable (32 or 64) selects the starting default.
+variable (32 or 64) selects the starting default; any other value fails
+the import.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import os
 import numpy as np
 
 _PRECISIONS = {"32": np.float32, "64": np.float64}
-_default_dtype = _PRECISIONS.get(os.environ.get("SSC_PRECISION", "32"), np.float32)
+_env_precision = os.environ.get("SSC_PRECISION", "32")
+if _env_precision not in _PRECISIONS:
+    raise ValueError(f"SSC_PRECISION must be 32 or 64, got {_env_precision!r}")
+_default_dtype = _PRECISIONS[_env_precision]
 
 
 def set_precision(bits: int) -> None:

@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
-from ssc import baselines, synth
+from ssc import baselines, models, nn, synth
 from ssc.cli import main
 from ssc.config import ConfigFileError, DEFAULT_SCENARIOS, dump_config, load_config
 from ssc.corpus import Dataset, Tweet, load_dataset, save_dataset
 from ssc.encoding import encode_dataset
 from ssc.ensemble import (
+    KINDS,
+    ML_KINDS,
     BowMember,
+    CnnMember,
     EnsembleError,
     EnsembleSpec,
-    ensemble_predict,
+    ensemble_vote_batch,
     load_member,
     resolve_members,
     save_baseline_member,
 )
+from ssc.experiment import bow_features, build_feature_context
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +194,25 @@ class TestModelCommands:
                      "--checkpoint", str(ckpt),
                      "--test-data", str(workspace / "corpus.tsv")]) == 0
 
+    def test_prefilter_matches_library_on_encoded_features(self, workspace, tmp_path, capsys):
+        conf, corpus = str(workspace / "exp.conf"), str(workspace / "corpus.tsv")
+        ckpt, out = tmp_path / "svm.ckpt", tmp_path / "sample.tsv"
+        assert main(["train", "--config", conf, "--kind", "svm", "--train-data", corpus,
+                     "--output", str(ckpt)]) == 0
+        assert main(["prefilter", "--config", conf, "--checkpoint", str(ckpt),
+                     "--input", corpus, "--threshold", "0.7", "--sample", "30",
+                     "--seed", "4", "--output", str(out)]) == 0
+        assert "items above threshold, wrote 30" in capsys.readouterr().out
+        member = load_member("svm", ckpt)
+        ds = load_dataset(corpus)
+        enc = encode_dataset(ds, build_feature_context(load_config(conf)),
+                             with_word=False, with_char=False)
+        rows = dict(zip((t.text for t in ds), bow_features(enc, member.vocab, member.idf)))
+        expected = baselines.prefilter(ds, member.model, rows.__getitem__, threshold=0.7,
+                                       sample_n=30, seed=4)
+        assert [(t.id, t.text) for t in load_dataset(out)] == \
+            [(t.id, t.text) for t in expected.sample]
+
     def test_agreement(self, tmp_path, capsys):
         (tmp_path / "ann.tsv").write_text(
             "t1\ta\t1\nt1\tb\t1\nt2\ta\t0\nt2\tb\t0\nt3\ta\t1\nt3\tb\t0\n")
@@ -237,21 +260,44 @@ class TestEnsembleSurface:
             b_cls, _ = loaded.predict_batch(probe)
             assert np.array_equal(a_cls, b_cls)
 
-    def test_ensemble_predict_breakdown(self, workspace, tmp_path):
-        members, paths, enc = self.members_via_checkpoints(workspace, tmp_path)
-        spec = EnsembleSpec(tuple((m.kind, m) for m in members + members), mode="strict")
-        cls, breakdown = ensemble_predict(spec, enc, 0)
-        assert len(breakdown) == 6
-        votes = [v for _, v, _ in breakdown]
-        assert cls == (1 if sum(votes) > 3 else 0 if sum(votes) < 3 else cls)
-
     def test_all_identical_members_match_individual(self, workspace, tmp_path):
         members, _, enc = self.members_via_checkpoints(workspace, tmp_path)
         nb = members[2]
         spec = EnsembleSpec(tuple(("nb", nb) for _ in range(5)), mode="free")
+        probe = enc.subset(np.arange(40))
+        votes = ensemble_vote_batch(resolve_members(spec), probe)
+        assert np.array_equal(votes, nb.predict_batch(probe)[0])
         for i in (0, 3, 7):
-            cls, _ = ensemble_predict(spec, enc, i)
-            assert cls == nb.predict(enc, i)[0]
+            assert votes[i] == nb.predict(probe, i)[0]
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_kind_round_trips_exactly(self, workspace, tmp_path, kind):
+        # CNN members are built in float64, so a float32 container would lose bits.
+        ctx = synth.feature_context(embed_dim=16, seed=0)
+        enc = encode_dataset(load_dataset(workspace / "corpus.tsv"), ctx)
+        path = tmp_path / f"{kind}.exact.ckpt"
+        if kind in ML_KINDS:
+            members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+            member = next(m for m in members if m.kind == kind)
+            save_baseline_member(member, path)
+        else:
+            model = models.build_model(
+                kind, seed=3, dtype=np.float64,
+                wcnn=models.WCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=16),
+                ccnn=models.CCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8))
+            member = CnnMember(model)
+            nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
+                                                  metadata=model.metadata()), path)
+        loaded = load_member(kind, path)
+        before, after = _member_arrays(member), _member_arrays(loaded)
+        assert before.keys() == after.keys()
+        for name in before:
+            assert after[name].dtype == before[name].dtype, name
+            assert np.array_equal(after[name], before[name]), name
+        probe = enc.subset(np.arange(60))
+        a_cls, a_p = member.predict_batch(probe)
+        b_cls, b_p = loaded.predict_batch(probe)
+        assert np.array_equal(a_cls, b_cls) and np.array_equal(a_p, b_p)
 
     def test_member_load_failure_names_member(self, tmp_path):
         spec = EnsembleSpec((("nb", tmp_path / "missing.ckpt"),), mode="free")
@@ -264,6 +310,23 @@ class TestEnsembleSurface:
         spec = EnsembleSpec((("rf", svm_path),), mode="free")
         with pytest.raises(EnsembleError):
             resolve_members(spec)
+
+
+def _member_arrays(member) -> dict[str, np.ndarray]:
+    """Every array a member predicts from, by name."""
+    if isinstance(member, CnnMember):
+        return member.model.params.state_dict()
+    m = member.model
+    if member.kind == "nb":
+        return {"log_prior": m.log_prior, "log_likelihood": m.log_likelihood}
+    out = {"idf": member.idf}
+    if member.kind == "svm":
+        out["weights"] = m.weights
+        out["scalars"] = np.array([m.bias, m.platt_a, m.platt_b])
+    else:
+        for t, tree in enumerate(m.trees):
+            out.update({f"{t}.{k}": v for k, v in vars(tree).items()})
+    return out
 
 
 class TestEmitReport:

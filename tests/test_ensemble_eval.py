@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ssc.agreement import cohen_kappa, krippendorff_alpha
 from ssc.corpus import AnnotationSet, Dataset, ScenarioPlan, Tweet, make_folds
-from ssc.ensemble import EnsembleSpec, majority_vote
+from ssc.ensemble import EnsembleSpec, majority_vote, vote
 from ssc.metrics import (
     CrossValidationError,
     MetricsReport,
@@ -69,6 +69,18 @@ class TestMajorityVote:
                 assert got == 0
             else:
                 assert got == (1 if probs.mean() > 0.5 else 0)
+
+    def test_array_vote_matches_per_example_rule(self):
+        local = np.random.default_rng(2)
+        classes = local.integers(0, 2, size=(6, 400))
+        probs = local.random((6, 400))
+        probs[:, :50] = 0.5  # exact-half means on some ties
+        got = vote(classes, probs)
+        assert got.dtype == np.int64
+        expected = [majority_vote(classes[:, i].tolist(), probs[:, i].tolist())
+                    for i in range(400)]
+        assert got.tolist() == expected
+        assert (classes.sum(axis=0) == 3).sum() > 50  # ties were exercised
 
 
 class TestEnsembleSpec:

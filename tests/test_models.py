@@ -14,7 +14,6 @@ from ssc.models import (
     build_model,
     build_wcnn,
     model_from_checkpoint,
-    predict,
     predict_batch,
     select_best_epoch,
     train,
@@ -245,14 +244,16 @@ class TestTraining:
         cfg = TrainConfig(epochs=2, batch_size=4, seed=4)
         cps = train(model, enc, cfg)
         # Reconstruct the validation split exactly as train() does.
-        from ssc.models import _evaluate, _stratified_val_split
+        from ssc.metrics import compute_metrics
+        from ssc.models import _stratified_val_split
         split_rng = np.random.default_rng(cfg.seed)
         _, val_idx = _stratified_val_split(enc.labels, cfg.val_fraction, split_rng)
         val = enc.subset(val_idx)
         for cp in cps:
             nn.save_checkpoint(cp, tmp_path / "cp.ckpt")
             reloaded = model_from_checkpoint(nn.load_checkpoint(tmp_path / "cp.ckpt"))
-            report = _evaluate(reloaded, val)
+            classes, _ = predict_batch(reloaded, val)
+            report = compute_metrics(classes.tolist(), val.labels.tolist())
             for m in ("accuracy", "precision_p", "recall_p", "f1_p"):
                 assert report.value(m) == cp.metrics[m]
 
@@ -283,19 +284,29 @@ class TestSelectBestEpoch:
 class TestPredict:
     def test_reports_positive_probability(self):
         model = build_ccnn(SMALL_C, seed=6)
-        batch = char_batch(1, seed=6)
-        cls, p_pos = predict(model, batch)
-        full = nn.softmax(model.forward(batch).data)[0]
-        assert np.isclose(p_pos, full[1])
-        assert cls == int(np.argmax(full))
+        batch = char_batch(3, seed=6)
+        classes, p_pos = predict_batch(model, batch)
+        full = nn.softmax(model.forward(batch).data)
+        assert p_pos.dtype == np.float64
+        assert np.array_equal(p_pos, full[:, 1])
+        assert np.array_equal(classes, np.argmax(full, axis=1))
 
     def test_exact_tie_is_negative(self):
         model = build_ccnn(SMALL_C, seed=7)
         # Zero output weights force logits [0, 0] -> probs [0.5, 0.5].
         model.params["out_w"].data[:] = 0
         model.params["out_b"].data[:] = 0
-        cls, p_pos = predict(model, char_batch(1, seed=7))
-        assert p_pos == 0.5 and cls == 0
+        classes, p_pos = predict_batch(model, char_batch(2, seed=7))
+        assert np.all(p_pos == 0.5) and np.all(classes == 0)
+
+    def test_rows_forwarded_in_fixed_chunks(self):
+        model = build_ccnn(SMALL_C, seed=5)
+        batch = char_batch(models.PREDICT_ROWS + 44, seed=5)
+        classes, p_pos = predict_batch(model, batch)
+        for rows in (np.arange(models.PREDICT_ROWS), np.arange(models.PREDICT_ROWS, len(batch))):
+            probs = nn.softmax(model.forward(batch.subset(rows)).data)
+            assert np.array_equal(p_pos[rows], probs[:, 1])
+            assert np.array_equal(classes[rows], np.argmax(probs, axis=1))
 
     def test_pure_at_inference(self):
         model = build_ccnn(SMALL_C, seed=8)

@@ -108,8 +108,10 @@ class TestPrecisionMode:
         ssc_file = Path(ssc.__file__).resolve()
         code = ("import ssc, ssc.nn as nn; "
                 "print(ssc.__file__); print(nn.default_dtype().__name__)")
-        # SSC_PRECISION value (None: unset) -> expected default dtype.
-        for value, expected in [("64", "float64"), ("32", "float32"), (None, "float32")]:
+        # SSC_PRECISION value (None: unset) -> expected default dtype
+        # (None: the import fails and names the variable).
+        for value, expected in [("64", "float64"), ("32", "float32"), (None, "float32"),
+                                ("16", None)]:
             env = dict(os.environ)
             env.pop("SSC_PRECISION", None)
             if value is not None:
@@ -119,6 +121,10 @@ class TestPrecisionMode:
                 + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
             result = subprocess.run([sys.executable, "-c", code],
                                     env=env, capture_output=True, text=True)
+            if expected is None:
+                assert result.returncode != 0
+                assert "ValueError: SSC_PRECISION" in result.stderr
+                continue
             assert result.returncode == 0, result.stderr
             child_file, dtype_name = result.stdout.splitlines()
             assert Path(child_file).resolve() == ssc_file
@@ -225,6 +231,56 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError, match="trailing"):
             nn.load_checkpoint(path)
+
+    def test_dtypes_round_trip_exactly(self, tmp_path):
+        local = np.random.default_rng(13)
+        arrays = {"f32": local.normal(size=(2, 3)).astype(np.float32),
+                  "f64": local.normal(size=(4,)),
+                  "i64": np.array([-1, 0, 2**40], dtype=np.int64)}
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(ModelCheckpoint(0, arrays), path)
+        loaded = nn.load_checkpoint(path)
+        for name, arr in arrays.items():
+            assert loaded.arrays[name].dtype == arr.dtype
+            assert np.array_equal(loaded.arrays[name], arr)
+
+    def test_unsupported_dtype_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="dtype"):
+            nn.save_checkpoint(ModelCheckpoint(0, {"b": np.zeros(2, dtype=bool)}),
+                               tmp_path / "m.ckpt")
+
+    def test_corrupt_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(ModelCheckpoint(0, self.arrays()), path)
+        raw = bytearray(path.read_bytes())
+        at = len(MAGIC) + 4 + 4 + len("conv_w")  # magic, count, name length, name
+        assert raw[at:at + 4] == (1).to_bytes(4, "little")  # float32
+        raw[at:at + 4] = (99).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="dtype code 99"):
+            nn.load_checkpoint(path)
+
+    def test_float32_only_ecnn1_file_still_loads(self, tmp_path):
+        def u32(n):
+            return n.to_bytes(4, "little")
+
+        values = np.array([[1.5, -2.0, 0.25]], dtype="<f4")
+        meta = b"epoch=3\nmetric.f1_p=0.5\nkind=char_cnn\n"
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"ECNN1" + u32(1) + u32(1) + b"w" + u32(2) + u32(1) + u32(3)
+                         + values.tobytes() + u32(len(meta)) + meta)
+        loaded = nn.load_checkpoint(path)
+        assert loaded.epoch == 3 and loaded.metrics == {"f1_p": 0.5}
+        assert loaded.metadata == {"kind": "char_cnn"}
+        assert loaded.arrays["w"].dtype == np.float32
+        assert np.array_equal(loaded.arrays["w"], values)
+        # The same checkpoint saved today is ECNN2 and loads to the same values.
+        nn.save_checkpoint(loaded, tmp_path / "new.ckpt")
+        assert (tmp_path / "new.ckpt").read_bytes()[:5] == b"ECNN2"
+        again = nn.load_checkpoint(tmp_path / "new.ckpt")
+        assert again.arrays["w"].tobytes() == values.tobytes()
+        assert (again.epoch, again.metrics, again.metadata) == \
+            (loaded.epoch, loaded.metrics, loaded.metadata)
 
     def test_scalar_and_empty_metadata(self, tmp_path):
         path = tmp_path / "m.ckpt"
