@@ -25,14 +25,15 @@ def fit_tfidf(docs: Sequence[TokenSeq]) -> tuple[dict[str, int], np.ndarray]:
     """Fit (vocab, idf) on training documents only.
 
     idf = log((N+1)/(df+1)) + 1, so a term present in every document gets
-    weight factor exactly 1.
+    weight factor exactly 1. Terms are numbered in order of first occurrence,
+    so the columns do not depend on Python's per-process string hashing.
     """
     if not docs:
         raise ValueError("cannot fit a vocabulary on zero documents")
     vocab: dict[str, int] = {}
     df_counts: list[int] = []
     for doc in docs:
-        for term in set(doc):
+        for term in dict.fromkeys(doc):
             idx = vocab.setdefault(term, len(vocab))
             if idx == len(df_counts):
                 df_counts.append(0)

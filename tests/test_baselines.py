@@ -35,6 +35,32 @@ class TestTfidf:
         vocab, idf = fit_tfidf(docs)
         assert np.isclose(idf[vocab["common"]], 1.0)
 
+    def test_vocabulary_numbered_in_first_occurrence_order(self):
+        # Each interpreter hashes strings with its own seed, so the order
+        # must be the same in two children started with different seeds.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ssc
+
+        ssc_file = Path(ssc.__file__).resolve()
+        code = ("import ssc; from ssc.baselines import fit_tfidf; print(ssc.__file__); "
+                "print(list(fit_tfidf([['b', 'a', 'c', 'd'], ['e', 'a']])[0]))")
+        for seed in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(ssc_file.parents[1])]
+                + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+            result = subprocess.run([sys.executable, "-c", code],
+                                    env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            child_file, terms = result.stdout.splitlines()
+            assert Path(child_file).resolve() == ssc_file
+            assert terms == "['b', 'a', 'c', 'd', 'e']", f"PYTHONHASHSEED={seed}"
+
     def test_rare_token_weighted_up(self):
         docs = [["common", "rare"], ["common"], ["common"]]
         vocab, idf = fit_tfidf(docs)
