@@ -1,19 +1,23 @@
 """Classical baselines: multinomial Naive Bayes, linear SVM with Platt
 scaling, random forest, TF-IDF vectorization, and the annotation pre-filter.
 
-All trainers are deterministic under their seeds. Predictions follow the
-same convention as the CNN models: (class, positive-class probability).
+All trainers are deterministic under their seeds. SVM and random forest
+read the dense float64 rows of bow_features, Naive Bayes the token lists.
+Each predict takes N rows and returns, like the CNN models, (int64 classes,
+float64 positive-class probabilities).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Dataset
+from .encoding import EncodedSet
 from .features import AUX_DIM, TokenSeq
 
 
@@ -43,24 +47,8 @@ def fit_tfidf(docs: Sequence[TokenSeq]) -> tuple[dict[str, int], np.ndarray]:
     return vocab, idf
 
 
-@dataclass
-class BowVector:
-    """Sparse TF-IDF weights plus the dense 154-entry aux block."""
-
-    sparse: dict[int, float]
-    aux: np.ndarray
-
-    def to_dense(self, vocab_size: int) -> np.ndarray:
-        out = np.zeros(vocab_size + AUX_DIM)
-        for idx, val in self.sparse.items():
-            out[idx] = val
-        out[vocab_size:] = self.aux
-        return out
-
-
-def vectorize(tokens: TokenSeq, vocab: dict[str, int], idf: np.ndarray,
-              aux: np.ndarray) -> BowVector:
-    """TF-IDF weights (L2-normalized over the sparse part) + raw aux entries.
+def vectorize(tokens: TokenSeq, vocab: dict[str, int], idf: np.ndarray) -> dict[int, float]:
+    """TF-IDF weights of one document by column, L2-normalized.
 
     Tokens outside the fitted vocabulary are ignored.
     """
@@ -69,15 +57,27 @@ def vectorize(tokens: TokenSeq, vocab: dict[str, int], idf: np.ndarray,
         idx = vocab.get(tok)
         if idx is not None:
             counts[idx] = counts.get(idx, 0) + 1
-    sparse = {idx: tf * idf[idx] for idx, tf in counts.items()}
-    norm = math.sqrt(sum(v * v for v in sparse.values()))
+    weights = {idx: tf * idf[idx] for idx, tf in counts.items()}
+    norm = math.sqrt(sum(v * v for v in weights.values()))
     if norm > 0:
-        sparse = {idx: v / norm for idx, v in sparse.items()}
-    return BowVector(sparse, np.asarray(aux, dtype=np.float64))
+        weights = {idx: v / norm for idx, v in weights.items()}
+    return weights
 
 
-def dense_matrix(vectors: Sequence[BowVector], vocab_size: int) -> np.ndarray:
-    return np.stack([v.to_dense(vocab_size) for v in vectors])
+def dense_matrix(parts: Sequence[dict[int, float]], aux: np.ndarray,
+                 vocab_size: int) -> np.ndarray:
+    """(N, vocab_size + AUX_DIM) float64 rows: TF-IDF part, then raw aux."""
+    out = np.zeros((len(parts), vocab_size + AUX_DIM))
+    for row, part in zip(out, parts):
+        row[list(part)] = list(part.values())
+    out[:, vocab_size:] = aux
+    return out
+
+
+def bow_features(enc: EncodedSet, vocab: dict[str, int], idf: np.ndarray) -> np.ndarray:
+    """Feature rows of an encoded set under a fitted vectorizer."""
+    parts = [vectorize(tokens, vocab, idf) for tokens in enc.tokens]
+    return dense_matrix(parts, enc.aux, len(vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +132,19 @@ def train_nb(docs: Sequence[TokenSeq], labels: Sequence[int],
     return NbModel(vocab, log_prior, log_likelihood)
 
 
-def nb_predict(model: NbModel, tokens: TokenSeq) -> tuple[int, float]:
-    """Posterior by log-sum over known tokens; unknown tokens are skipped."""
-    log_post = model.log_prior.copy()
-    for tok in tokens:
-        idx = model.vocab.get(tok)
-        if idx is not None:
-            log_post = log_post + model.log_likelihood[:, idx]
-    shift = log_post - log_post.max()
-    post = np.exp(shift)
-    post /= post.sum()
-    cls = int(np.argmax(post))
-    return cls, float(post[1])
+def nb_predict(model: NbModel, docs: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior of each document by log-sum over known tokens; unknown ones are skipped."""
+    n = len(docs)
+    cols = np.fromiter((model.vocab.get(t, -1) for t in chain.from_iterable(docs)), np.int64)
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, docs), np.int64, n))
+    known = cols >= 0
+    # bincount adds in input order: each row sums its prior, then its tokens in order.
+    rows, cols = np.concatenate([np.arange(n), rows[known]]), cols[known]
+    log_post = np.stack([np.bincount(rows, np.concatenate([np.full(n, prior), ll[cols]]), n)
+                         for prior, ll in zip(model.log_prior, model.log_likelihood)], axis=1)
+    post = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+    post /= post.sum(axis=1, keepdims=True)
+    return np.argmax(post, axis=1), post[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +158,8 @@ class SvmModel:
     platt_a: float | None = None
     platt_b: float | None = None
 
-    def score(self, x: np.ndarray) -> float:
-        return float(self.weights @ x + self.bias)
+    def score(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64) @ self.weights + self.bias
 
     @property
     def calibrated(self) -> bool:
@@ -202,19 +203,17 @@ def svm_objective(model: SvmModel, x: np.ndarray, y: Sequence[int],
     return 0.5 * lam * float(model.weights @ model.weights) + float(hinge)
 
 
-def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[int, float]:
-    """Class from the score sign; probability from the fitted Platt sigmoid."""
+def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes from the score signs; probabilities from the fitted Platt sigmoid."""
     if not model.calibrated:
         raise ValueError("SVM model is not calibrated (fit Platt scaling first)")
-    s = model.score(np.asarray(x, dtype=np.float64))
-    cls = 1 if s > 0 else 0
-    return cls, platt_probability(s, model.platt_a, model.platt_b)
+    s = model.score(x)
+    return (s > 0).astype(np.int64), platt_probability(s, model.platt_a, model.platt_b)
 
 
 def calibrate_svm(model: SvmModel, x: np.ndarray, y: Sequence[int]) -> SvmModel:
     """Fit Platt parameters on (x, y) scores in place; returns the model."""
-    scores = np.asarray(x) @ model.weights + model.bias
-    model.platt_a, model.platt_b = platt_fit(scores, y)
+    model.platt_a, model.platt_b = platt_fit(model.score(x), y)
     return model
 
 
@@ -222,12 +221,11 @@ def calibrate_svm(model: SvmModel, x: np.ndarray, y: Sequence[int]) -> SvmModel:
 # Platt scaling
 # ---------------------------------------------------------------------------
 
-def platt_probability(score: float, a: float, b: float) -> float:
-    z = a * score + b
-    if z >= 0:
-        e = math.exp(-z)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(z))
+def platt_probability(score, a: float, b: float) -> np.ndarray:
+    """1 / (1 + exp(a * score + b)) elementwise, without overflow."""
+    z = a * np.asarray(score, dtype=np.float64) + b
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def platt_fit(scores: Sequence[float], labels: Sequence[int],
@@ -313,7 +311,7 @@ def gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(x, y, feature_ids):
+def _best_split(x, rows, y, feature_ids):
     """(feature, threshold, weighted impurity) of the best split, or None.
 
     Thresholds are midpoints between consecutive distinct sorted values;
@@ -323,7 +321,7 @@ def _best_split(x, y, feature_ids):
     n = len(y)
     best = None
     for f in feature_ids:
-        values = x[:, f]
+        values = x[rows, f]
         order = np.argsort(values, kind="stable")
         sv = values[order]
         sy = y[order]
@@ -348,7 +346,9 @@ def _best_split(x, y, feature_ids):
     return best
 
 
-def _grow(x, y, rng, max_depth, n_candidates, nodes, depth):
+def _grow(x, rows, y, rng, max_depth, n_candidates, nodes, depth):
+    # A node's samples are x[rows] (labels y); indexing, not copying, x keeps
+    # each node's cost to the candidate columns it reads.
     counts = np.bincount(y, minlength=2).astype(np.float64)
     node_id = len(nodes["feature"])
     for key, val in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
@@ -361,19 +361,19 @@ def _grow(x, y, rng, max_depth, n_candidates, nodes, depth):
 
     n_features = x.shape[1]
     cand = rng.permutation(n_features)
-    split = _best_split(x, y, cand[:n_candidates])
+    split = _best_split(x, rows, y, cand[:n_candidates])
     if split is None and n_candidates < n_features:
-        split = _best_split(x, y, cand[n_candidates:])  # fall back to the rest
+        split = _best_split(x, rows, y, cand[n_candidates:])  # fall back to the rest
     if split is None:
         return node_id
 
     f, thr, _ = split
-    mask = x[:, f] <= thr
+    mask = x[rows, f] <= thr
     nodes["feature"][node_id] = f
     nodes["threshold"][node_id] = thr
-    nodes["left"][node_id] = _grow(x[mask], y[mask], rng, max_depth, n_candidates,
-                                   nodes, depth + 1)
-    nodes["right"][node_id] = _grow(x[~mask], y[~mask], rng, max_depth,
+    nodes["left"][node_id] = _grow(x, rows[mask], y[mask], rng, max_depth,
+                                   n_candidates, nodes, depth + 1)
+    nodes["right"][node_id] = _grow(x, rows[~mask], y[~mask], rng, max_depth,
                                     n_candidates, nodes, depth + 1)
     return node_id
 
@@ -399,11 +399,10 @@ def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
         rng = np.random.default_rng([seed, i])
         if bootstrap:
             pick = rng.integers(0, n, size=n)
-            tx, ty = x[pick], y[pick]
         else:
-            tx, ty = x, y
+            pick = np.arange(n)
         nodes = {"feature": [], "threshold": [], "left": [], "right": [], "counts": []}
-        _grow(tx, ty, rng, max_depth, n_candidates, nodes, depth=0)
+        _grow(x, pick, y[pick], rng, max_depth, n_candidates, nodes, depth=0)
         forest.append(Tree(
             feature=np.array(nodes["feature"], dtype=np.int64),
             threshold=np.array(nodes["threshold"], dtype=np.float64),
@@ -414,20 +413,25 @@ def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
     return RfModel(forest, seed)
 
 
-def tree_vote(tree: Tree, x: np.ndarray) -> int:
-    node = 0
-    while tree.left[node] != -1:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+def tree_vote(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf majority of each row, walking all rows down one depth level at a time."""
+    node = np.zeros(len(x), dtype=np.int64)
+    active = np.arange(len(x))
+    while active.size:
+        at = node[active]
+        inner = tree.left[at] != -1
+        active, at = active[inner], at[inner]
+        go_left = x[active, tree.feature[at]] <= tree.threshold[at]
+        node[active] = np.where(go_left, tree.left[at], tree.right[at])
     counts = tree.counts[node]
-    return int(counts[1] > counts[0])
+    return (counts[:, 1] > counts[:, 0]).astype(np.int64)
 
 
-def rf_predict(model: RfModel, x: np.ndarray) -> tuple[int, float]:
+def rf_predict(model: RfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Majority vote over trees; p(positive) = fraction of positive votes."""
     x = np.asarray(x, dtype=np.float64)
-    votes = sum(tree_vote(t, x) for t in model.trees)
-    p_pos = votes / len(model.trees)
-    return int(p_pos > 0.5), float(p_pos)
+    p_pos = sum(tree_vote(t, x) for t in model.trees) / len(model.trees)
+    return (p_pos > 0.5).astype(np.int64), p_pos
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +445,23 @@ class PrefilterResult:
     warned: bool  # fewer qualifying items than requested
 
 
-def prefilter(unlabeled: Dataset, model: SvmModel,
-              encode: Callable[[str], np.ndarray], threshold: float = 0.8,
-              sample_n: int | None = None, seed: int = 0) -> PrefilterResult:
+def prefilter(unlabeled: Dataset, model: SvmModel, x: np.ndarray,
+              threshold: float = 0.8, sample_n: int | None = None,
+              seed: int = 0) -> PrefilterResult:
     """Confidently machine-labeled items, uniformly sampled.
 
     Keeps items whose calibrated probability for the predicted class is
     strictly above the threshold, then draws a seeded uniform sample of
     sample_n of them. If fewer qualify, all are returned and the result is
-    flagged. encode(text) must produce the model's feature vector.
+    flagged. Row i of x is the model's feature vector of item i.
     """
     if not model.calibrated:
         raise ValueError("prefilter requires a calibrated model")
-    qualified = []
-    for tweet in unlabeled:
-        cls, p_pos = svm_predict(model, encode(tweet.text))
-        p_predicted = p_pos if cls == 1 else 1.0 - p_pos
-        if p_predicted > threshold:
-            qualified.append(tweet)
+    if len(x) != len(unlabeled):
+        raise ValueError(f"{len(x)} feature rows for {len(unlabeled)} items")
+    cls, p_pos = svm_predict(model, x)
+    p_predicted = np.where(cls == 1, p_pos, 1.0 - p_pos)
+    qualified = [unlabeled[i] for i in np.flatnonzero(p_predicted > threshold)]
     if sample_n is None or len(qualified) <= sample_n:
         return PrefilterResult(Dataset(qualified), len(qualified),
                                warned=sample_n is not None and len(qualified) < sample_n)

@@ -45,7 +45,6 @@ from .ensemble import (
     save_baseline_member,
 )
 from .experiment import (
-    bow_features,
     build_feature_context,
     emit_report,
     run_experiment,
@@ -162,7 +161,7 @@ def cmd_train(args) -> int:
               + " ".join(f"{k}={v:.4f}" for k, v in sorted(best.metrics.items())))
         return 0
     vocab, idf = baselines.fit_tfidf(enc.tokens)
-    x = bow_features(enc, vocab, idf)
+    x = baselines.bow_features(enc, vocab, idf)
     member = train_bow_member(kind, 0, enc, x, vocab, idf, enc.labels, cfg, seed)
     save_baseline_member(member, args.output)
     print(f"trained {kind}, saved to {args.output}")
@@ -257,13 +256,8 @@ def cmd_prefilter(args) -> int:
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
     ds = load_dataset(args.input)
-    encode_set = _encoder(cfg, [kind])
-
-    def encode(text: str):
-        enc = encode_set(Dataset([Tweet("item", text)]))
-        return bow_features(enc, member.vocab, member.idf)[0]
-
-    result = baselines.prefilter(ds, member.model, encode, threshold=args.threshold,
+    x = baselines.bow_features(_encoder(cfg, [kind])(ds), member.vocab, member.idf)
+    result = baselines.prefilter(ds, member.model, x, threshold=args.threshold,
                                  sample_n=args.sample, seed=args.seed)
     save_dataset(result.sample, args.output)
     print(f"{result.n_qualified} items above threshold, wrote {len(result.sample)}")

@@ -1,7 +1,8 @@
 """Majority-vote ensembling over CNN and classical members.
 
 A member has a kind and a batched predict returning (classes, positive
-probabilities); predict(enc, i) is the same for one example. KINDS below
+probabilities), run PREDICT_ROWS rows at a time; predict(enc, i) is that
+predict on a set of one. KINDS below
 is the one registry of member kinds. The two paper-faithful six-member
 rosters are 2x char_aux + 2x char_cnn + 2x word_aux (CNN ensemble) and
 2x svm + 2x rf + 2x nb (classical ensemble); "free" mode allows arbitrary
@@ -83,8 +84,16 @@ def majority_vote(votes: Sequence[int], probs: Sequence[float]) -> int:
 # Members
 # ---------------------------------------------------------------------------
 
+class Member:
+    """Base of both member types, which define kind and predict_batch(enc)."""
+
+    def predict(self, enc: EncodedSet, i: int = 0) -> tuple[int, float]:
+        c, p = self.predict_batch(enc.subset([i]))
+        return int(c[0]), float(p[0])
+
+
 @dataclass
-class CnnMember:
+class CnnMember(Member):
     """Wraps a built CNN model (word_aux / char_aux / char_cnn)."""
 
     model: models.Model
@@ -96,13 +105,9 @@ class CnnMember:
     def predict_batch(self, enc: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
         return models.predict_batch(self.model, enc)
 
-    def predict(self, enc: EncodedSet, i: int = 0) -> tuple[int, float]:
-        c, p = models.predict_batch(self.model, enc.subset([i]))
-        return int(c[0]), float(p[0])
-
 
 @dataclass
-class BowMember:
+class BowMember(Member):
     """Wraps a classical model plus the TF-IDF vectorizer it was fit with."""
 
     kind: str  # "svm" | "rf" | "nb"
@@ -110,28 +115,15 @@ class BowMember:
     vocab: dict[str, int] | None = None
     idf: np.ndarray | None = None
 
-    def _vector(self, enc: EncodedSet, i: int) -> np.ndarray:
-        bow = baselines.vectorize(enc.tokens[i], self.vocab, self.idf, enc.aux[i])
-        return bow.to_dense(len(self.vocab))
-
-    def predict(self, enc: EncodedSet, i: int = 0) -> tuple[int, float]:
-        if self.kind == "nb":
-            return baselines.nb_predict(self.model, enc.tokens[i])
-        if self.kind == "svm":
-            return baselines.svm_predict(self.model, self._vector(enc, i))
-        if self.kind == "rf":
-            return baselines.rf_predict(self.model, self._vector(enc, i))
-        raise EnsembleError(f"unknown member kind {self.kind!r}")
-
     def predict_batch(self, enc: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
-        classes = np.zeros(len(enc), dtype=np.int64)
-        probs = np.zeros(len(enc))
-        for i in range(len(enc)):
-            classes[i], probs[i] = self.predict(enc, i)
-        return classes, probs
+        """Features are built per block of rows, so their size is bounded."""
+        def predict(rows: EncodedSet):
+            if self.kind == "nb":
+                return baselines.nb_predict(self.model, rows.tokens)
+            predict_x = {"svm": baselines.svm_predict, "rf": baselines.rf_predict}[self.kind]
+            return predict_x(self.model, baselines.bow_features(rows, self.vocab, self.idf))
 
-
-Member = CnnMember | BowMember
+        return models.predict_in_blocks(predict, enc)
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ class EnsembleSpec:
 
 def load_member(kind: str, ref) -> Member:
     """Materialize a member from an in-memory object or a checkpoint path."""
-    if isinstance(ref, (CnnMember, BowMember)):
+    if isinstance(ref, Member):
         return ref
     if isinstance(ref, models.Model):
         return CnnMember(ref)

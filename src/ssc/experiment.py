@@ -127,12 +127,6 @@ def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
-def bow_features(enc: EncodedSet, vocab: dict, idf: np.ndarray) -> np.ndarray:
-    """Dense TF-IDF + aux rows of an encoded set under a fitted vectorizer."""
-    vectors = [baselines.vectorize(t, vocab, idf, a) for t, a in zip(enc.tokens, enc.aux)]
-    return baselines.dense_matrix(vectors, len(vocab))
-
-
 def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
                   cfg: ExperimentConfig, ctx: FeatureContext, out: Path,
                   jobs: int, log) -> tuple[list[ReportRow], list[str]]:
@@ -189,7 +183,7 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
 
         if bow_units:
             vocab, idf = baselines.fit_tfidf(enc_train.tokens)
-            x_train = bow_features(enc_train, vocab, idf)
+            x_train = baselines.bow_features(enc_train, vocab, idf)
             for i, kind in bow_units:
                 member = train_bow_member(
                     kind, kind_index[i], enc_train, x_train, vocab, idf,

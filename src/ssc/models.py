@@ -217,19 +217,24 @@ def _ccnn_specs(cfg: CCnnConfig) -> list[ParamSpec]:
     return specs
 
 
+def _architecture(cfg: WCnnConfig | CCnnConfig) -> tuple[type[Model], list[ParamSpec], str]:
+    """(model class, parameter specs, member kind) of a validated config."""
+    cfg.validate()
+    if isinstance(cfg, WCnnConfig):
+        return WordCnn, _wcnn_specs(cfg), "word_aux"
+    return CharCnn, _ccnn_specs(cfg), "char_aux" if cfg.aux_mode == "full" else "char_cnn"
+
+
 def build_wcnn(cfg: WCnnConfig, seed: int = 0, dtype=None) -> Model:
     """Word-level CNN with auxiliary concatenation ("word_aux")."""
-    cfg.validate()
-    params = nn.init_params(_wcnn_specs(cfg), seed, dtype=dtype)
-    return WordCnn("word_aux", cfg, params, seed)
+    cls, specs, kind = _architecture(cfg)
+    return cls(kind, cfg, nn.init_params(specs, seed, dtype=dtype), seed)
 
 
 def build_ccnn(cfg: CCnnConfig, seed: int = 0, dtype=None) -> Model:
     """Char-level CNN; aux_mode selects "char_aux" vs plain "char_cnn"."""
-    cfg.validate()
-    params = nn.init_params(_ccnn_specs(cfg), seed, dtype=dtype)
-    kind = "char_aux" if cfg.aux_mode == "full" else "char_cnn"
-    return CharCnn(kind, cfg, params, seed)
+    cls, specs, kind = _architecture(cfg)
+    return cls(kind, cfg, nn.init_params(specs, seed, dtype=dtype), seed)
 
 
 def build_model(kind: str, seed: int = 0, dtype=None, *, wcnn: WCnnConfig | None = None,
@@ -279,20 +284,27 @@ def _stratified_val_split(labels: np.ndarray, fraction: float,
     return np.concatenate(fit_idx), np.concatenate(val_idx)
 
 
+def predict_in_blocks(predict, batch: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, positive probabilities) of batch from predict(PREDICT_ROWS rows)."""
+    classes = np.zeros(len(batch), dtype=np.int64)
+    p_pos = np.zeros(len(batch))
+    for start in range(0, len(batch), PREDICT_ROWS):
+        rows = np.arange(start, min(start + PREDICT_ROWS, len(batch)))
+        classes[rows], p_pos[rows] = predict(batch.subset(rows))
+    return classes, p_pos
+
+
 def predict_batch(model: Model, batch: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
     """(argmax classes, float64 positive-class probabilities) for every row.
 
     Rows go through the network PREDICT_ROWS at a time; an exact tie of the
     two probabilities gives the negative class.
     """
-    classes = np.zeros(len(batch), dtype=np.int64)
-    p_pos = np.zeros(len(batch))
-    for start in range(0, len(batch), PREDICT_ROWS):
-        rows = np.arange(start, min(start + PREDICT_ROWS, len(batch)))
-        probs = nn.softmax(model.forward(batch.subset(rows), train=False).data)
-        classes[rows] = np.argmax(probs, axis=1)
-        p_pos[rows] = probs[:, 1]
-    return classes, p_pos
+    def forward(rows: EncodedSet):
+        probs = nn.softmax(model.forward(rows, train=False).data)
+        return np.argmax(probs, axis=1), probs[:, 1]
+
+    return predict_in_blocks(forward, batch)
 
 
 def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpoint]:
@@ -354,7 +366,7 @@ def select_best_epoch(checkpoints, metric: str = "f1_p") -> ModelCheckpoint:
 
 
 def model_from_checkpoint(cp: ModelCheckpoint, dtype=None) -> Model:
-    """Rebuild a model from a self-describing checkpoint and load its weights.
+    """Rebuild a model from a self-describing checkpoint's arrays (no values drawn).
 
     The parameters take the dtype the checkpoint stores unless dtype is given.
     """
@@ -364,13 +376,14 @@ def model_from_checkpoint(cp: ModelCheckpoint, dtype=None) -> Model:
     conf = {k[len("config."):]: v for k, v in cp.metadata.items() if k.startswith("config.")}
     seed = int(cp.metadata.get("seed", "0"))
     try:
-        if kind == "word_aux":
-            model = build_wcnn(_config_from_items(WCnnConfig, conf), seed=seed, dtype=dtype)
-        else:
-            model = build_ccnn(_config_from_items(CCnnConfig, conf), seed=seed, dtype=dtype)
+        cfg = _config_from_items(WCnnConfig if kind == "word_aux" else CCnnConfig, conf)
+        cls, specs, built_kind = _architecture(cfg)
     except KeyError:
-        model = None
-    if model is None or model.kind != kind:
+        built_kind = None
+    if built_kind != kind:
         raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})")
-    model.params.load_state_dict(cp.arrays)
-    return model
+    params = nn.ParamSet()
+    for spec in specs:  # unwritten placeholders: load_state_dict checks and replaces them
+        params.add(spec.name, np.empty(spec.shape, dtype=dtype))
+    params.load_state_dict(cp.arrays)
+    return cls(kind, cfg, params, seed)

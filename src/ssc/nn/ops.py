@@ -261,7 +261,8 @@ def softmax_xent(logits, gold) -> tuple[Tensor, np.ndarray]:
 
     logits is (K,) with an integer gold class, or (B, K) with gold (B,).
     Returns (scalar loss tensor, probabilities as a plain array); the
-    gradient wrt logits is (p - onehot(gold)) / B.
+    gradient wrt logits is (p - onehot(gold)) / B. The loss is log-sum-exp
+    minus the gold logit, finite even where p(gold) underflows to 0.
     """
     logits = astensor(logits)
     single = logits.data.ndim == 1
@@ -271,7 +272,8 @@ def softmax_xent(logits, gold) -> tuple[Tensor, np.ndarray]:
         raise ValueError("gold labels do not match the batch size")
     p = softmax(ld)
     rows = np.arange(ld.shape[0])
-    loss_val = np.asarray(-np.log(p[rows, y]).mean(), dtype=ld.dtype)
+    z = ld - ld.max(axis=-1, keepdims=True)
+    loss_val = np.asarray((np.log(np.exp(z).sum(axis=-1)) - z[rows, y]).mean(), dtype=ld.dtype)
 
     def bwd(g):
         d = p.copy()

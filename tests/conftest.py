@@ -4,6 +4,8 @@ The reference implementations here stay deliberately naive (nested loops,
 exact arithmetic) and independent of the library code paths they check.
 """
 
+import math
+
 import numpy as np
 
 
@@ -87,3 +89,65 @@ def max_relative_error(analytic, numeric):
     n = numeric[mask]
     denom = np.maximum(np.abs(a) + np.abs(n), 1e-8)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Classical members, one example at a time
+# ---------------------------------------------------------------------------
+
+def tfidf_row_oracle(tokens, vocab, idf, aux):
+    """One feature row from a per-example dict TF-IDF, densified entry by entry."""
+    counts = {}
+    for tok in tokens:
+        if tok in vocab:
+            counts[vocab[tok]] = counts.get(vocab[tok], 0) + 1
+    weights = {idx: tf * idf[idx] for idx, tf in counts.items()}
+    norm = math.sqrt(sum(v * v for v in weights.values()))
+    if norm > 0:
+        weights = {idx: v / norm for idx, v in weights.items()}
+    out = np.zeros(len(vocab) + len(aux))
+    for idx, val in weights.items():
+        out[idx] = val
+    out[len(vocab):] = np.asarray(aux, dtype=np.float64)
+    return out
+
+
+def platt_oracle(score, a, b):
+    """Scalar Platt sigmoid 1 / (1 + exp(a * score + b))."""
+    z = a * score + b
+    if z >= 0:
+        e = math.exp(-z)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(z))
+
+
+def svm_predict_oracle(model, row):
+    score = float(model.weights @ row + model.bias)
+    return int(score > 0), platt_oracle(score, model.platt_a, model.platt_b)
+
+
+def tree_vote_oracle(tree, row):
+    """Walk one row from the root to its leaf."""
+    node = 0
+    while tree.left[node] != -1:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    counts = tree.counts[node]
+    return int(counts[1] > counts[0])
+
+
+def rf_predict_oracle(model, row):
+    votes = sum(tree_vote_oracle(t, row) for t in model.trees)
+    p_pos = votes / len(model.trees)
+    return int(p_pos > 0.5), p_pos
+
+
+def nb_predict_oracle(model, tokens):
+    """Log posterior summed token by token from the prior; unknown tokens skipped."""
+    log_post = model.log_prior.copy()
+    for tok in tokens:
+        if tok in model.vocab:
+            log_post = log_post + model.log_likelihood[:, model.vocab[tok]]
+    post = np.exp(log_post - log_post.max())
+    post /= post.sum()
+    return int(np.argmax(post)), float(post[1])

@@ -214,7 +214,7 @@ def test_criterion_2_oracle_equivalence():
             continue
         model = baselines.train_nb(docs, labels)
         query = [vocab[j] for j in rng.integers(0, 5, size=int(rng.integers(0, 6)))]
-        _, p = baselines.nb_predict(model, query)
+        p = baselines.nb_predict(model, [query])[1][0]
         # exact-fraction enumeration of the joint likelihood
         v = len(set(t for d in docs for t in d))
         post = []

@@ -4,9 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import (
+    nb_predict_oracle,
+    rf_predict_oracle,
+    svm_predict_oracle,
+    tfidf_row_oracle,
+    tree_vote_oracle,
+)
+from ssc import synth
 from ssc.baselines import (
     SvmModel,
+    bow_features,
     calibrate_svm,
+    dense_matrix,
     fit_tfidf,
     gini,
     nb_predict,
@@ -23,10 +33,10 @@ from ssc.baselines import (
     vectorize,
 )
 from ssc.corpus import Dataset, Tweet
+from ssc.encoding import encode_dataset
+from ssc.ensemble import BowMember
 from ssc.features import AUX_DIM
-
-ZERO_AUX = np.zeros(AUX_DIM)
-
+from ssc.models import PREDICT_ROWS
 
 class TestTfidf:
     def test_idf_for_ubiquitous_token_is_one(self):
@@ -69,25 +79,24 @@ class TestTfidf:
     def test_empty_tokens_only_aux(self):
         vocab, idf = fit_tfidf([["a"], ["b"]])
         aux = np.arange(AUX_DIM, dtype=float)
-        vec = vectorize([], vocab, idf, aux)
-        assert not vec.sparse
-        assert np.array_equal(vec.to_dense(len(vocab))[len(vocab):], aux)
+        assert not vectorize([], vocab, idf)
+        assert np.array_equal(dense_matrix([{}], aux[None], len(vocab)),
+                              np.concatenate([np.zeros(len(vocab)), aux])[None])
 
     def test_unseen_token_ignored(self):
         vocab, idf = fit_tfidf([["a"], ["b"]])
-        vec = vectorize(["zzz"], vocab, idf, ZERO_AUX)
-        assert not vec.sparse
+        assert not vectorize(["zzz"], vocab, idf)
 
     def test_sparse_part_l2_normalized(self):
         vocab, idf = fit_tfidf([["a", "b"], ["a"], ["b"]])
-        vec = vectorize(["a", "b", "b"], vocab, idf, ZERO_AUX)
-        norm = math.sqrt(sum(v * v for v in vec.sparse.values()))
+        weights = vectorize(["a", "b", "b"], vocab, idf)
+        norm = math.sqrt(sum(v * v for v in weights.values()))
         assert np.isclose(norm, 1.0)
 
     def test_aux_not_normalized(self):
         vocab, idf = fit_tfidf([["a"]])
         aux = np.full(AUX_DIM, 7.0)
-        dense = vectorize(["a"], vocab, idf, aux).to_dense(len(vocab))
+        dense = dense_matrix([vectorize(["a"], vocab, idf)], aux[None], len(vocab))[0]
         assert (dense[len(vocab):] == 7.0).all()
 
 
@@ -115,15 +124,15 @@ def nb_posterior_oracle(docs, labels, query):
 class TestNaiveBayes:
     def test_symmetric_two_doc_corpus(self):
         model = train_nb([["a"], ["b"]], [1, 0])
-        cls, p = nb_predict(model, ["a"])
-        assert cls == 1 and p > 0.5
-        _, p_both = nb_predict(model, ["a", "b"])
+        cls, p = nb_predict(model, [["a"]])
+        assert cls[0] == 1 and p[0] > 0.5
+        _, p_both = nb_predict(model, [["a", "b"]])
         assert np.isclose(p_both, 0.5)
 
     def test_prior_only_for_unknown_tokens(self):
         model = train_nb([["a"], ["a"], ["b"]], [1, 1, 0])
-        _, p = nb_predict(model, ["zzz"])
-        assert np.isclose(p, 2 / 3)
+        _, p = nb_predict(model, [["zzz"]])
+        assert np.isclose(p[0], 2 / 3)
 
     def test_matches_exact_enumeration(self):
         local = np.random.default_rng(31)
@@ -137,8 +146,8 @@ class TestNaiveBayes:
                 labels[0] = 1 - labels[0]
             model = train_nb(docs, labels)
             query = [vocab[j] for j in local.integers(0, 5, size=4)]
-            _, p = nb_predict(model, query)
-            assert abs(p - nb_posterior_oracle(docs, labels, query)) <= 1e-12
+            _, p = nb_predict(model, [query])
+            assert abs(p[0] - nb_posterior_oracle(docs, labels, query)) <= 1e-12
 
     def test_likelihoods_form_distribution(self):
         model = train_nb([["a", "b"], ["c"]], [1, 0])
@@ -202,7 +211,7 @@ class TestSvm:
     def test_predict_requires_calibration(self):
         model = SvmModel(weights=np.ones(2))
         with pytest.raises(ValueError, match="calibrat"):
-            svm_predict(model, np.ones(2))
+            svm_predict(model, np.ones((1, 2)))
 
 
 class TestPlatt:
@@ -276,7 +285,7 @@ class TestRandomForest:
         x = local.normal(size=(40, 6))
         y = (x[:, 2] * x[:, 4] > 0).astype(int)
         model = train_rf(x, y, trees=1, max_depth=None, seed=0, bootstrap=False)
-        pred = [rf_predict(model, row)[0] for row in x]
+        pred = [rf_predict(model, row[None])[0][0] for row in x]
         assert (np.array(pred) == y).all()
 
     def test_prediction_invariant_to_tree_order(self):
@@ -285,9 +294,10 @@ class TestRandomForest:
         y = (x[:, 0] > 0).astype(int)
         model = train_rf(x, y, trees=9, max_depth=4, seed=1)
         probe = local.normal(size=4)
-        before = rf_predict(model, probe)
+        before = rf_predict(model, probe[None])
         model.trees.reverse()
-        assert rf_predict(model, probe) == before
+        after = rf_predict(model, probe[None])
+        assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
 
     def test_majority_equals_explicit_tally(self):
         local = np.random.default_rng(12)
@@ -295,10 +305,30 @@ class TestRandomForest:
         y = (x[:, 1] > 0).astype(int)
         model = train_rf(x, y, trees=7, max_depth=3, seed=2)
         probe = local.normal(size=4)
-        votes = [tree_vote(t, probe) for t in model.trees]
-        cls, p = rf_predict(model, probe)
-        assert p == sum(votes) / 7
-        assert cls == int(sum(votes) > 3.5)
+        votes = [tree_vote(t, probe[None])[0] for t in model.trees]
+        cls, p = rf_predict(model, probe[None])
+        assert p[0] == sum(votes) / 7
+        assert cls[0] == int(sum(votes) > 3.5)
+
+    def test_node_counts_match_routed_bootstrap_sample(self):
+        # Every node's class counts are those of the tree's bootstrap draw
+        # routed down from the root by the stored splits.
+        local = np.random.default_rng(16)
+        x = local.normal(size=(60, 5))
+        y = (x[:, 0] + 0.5 * local.normal(size=60) > 0).astype(int)
+        model = train_rf(x, y, trees=4, max_depth=5, seed=3)
+        for i, tree in enumerate(model.trees):
+            pick = np.random.default_rng([3, i]).integers(0, 60, size=60)
+            counts = np.zeros_like(tree.counts)
+            for row, label in zip(x[pick], y[pick]):
+                node = 0
+                counts[node, label] += 1
+                while tree.left[node] != -1:
+                    go_left = row[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                    counts[node, label] += 1
+            assert len(tree.feature) > 1
+            assert np.array_equal(counts, tree.counts)
 
     def test_deterministic_under_seed(self):
         local = np.random.default_rng(13)
@@ -324,39 +354,94 @@ def make_calibrated_svm():
     return calibrate_svm(model, x, y)
 
 
+class TestBatchedMatchesPerExampleOracle:
+    """Features and predictions on a synthetic corpus, against one-example oracles.
+
+    The held-out set is longer than PREDICT_ROWS, so members predict it in
+    more than one block.
+    """
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        ctx = synth.feature_context(embed_dim=8, seed=0)
+        enc = encode_dataset(synth.generate_dataset(220, 220, seed=5), ctx,
+                             with_word=False, with_char=False)
+        train, test = enc.subset(np.arange(140)), enc.subset(np.arange(140, len(enc)))
+        vocab, idf = fit_tfidf(train.tokens)
+        x, y = bow_features(train, vocab, idf), train.labels
+        members = {
+            "svm": BowMember("svm", calibrate_svm(train_svm(x, y, epochs=3, seed=1), x, y),
+                             vocab, idf),
+            "rf": BowMember("rf", train_rf(x, y, trees=7, max_depth=8, seed=2), vocab, idf),
+            "nb": BowMember("nb", train_nb(train.tokens, y.tolist(), bootstrap_seed=3)),
+        }
+        return members, vocab, idf, test
+
+    def test_features_equal_oracle_rows(self, fitted):
+        _, vocab, idf, test = fitted
+        oracle = np.stack([tfidf_row_oracle(t, vocab, idf, a)
+                           for t, a in zip(test.tokens, test.aux)])
+        assert np.array_equal(bow_features(test, vocab, idf), oracle)
+
+    @pytest.mark.parametrize("kind", ["svm", "rf", "nb"])
+    def test_member_predictions_match_oracle(self, fitted, kind):
+        members, vocab, idf, test = fitted
+        assert len(test) > PREDICT_ROWS
+        member = members[kind]
+        if kind == "nb":
+            want = [nb_predict_oracle(member.model, t) for t in test.tokens]
+        else:
+            oracle = svm_predict_oracle if kind == "svm" else rf_predict_oracle
+            want = [oracle(member.model, tfidf_row_oracle(t, vocab, idf, a))
+                    for t, a in zip(test.tokens, test.aux)]
+        classes, probs = member.predict_batch(test)
+        assert classes.dtype == np.int64 and probs.dtype == np.float64
+        assert np.array_equal(classes, [c for c, _ in want])
+        if kind == "rf":
+            assert np.array_equal(probs, [p for _, p in want])
+        else:
+            assert np.abs(probs - [p for _, p in want]).max() <= 1e-12
+
+    def test_tree_votes_match_per_row_walk(self, fitted):
+        members, vocab, idf, test = fitted
+        x = bow_features(test, vocab, idf)
+        for tree in members["rf"].model.trees:
+            assert np.array_equal(tree_vote(tree, x), [tree_vote_oracle(tree, r) for r in x])
+
+
 class TestPrefilter:
     DATASET = Dataset([Tweet(f"t{i}", f"text number {i}") for i in range(40)])
 
-    def encoder(self):
+    def features(self):
         local = np.random.default_rng(15)
-        vectors = {t.id: local.normal(scale=2.0, size=3) for t in self.DATASET}
-        return lambda text: vectors["t" + text.split()[-1]]
+        return np.stack([local.normal(scale=2.0, size=3) for _ in self.DATASET])
 
     def test_threshold_one_empty(self):
         model = make_calibrated_svm()
-        result = prefilter(self.DATASET, model, self.encoder(), threshold=1.0,
+        result = prefilter(self.DATASET, model, self.features(), threshold=1.0,
                            sample_n=5)
         assert len(result.sample) == 0 and result.warned
 
     def test_threshold_zero_samples_everything(self):
         model = make_calibrated_svm()
-        result = prefilter(self.DATASET, model, self.encoder(), threshold=0.0,
+        result = prefilter(self.DATASET, model, self.features(), threshold=0.0,
                            sample_n=10, seed=1)
         assert len(result.sample) == 10
         assert result.n_qualified == len(self.DATASET)
 
     def test_every_returned_item_above_threshold(self):
         model = make_calibrated_svm()
-        encode = self.encoder()
-        result = prefilter(self.DATASET, model, encode, threshold=0.8)
+        x = self.features()
+        result = prefilter(self.DATASET, model, x, threshold=0.8)
         assert len(result.sample) == result.n_qualified
+        row = {t.id: i for i, t in enumerate(self.DATASET)}
         for tweet in result.sample:
-            cls, p_pos = svm_predict(model, encode(tweet.text))
-            assert (p_pos if cls == 1 else 1 - p_pos) > 0.8
+            cls, p_pos = svm_predict(model, x[row[tweet.id]][None])
+            assert (p_pos[0] if cls[0] == 1 else 1 - p_pos[0]) > 0.8
 
     def test_subset_of_input(self):
         model = make_calibrated_svm()
-        result = prefilter(self.DATASET, model, self.encoder(), threshold=0.5,
+        result = prefilter(self.DATASET, model, self.features(), threshold=0.5,
                            sample_n=7, seed=2)
         ids = {t.id for t in self.DATASET}
         assert all(t.id in ids for t in result.sample)
@@ -364,10 +449,14 @@ class TestPrefilter:
 
     def test_uncalibrated_model_rejected(self):
         with pytest.raises(ValueError):
-            prefilter(self.DATASET, SvmModel(weights=np.ones(3)), self.encoder())
+            prefilter(self.DATASET, SvmModel(weights=np.ones(3)), self.features())
+
+    def test_misaligned_features_rejected(self):
+        with pytest.raises(ValueError, match="feature rows"):
+            prefilter(self.DATASET, make_calibrated_svm(), self.features()[:-1])
 
     def test_deterministic_sampling(self):
         model = make_calibrated_svm()
-        a = prefilter(self.DATASET, model, self.encoder(), 0.0, 5, seed=9)
-        b = prefilter(self.DATASET, model, self.encoder(), 0.0, 5, seed=9)
+        a = prefilter(self.DATASET, model, self.features(), 0.0, 5, seed=9)
+        b = prefilter(self.DATASET, model, self.features(), 0.0, 5, seed=9)
         assert [t.id for t in a.sample] == [t.id for t in b.sample]

@@ -18,7 +18,7 @@ from ssc.ensemble import (
     resolve_members,
     save_baseline_member,
 )
-from ssc.experiment import bow_features, build_feature_context
+from ssc.experiment import build_feature_context
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +207,8 @@ class TestModelCommands:
         ds = load_dataset(corpus)
         enc = encode_dataset(ds, build_feature_context(load_config(conf)),
                              with_word=False, with_char=False)
-        rows = dict(zip((t.text for t in ds), bow_features(enc, member.vocab, member.idf)))
-        expected = baselines.prefilter(ds, member.model, rows.__getitem__, threshold=0.7,
+        x = baselines.bow_features(enc, member.vocab, member.idf)
+        expected = baselines.prefilter(ds, member.model, x, threshold=0.7,
                                        sample_n=30, seed=4)
         assert [(t.id, t.text) for t in load_dataset(out)] == \
             [(t.id, t.text) for t in expected.sample]
@@ -232,9 +232,7 @@ class TestEnsembleSurface:
         ctx = synth.feature_context(embed_dim=16, seed=0)
         enc = encode_dataset(ds, ctx, with_word=False)
         vocab, idf = baselines.fit_tfidf(enc.tokens)
-        x = baselines.dense_matrix(
-            [baselines.vectorize(t, vocab, idf, a) for t, a in zip(enc.tokens, enc.aux)],
-            len(vocab))
+        x = baselines.bow_features(enc, vocab, idf)
         y = enc.labels
         svm = baselines.calibrate_svm(
             baselines.train_svm(x, y, lam=1e-4, epochs=5, seed=0), x, y)

@@ -346,3 +346,28 @@ class TestCheckpointEquivalence:
         b_cls, b_p = predict_batch(reloaded, batch)
         assert np.array_equal(a_cls, b_cls)
         assert np.array_equal(a_p, b_p)
+
+    def test_load_draws_no_initial_values(self, monkeypatch):
+        model = build_ccnn(SMALL_C, seed=13)
+        cp = nn.ModelCheckpoint(1, model.params.state_dict(), metadata=model.metadata())
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("init_params called while loading")
+
+        monkeypatch.setattr(nn, "init_params", no_draws)
+        reloaded = model_from_checkpoint(cp)
+        assert reloaded.params.names() == model.params.names()
+        for name, p in model.params.items():
+            assert np.array_equal(reloaded.params[name].data, p.data)
+
+    @pytest.mark.parametrize("damage", ["missing", "shape"])
+    def test_damaged_parameters_rejected(self, damage):
+        model = build_wcnn(SMALL_W, seed=14)
+        arrays = model.params.state_dict()
+        if damage == "missing":
+            del arrays["dense2_b"]
+        else:
+            arrays["dense2_b"] = arrays["dense2_b"][:-1]
+        cp = nn.ModelCheckpoint(1, arrays, metadata=model.metadata())
+        with pytest.raises(ValueError, match="dense2_b"):
+            model_from_checkpoint(cp)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ class TestSoftmaxXent:
         loss, p = nn.softmax_xent(np.array([1000.0, 0.0]), 0)
         assert float(loss.data) < 1e-6
         assert np.isfinite(p).all()
+
+    def test_saturated_wrong_logit_gives_finite_loss(self):
+        # p(gold) underflows to 0 here; -log(p) would be inf with a warning.
+        logits = Tensor(np.array([1000.0, -1000.0]))
+        logits.requires_grad = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, p = nn.softmax_xent(logits, 1)
+            loss.backward()
+        assert float(loss.data) == 2000.0
+        assert np.array_equal(p, [1.0, 0.0])
+        assert np.array_equal(logits.grad, [1.0, -1.0])
 
     def test_probs_sum_to_one(self):
         local = np.random.default_rng(3)
