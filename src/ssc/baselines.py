@@ -380,20 +380,20 @@ def _grow(x, rows, y, rng, max_depth, n_candidates, nodes, depth):
 
 def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
              max_depth: int | None = 16, seed: int = 0,
-             bootstrap: bool = True, feature_subsample: bool = True) -> RfModel:
+             bootstrap: bool = True) -> RfModel:
     """Random forest of Gini-split trees.
 
     Per tree: a bootstrap sample (unless disabled), recursive best-Gini
     splits over sqrt(n_features) random candidate features (all features
-    when feature_subsample is off or no candidate splits), stopping at
-    purity, max_depth, or fewer than 2 samples.
+    when none of them splits), stopping at purity, max_depth, or fewer
+    than 2 samples.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("need a non-empty (N, D) feature matrix")
     n, d = x.shape
-    n_candidates = max(1, int(math.isqrt(d))) if feature_subsample else d
+    n_candidates = max(1, int(math.isqrt(d)))
     forest = []
     for i in range(trees):
         rng = np.random.default_rng([seed, i])

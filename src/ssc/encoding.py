@@ -8,7 +8,7 @@ import numpy as np
 
 from . import features
 from .corpus import Dataset
-from .embeddings import EmbeddingTable, embed_words
+from .embeddings import MAX_TOKENS, EmbeddingTable, embed_words
 from .features import ClusterMap, Lexicon, SynonymMap, TokenSeq
 from .nn import default_dtype
 
@@ -17,7 +17,7 @@ from .nn import default_dtype
 class EncodedSet:
     """Parallel arrays for a dataset: word matrices, char indices, aux, labels.
 
-    word is (N, max_len, dim) or None, char is (N, 280) or None, aux is
+    word is (N, 40, dim) or None, char is (N, 280) or None, aux is
     (N, 154), labels is (N,) or None. tokens keeps the (expanded) token
     sequences for the bag-of-words baselines.
     """
@@ -53,21 +53,12 @@ class FeatureContext:
     table: EmbeddingTable | None = None
     max_append: int = 10
 
-    @classmethod
-    def empty(cls) -> "FeatureContext":
-        return cls(
-            abuse=Lexicon(frozenset()),
-            slang=Lexicon(frozenset()),
-            clusters=ClusterMap({}),
-        )
-
 
 def encode_dataset(
     dataset: Dataset,
     ctx: FeatureContext,
     with_word: bool = True,
     with_char: bool = True,
-    max_len: int = 40,
     dtype=None,
 ) -> EncodedSet:
     """Tokenize and vectorize every item of a dataset.
@@ -84,7 +75,7 @@ def encode_dataset(
     if with_word:
         if ctx.table is None:
             raise ValueError("word encoding requires an embedding table")
-        word = np.zeros((n, max_len, ctx.table.dim), dtype=dtype)
+        word = np.zeros((n, MAX_TOKENS, ctx.table.dim), dtype=dtype)
     char = np.zeros((n, features.MAX_CHARS), dtype=np.int64) if with_char else None
     labels = np.zeros(n, dtype=np.int64) if dataset.all_labeled else None
     token_seqs: list[TokenSeq] = []
@@ -96,7 +87,7 @@ def encode_dataset(
             tokens = features.expand_synonyms(tokens, ctx.synonyms, ctx.max_append)
         token_seqs.append(tokens)
         if word is not None:
-            word[i] = embed_words(tokens, ctx.table, max_len=max_len, dtype=dtype)
+            word[i] = embed_words(tokens, ctx.table, dtype=dtype)
         if char is not None:
             char[i] = features.encode_chars(tweet.text)
         if labels is not None:

@@ -14,6 +14,7 @@ import datetime
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +128,15 @@ def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
+@contextmanager
+def _naming_failures(unit: str):
+    """Re-raise an error of the block prefixed with the unit (member tag, fold)."""
+    try:
+        yield
+    except Exception as e:
+        raise RuntimeError(f"{unit}: {e}") from e
+
+
 def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
                   cfg: ExperimentConfig, ctx: FeatureContext, out: Path,
                   jobs: int, log) -> tuple[list[ReportRow], list[str]]:
@@ -165,11 +175,12 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
 
         def run_cnn_unit(unit):
             i, kind = unit
-            member, best = train_cnn_member(
-                kind, enc_train, cfg,
-                init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
-                train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1),
-            )
+            with _naming_failures(f"{kind}.m{kind_index[i]} fold {fold}"):
+                member, best = train_cnn_member(
+                    kind, enc_train, cfg,
+                    init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
+                    train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1),
+                )
             return i, kind, member, best
 
         if jobs > 1 and len(cnn_units) > 1:
@@ -185,11 +196,12 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
             vocab, idf = baselines.fit_tfidf(enc_train.tokens)
             x_train = baselines.bow_features(enc_train, vocab, idf)
             for i, kind in bow_units:
-                member = train_bow_member(
-                    kind, kind_index[i], enc_train, x_train, vocab, idf,
-                    enc_train.labels, cfg,
-                    seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2),
-                )
+                with _naming_failures(f"{kind}.m{kind_index[i]} fold {fold}"):
+                    member = train_bow_member(
+                        kind, kind_index[i], enc_train, x_train, vocab, idf,
+                        enc_train.labels, cfg,
+                        seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2),
+                    )
                 fold_members[i] = member
                 save_baseline_member(member, ckpt_dir / f"{kind}.m{kind_index[i]}.f{fold}.ckpt")
 

@@ -1,21 +1,33 @@
 """Word-level and char-level CNN classifiers with per-epoch checkpointing.
 
-Both architectures share the same trunk: parallel convolution branches (one
-per kernel size), a two-layer 1024-unit dense block, the 154-entry
-auxiliary vector concatenated onto the last hidden layer, and a two-unit
-softmax output. The word model stacks conv+pool twice per branch with ReLU;
-the char model uses one conv per branch with Tanh, global max pooling, and
-SELU dense layers, with a trainable character embedding underneath.
+The member kind selects the architecture: "word_aux" is the word CNN,
+"char_aux" and "char_cnn" are the char CNN with and without the auxiliary
+vector. The configs hold only what a run can change (kernel sizes, filters,
+embedding width, dropout, and the word model's pool size); everything else
+is one of these constants:
+
+- MAX_TOKENS (40) word rows per text and MAX_CHARS (280) character slots,
+  fixed by the encoders; CHARSET_SIZE rows in the character embedding;
+- DENSE_LAYERS (2) dense layers of DENSE_UNITS (1024) units;
+- AUX_DIM (154) auxiliary entries, concatenated onto the last hidden layer
+  for the kinds in AUX_KINDS;
+- a two-unit softmax output.
+
+The word model stacks conv+pool twice per branch with ReLU; the char model
+uses one conv per branch with Tanh and global max pooling over a trainable
+character embedding, and SELU dense layers. Both end in the same dense head.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import nn
+from .embeddings import MAX_TOKENS
 from .encoding import EncodedSet
 from .features import AUX_DIM, CHARSET_SIZE, MAX_CHARS
 from .metrics import compute_metrics
@@ -23,6 +35,7 @@ from .nn import ModelCheckpoint, ParamSet, ParamSpec, Tensor
 
 DENSE_UNITS = 1024
 DENSE_LAYERS = 2
+AUX_KINDS = ("word_aux", "char_aux")  # kinds whose output layer also reads aux
 PREDICT_ROWS = 256  # rows per inference forward pass
 
 
@@ -30,35 +43,31 @@ class ConfigError(ValueError):
     """A model config violates one of the fixed architecture invariants."""
 
 
+def _check_common(cfg) -> None:
+    if not cfg.kernel_sizes or cfg.filters < 1:
+        raise ConfigError("need at least one kernel size and one filter")
+    if not 0 <= cfg.dropout < 1:
+        raise ConfigError("dropout must be in [0, 1)")
+
+
 @dataclass(frozen=True)
 class WCnnConfig:
     kernel_sizes: tuple[int, ...] = (3, 4, 5)
     filters: int = 128
     pool_size: int = 2
-    dense_units: int = DENSE_UNITS
-    dense_layers: int = DENSE_LAYERS
-    aux_dim: int = AUX_DIM
-    seq_len: int = 40
     embed_dim: int = 400
     dropout: float = 0.5
 
     def validate(self) -> None:
-        if self.dense_units != DENSE_UNITS or self.dense_layers != DENSE_LAYERS:
-            raise ConfigError(f"dense block is fixed at {DENSE_LAYERS} x {DENSE_UNITS} units")
-        if self.aux_dim != AUX_DIM:
-            raise ConfigError(f"aux_dim is fixed at {AUX_DIM}")
-        if not self.kernel_sizes or self.filters < 1:
-            raise ConfigError("need at least one kernel size and one filter")
+        _check_common(self)
         if self.pool_size < 1:
             raise ConfigError("pool_size must be >= 1")
         if self.branch_len() < 1:
             raise ConfigError("sequence too short for two pooling stages")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must be in [0, 1)")
 
     def branch_len(self) -> int:
         # Two same-padding convs, each followed by a p/p max pool.
-        after_one = (self.seq_len - self.pool_size) // self.pool_size + 1
+        after_one = (MAX_TOKENS - self.pool_size) // self.pool_size + 1
         return (after_one - self.pool_size) // self.pool_size + 1
 
 
@@ -66,28 +75,13 @@ class WCnnConfig:
 class CCnnConfig:
     kernel_sizes: tuple[int, ...] = (3, 4, 5, 7)
     filters: int = 128
-    dense_units: int = DENSE_UNITS
-    dense_layers: int = DENSE_LAYERS
-    aux_mode: str = "full"  # "full" | "none"
-    aux_dim: int = AUX_DIM
-    seq_len: int = MAX_CHARS
     embed_dim: int = 128
-    charset_size: int = CHARSET_SIZE
     dropout: float = 0.5
 
     def validate(self) -> None:
-        if self.dense_units != DENSE_UNITS or self.dense_layers != DENSE_LAYERS:
-            raise ConfigError(f"dense block is fixed at {DENSE_LAYERS} x {DENSE_UNITS} units")
-        if self.aux_mode not in ("full", "none"):
-            raise ConfigError("aux_mode must be 'full' or 'none'")
-        if self.aux_dim != AUX_DIM:
-            raise ConfigError(f"aux_dim is fixed at {AUX_DIM}")
-        if not self.kernel_sizes or self.filters < 1:
-            raise ConfigError("need at least one kernel size and one filter")
-        if max(self.kernel_sizes) > self.seq_len:
+        _check_common(self)
+        if max(self.kernel_sizes) > MAX_CHARS:
             raise ConfigError("kernel size exceeds sequence length")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must be in [0, 1)")
 
 
 def _config_items(cfg) -> list[tuple[str, str]]:
@@ -101,7 +95,10 @@ def _config_items(cfg) -> list[tuple[str, str]]:
 
 
 def _config_from_items(cls, items: dict[str, str]):
-    """Inverse of _config_items: parse each field by the type of its default."""
+    """Inverse of _config_items: parse each field by the type of its default.
+
+    Entries that are not fields of cls are ignored.
+    """
     values = {}
     for f in fields(cls):
         text = items[f.name]
@@ -130,6 +127,19 @@ class Model:
                 rng: np.random.Generator | None = None) -> Tensor:
         raise NotImplementedError
 
+    def head(self, h: Tensor, act, batch: EncodedSet, train: bool,
+             rng: np.random.Generator | None) -> Tensor:
+        """The dense layers (act, then dropout while training), aux concat, output."""
+        p = self.params
+        dropout = self.config.dropout
+        for layer in range(1, DENSE_LAYERS + 1):
+            h = act(nn.dense(h, p[f"dense{layer}_w"], p[f"dense{layer}_b"]))
+            if train and dropout > 0:
+                h = nn.dropout(h, dropout, rng)
+        if self.kind in AUX_KINDS:
+            h = nn.concat([h, Tensor(batch.aux)], axis=1)
+        return nn.dense(h, p["out_w"], p["out_b"])
+
     def metadata(self) -> dict[str, str]:
         meta = {"kind": self.kind, "seed": str(self.seed)}
         for k, v in _config_items(self.config):
@@ -151,40 +161,33 @@ class WordCnn(Model):
             h = nn.relu(h)
             h = nn.maxpool1d(h, cfg.pool_size, cfg.pool_size)
             branches.append(nn.reshape(h, (h.shape[0], -1)))
-        h = nn.concat(branches, axis=1)
-        h = nn.relu(nn.dense(h, p["dense1_w"], p["dense1_b"]))
-        if train and cfg.dropout > 0:
-            h = nn.dropout(h, cfg.dropout, rng)
-        h = nn.relu(nn.dense(h, p["dense2_w"], p["dense2_b"]))
-        if train and cfg.dropout > 0:
-            h = nn.dropout(h, cfg.dropout, rng)
-        h = nn.concat([h, Tensor(batch.aux)], axis=1)
-        return nn.dense(h, p["out_w"], p["out_b"])
+        return self.head(nn.concat(branches, axis=1), nn.relu, batch, train, rng)
 
 
 class CharCnn(Model):
     def forward(self, batch, train=False, rng=None):
-        cfg = self.config
         p = self.params
         emb = nn.embedding_lookup(p["char_embed"], batch.char)
         branches = []
-        for k in cfg.kernel_sizes:
+        for k in self.config.kernel_sizes:
             h = nn.conv1d(emb, p[f"conv{k}_w"], p[f"conv{k}_b"], padding="valid")
             h = nn.tanh(h)
             branches.append(nn.global_maxpool(h))
-        h = nn.concat(branches, axis=1)
-        h = nn.selu(nn.dense(h, p["dense1_w"], p["dense1_b"]))
-        if train and cfg.dropout > 0:
-            h = nn.dropout(h, cfg.dropout, rng)
-        h = nn.selu(nn.dense(h, p["dense2_w"], p["dense2_b"]))
-        if train and cfg.dropout > 0:
-            h = nn.dropout(h, cfg.dropout, rng)
-        if cfg.aux_mode == "full":
-            h = nn.concat([h, Tensor(batch.aux)], axis=1)
-        return nn.dense(h, p["out_w"], p["out_b"])
+        return self.head(nn.concat(branches, axis=1), nn.selu, batch, train, rng)
 
 
-def _wcnn_specs(cfg: WCnnConfig) -> list[ParamSpec]:
+def _head_specs(in_dim: int, with_aux: bool) -> list[ParamSpec]:
+    specs = []
+    for layer in range(1, DENSE_LAYERS + 1):
+        specs.append(ParamSpec(f"dense{layer}_w", (in_dim, DENSE_UNITS)))
+        specs.append(ParamSpec(f"dense{layer}_b", (DENSE_UNITS,), init="zeros"))
+        in_dim = DENSE_UNITS
+    specs.append(ParamSpec("out_w", (in_dim + (AUX_DIM if with_aux else 0), 2)))
+    specs.append(ParamSpec("out_b", (2,), init="zeros"))
+    return specs
+
+
+def _wcnn_specs(cfg: WCnnConfig, with_aux: bool) -> list[ParamSpec]:
     specs = []
     for k in cfg.kernel_sizes:
         specs.append(ParamSpec(f"conv{k}a_w", (k, cfg.embed_dim, cfg.filters)))
@@ -192,61 +195,41 @@ def _wcnn_specs(cfg: WCnnConfig) -> list[ParamSpec]:
         specs.append(ParamSpec(f"conv{k}b_w", (k, cfg.filters, cfg.filters)))
         specs.append(ParamSpec(f"conv{k}b_b", (cfg.filters,), init="zeros"))
     concat_dim = cfg.branch_len() * cfg.filters * len(cfg.kernel_sizes)
-    specs.append(ParamSpec("dense1_w", (concat_dim, cfg.dense_units)))
-    specs.append(ParamSpec("dense1_b", (cfg.dense_units,), init="zeros"))
-    specs.append(ParamSpec("dense2_w", (cfg.dense_units, cfg.dense_units)))
-    specs.append(ParamSpec("dense2_b", (cfg.dense_units,), init="zeros"))
-    specs.append(ParamSpec("out_w", (cfg.dense_units + cfg.aux_dim, 2)))
-    specs.append(ParamSpec("out_b", (2,), init="zeros"))
-    return specs
+    return specs + _head_specs(concat_dim, with_aux)
 
 
-def _ccnn_specs(cfg: CCnnConfig) -> list[ParamSpec]:
-    specs = [ParamSpec("char_embed", (cfg.charset_size, cfg.embed_dim), init="embedding")]
+def _ccnn_specs(cfg: CCnnConfig, with_aux: bool) -> list[ParamSpec]:
+    specs = [ParamSpec("char_embed", (CHARSET_SIZE, cfg.embed_dim), init="embedding")]
     for k in cfg.kernel_sizes:
         specs.append(ParamSpec(f"conv{k}_w", (k, cfg.embed_dim, cfg.filters)))
         specs.append(ParamSpec(f"conv{k}_b", (cfg.filters,), init="zeros"))
-    concat_dim = cfg.filters * len(cfg.kernel_sizes)
-    specs.append(ParamSpec("dense1_w", (concat_dim, cfg.dense_units)))
-    specs.append(ParamSpec("dense1_b", (cfg.dense_units,), init="zeros"))
-    specs.append(ParamSpec("dense2_w", (cfg.dense_units, cfg.dense_units)))
-    specs.append(ParamSpec("dense2_b", (cfg.dense_units,), init="zeros"))
-    out_in = cfg.dense_units + (cfg.aux_dim if cfg.aux_mode == "full" else 0)
-    specs.append(ParamSpec("out_w", (out_in, 2)))
-    specs.append(ParamSpec("out_b", (2,), init="zeros"))
-    return specs
+    return specs + _head_specs(cfg.filters * len(cfg.kernel_sizes), with_aux)
 
 
-def _architecture(cfg: WCnnConfig | CCnnConfig) -> tuple[type[Model], list[ParamSpec], str]:
-    """(model class, parameter specs, member kind) of a validated config."""
+# kind -> (model class, config class, parameter specs of a config)
+_ARCHITECTURES = {
+    "word_aux": (WordCnn, WCnnConfig, _wcnn_specs),
+    "char_aux": (CharCnn, CCnnConfig, _ccnn_specs),
+    "char_cnn": (CharCnn, CCnnConfig, _ccnn_specs),
+}
+
+
+def _architecture(kind: str, cfg) -> tuple[type[Model], list[ParamSpec]]:
+    """(model class, parameter specs) of a member kind under a validated config."""
+    cls, _, specs = _ARCHITECTURES[kind]
     cfg.validate()
-    if isinstance(cfg, WCnnConfig):
-        return WordCnn, _wcnn_specs(cfg), "word_aux"
-    return CharCnn, _ccnn_specs(cfg), "char_aux" if cfg.aux_mode == "full" else "char_cnn"
-
-
-def build_wcnn(cfg: WCnnConfig, seed: int = 0, dtype=None) -> Model:
-    """Word-level CNN with auxiliary concatenation ("word_aux")."""
-    cls, specs, kind = _architecture(cfg)
-    return cls(kind, cfg, nn.init_params(specs, seed, dtype=dtype), seed)
-
-
-def build_ccnn(cfg: CCnnConfig, seed: int = 0, dtype=None) -> Model:
-    """Char-level CNN; aux_mode selects "char_aux" vs plain "char_cnn"."""
-    cls, specs, kind = _architecture(cfg)
-    return cls(kind, cfg, nn.init_params(specs, seed, dtype=dtype), seed)
+    return cls, specs(cfg, kind in AUX_KINDS)
 
 
 def build_model(kind: str, seed: int = 0, dtype=None, *, wcnn: WCnnConfig | None = None,
                 ccnn: CCnnConfig | None = None) -> Model:
-    """Build any of the three CNN member kinds from (optional) configs."""
-    if kind == "word_aux":
-        return build_wcnn(wcnn or WCnnConfig(), seed=seed, dtype=dtype)
-    if kind == "char_aux":
-        return build_ccnn(replace(ccnn or CCnnConfig(), aux_mode="full"), seed=seed, dtype=dtype)
-    if kind == "char_cnn":
-        return build_ccnn(replace(ccnn or CCnnConfig(), aux_mode="none"), seed=seed, dtype=dtype)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """A freshly initialized CNN of a member kind; wcnn configures word_aux, ccnn the char kinds."""
+    if kind not in _ARCHITECTURES:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    config_cls = _ARCHITECTURES[kind][1]
+    cfg = (wcnn if config_cls is WCnnConfig else ccnn) or config_cls()
+    cls, specs = _architecture(kind, cfg)
+    return cls(kind, cfg, nn.init_params(specs, seed, dtype=dtype), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +243,6 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.1
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.val_fraction < 0.5:
@@ -312,7 +292,9 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
 
     Each checkpoint snapshots the parameters and carries metrics computed on
     an internal stratified validation split. Dropout is active only while
-    fitting. Deterministic given (model seed, data, cfg).
+    fitting. Deterministic given (model seed, data, cfg). A non-finite batch
+    loss raises FloatingPointError naming the kind, the epoch and the batch
+    (both 1-based) before any parameter is updated from it.
     """
     if data.labels is None or len(data) == 0:
         raise ValueError("training requires a non-empty labeled dataset")
@@ -326,8 +308,7 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
     val = data.subset(val_idx)
 
     digest = config_digest(model.config, cfg)
-    optimizer = nn.Adam(model.params, lr=cfg.lr, beta1=cfg.beta1,
-                        beta2=cfg.beta2, eps=cfg.eps)
+    optimizer = nn.Adam(model.params, lr=cfg.lr)
     checkpoints: list[ModelCheckpoint] = []
     n_fit = len(fit)
 
@@ -338,10 +319,15 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
             batch = fit.subset(order[start:start + cfg.batch_size])
             logits = model.forward(batch, train=True, rng=rng)
             loss, _ = nn.softmax_xent(logits, batch.labels)
+            batch_loss = float(loss.data)
+            if not math.isfinite(batch_loss):
+                raise FloatingPointError(
+                    f"{model.kind}: non-finite loss {batch_loss} at epoch {epoch}, "
+                    f"batch {start // cfg.batch_size + 1}")
             model.params.zero_grad()
             loss.backward()
             optimizer.step()
-            epoch_loss += float(loss.data) * len(batch)
+            epoch_loss += batch_loss * len(batch)
         report = compute_metrics(predict_batch(model, val)[0].tolist(), val.labels.tolist())
         metrics = {m: report.value(m) for m in
                    ("accuracy", "precision_p", "recall_p", "f1_p")}
@@ -368,7 +354,9 @@ def select_best_epoch(checkpoints, metric: str = "f1_p") -> ModelCheckpoint:
 def model_from_checkpoint(cp: ModelCheckpoint, dtype=None) -> Model:
     """Rebuild a model from a self-describing checkpoint's arrays (no values drawn).
 
-    The parameters take the dtype the checkpoint stores unless dtype is given.
+    The kind entry selects the architecture and its config class; config
+    entries that class does not have are ignored. The parameters take the
+    dtype the checkpoint stores unless dtype is given.
     """
     if dtype is None and cp.arrays:
         dtype = next(iter(cp.arrays.values())).dtype
@@ -376,12 +364,10 @@ def model_from_checkpoint(cp: ModelCheckpoint, dtype=None) -> Model:
     conf = {k[len("config."):]: v for k, v in cp.metadata.items() if k.startswith("config.")}
     seed = int(cp.metadata.get("seed", "0"))
     try:
-        cfg = _config_from_items(WCnnConfig if kind == "word_aux" else CCnnConfig, conf)
-        cls, specs, built_kind = _architecture(cfg)
+        cfg = _config_from_items(_ARCHITECTURES[kind][1], conf)
     except KeyError:
-        built_kind = None
-    if built_kind != kind:
-        raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})")
+        raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})") from None
+    cls, specs = _architecture(kind, cfg)
     params = nn.ParamSet()
     for spec in specs:  # unwritten placeholders: load_state_dict checks and replaces them
         params.add(spec.name, np.empty(spec.shape, dtype=dtype))

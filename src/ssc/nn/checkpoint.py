@@ -86,7 +86,8 @@ def save_checkpoint(cp: ModelCheckpoint, path) -> None:
     for key, value in cp.metrics.items():
         meta_lines.append(f"metric.{key}={value!r}")
     for key, value in cp.metadata.items():
-        if "\n" in key or "\n" in str(value) or "=" in key:
+        if ("\n" in key or "\n" in str(value) or "=" in key
+                or key == "epoch" or key.startswith("metric.")):
             raise CheckpointError(f"metadata key/value not encodable: {key!r}")
         meta_lines.append(f"{key}={value}")
     meta = ("\n".join(meta_lines) + "\n").encode("utf-8")
@@ -141,7 +142,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
     epoch = 0
     metrics: dict[str, float] = {}
     metadata: dict[str, str] = {}
-    for line in meta_text.splitlines():
+    for line in meta_text.split("\n"):  # only "\n" ends a line; save rejects it in entries
         if not line:
             continue
         key, sep, value = line.partition("=")

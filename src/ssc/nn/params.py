@@ -69,19 +69,16 @@ def glorot_bound(fan_in: int, fan_out: int) -> float:
 class ParamSpec:
     """Declares one parameter: init is 'glorot', 'zeros' or 'embedding'.
 
-    For glorot, fan defaults to the 2-D shape; conv kernels (k, C, F) use
-    fan_in = k*C and fan_out = k*F unless an explicit fan pair is given.
+    For glorot, the fans of a 2-D shape are its extents; conv kernels
+    (k, C, F) use fan_in = k*C and fan_out = k*F.
     """
 
     name: str
     shape: tuple[int, ...]
     init: str = "glorot"
-    fan: tuple[int, int] | None = None
 
 
 def _fans(spec: ParamSpec) -> tuple[int, int]:
-    if spec.fan is not None:
-        return spec.fan
     if len(spec.shape) == 2:
         return spec.shape
     if len(spec.shape) == 3:

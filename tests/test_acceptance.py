@@ -22,7 +22,7 @@ from ssc.ensemble import majority_vote
 from ssc.experiment import run_experiment
 from ssc.features import AUX_DIM
 from ssc.metrics import MetricsReport
-from ssc.models import CCnnConfig, TrainConfig, WCnnConfig, build_ccnn, build_wcnn
+from ssc.models import CCnnConfig, TrainConfig, WCnnConfig, build_model
 
 GRID_ROWS = [  # (ratio, n_train, n_test): the five standard scenario rows
     ((50, 50), 3450, 690),
@@ -134,15 +134,16 @@ def _check_op_gradients(rng):
 def _check_architecture_gradients(rng):
     """Sampled-coordinate FD checks through both full architectures
     (3-sample batches, 64-bit, default input shapes)."""
-    wcnn = build_wcnn(WCnnConfig(kernel_sizes=(3, 4, 5), filters=2, dropout=0.0),
-                      seed=1, dtype=np.float64)
+    wcnn = build_model("word_aux", wcnn=WCnnConfig(kernel_sizes=(3, 4, 5), filters=2,
+                                                   dropout=0.0),
+                       seed=1, dtype=np.float64)
     word_batch = EncodedSet(aux=rng.normal(size=(3, AUX_DIM)),
                             word=rng.normal(size=(3, 40, 400)))
-    ccnn_full = build_ccnn(CCnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
-                                      dropout=0.0), seed=2, dtype=np.float64)
-    ccnn_plain = build_ccnn(CCnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
-                                       aux_mode="none", dropout=0.0),
-                            seed=3, dtype=np.float64)
+    ccnn_full = build_model("char_aux", ccnn=CCnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
+                                                        dropout=0.0), seed=2, dtype=np.float64)
+    ccnn_plain = build_model("char_cnn", ccnn=CCnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
+                                                         dropout=0.0),
+                             seed=3, dtype=np.float64)
     char_batch = EncodedSet(aux=rng.normal(size=(3, AUX_DIM)),
                             char=rng.integers(0, 71, size=(3, 280)))
     gold = np.array([0, 1, 1])
@@ -440,8 +441,8 @@ rf_max_depth = 8
     # Checkpoint persistence: bit-exact round trip and exact predictions.
     ctx = synth.feature_context(embed_dim=12, seed=0)
     enc = encode_dataset(ds, ctx, with_word=False)
-    model = build_ccnn(CCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8),
-                       seed=5)
+    model = build_model("char_aux", ccnn=CCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8),
+                        seed=5)
     cps = models.train(model, enc, TrainConfig(epochs=2, batch_size=16, seed=5))
     best = models.select_best_epoch(cps)
     nn.save_checkpoint(best, tmp_path / "best.ckpt")

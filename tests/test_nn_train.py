@@ -1,7 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssc import nn
 from ssc.nn import Adam, CheckpointError, ModelCheckpoint, ParamSet, ParamSpec
@@ -289,3 +294,52 @@ class TestCheckpoint:
         loaded = nn.load_checkpoint(path)
         assert loaded.arrays["x"].shape == ()
         assert float(loaded.arrays["x"]) == 2.5
+
+
+_ARRAYS = st.dictionaries(
+    st.text(min_size=1, max_size=12),
+    st.sampled_from([np.float32, np.float64, np.int64]).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                          min_side=0, max_side=4))),
+    max_size=4)
+# Metadata entries save_checkpoint accepts; the others it rejects as not encodable.
+_METADATA = st.dictionaries(
+    st.text(max_size=12).filter(
+        lambda k: "\n" not in k and "=" not in k and k != "epoch"
+        and not k.startswith("metric.")),
+    st.text(max_size=12).filter(lambda v: "\n" not in v),
+    max_size=4)
+
+
+class TestCheckpointProperties:
+    @settings(deadline=None)
+    @given(arrays=_ARRAYS, metadata=_METADATA, epoch=st.integers(0, 10**6))
+    def test_round_trip_bit_for_bit(self, arrays, metadata, epoch):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            nn.save_checkpoint(ModelCheckpoint(epoch, arrays, metadata=metadata), path)
+            loaded = nn.load_checkpoint(path)
+        assert loaded.epoch == epoch and loaded.metadata == metadata
+        assert list(loaded.arrays) == list(arrays)
+        for name, arr in arrays.items():
+            got = loaded.arrays[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape
+            assert got.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("key", ["epoch", "metric.f1_p"])
+    def test_reserved_metadata_key_rejected(self, key, tmp_path):
+        # Such an entry would load back as the epoch or as a metric.
+        with pytest.raises(CheckpointError, match="not encodable"):
+            nn.save_checkpoint(ModelCheckpoint(1, {}, metadata={key: "2"}), tmp_path / "m.ckpt")
+
+    @settings(max_examples=25, deadline=None)
+    @given(arrays=_ARRAYS, metadata=_METADATA)
+    def test_every_truncation_rejected(self, arrays, metadata):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            nn.save_checkpoint(ModelCheckpoint(1, arrays, metadata=metadata), path)
+            raw = path.read_bytes()
+            for end in range(len(raw)):
+                path.write_bytes(raw[:end])
+                with pytest.raises(CheckpointError):
+                    nn.load_checkpoint(path)
