@@ -194,15 +194,6 @@ def train_svm(x: np.ndarray, y: Sequence[int], lam: float = 1e-4,
     return SvmModel(weights=w)
 
 
-def svm_objective(model: SvmModel, x: np.ndarray, y: Sequence[int],
-                  lam: float) -> float:
-    """lam/2 ||w||^2 + mean hinge loss on (x, y)."""
-    sign = np.where(np.asarray(y) == 1, 1.0, -1.0)
-    margins = sign * (np.asarray(x) @ model.weights + model.bias)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return 0.5 * lam * float(model.weights @ model.weights) + float(hinge)
-
-
 def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classes from the score signs; probabilities from the fitted Platt sigmoid."""
     if not model.calibrated:
@@ -300,15 +291,6 @@ class Tree:
 class RfModel:
     trees: list[Tree]
     seed: int
-
-
-def gini(counts: np.ndarray) -> float:
-    """Gini impurity of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
 
 
 def _best_split(x, rows, y, feature_ids):

@@ -32,14 +32,12 @@ from .corpus import (
     save_dataset,
     save_fold_plan,
 )
-from .encoding import encode_dataset
 from .ensemble import (
     CNN_KINDS,
     KINDS,
     TAG_KINDS,
     EnsembleSpec,
     ensemble_vote_batch,
-    input_flags,
     load_member,
     resolve_members,
     save_baseline_member,
@@ -47,6 +45,7 @@ from .ensemble import (
 from .experiment import (
     build_feature_context,
     emit_report,
+    roster_encoder,
     run_experiment,
     train_bow_member,
     train_cnn_member,
@@ -139,19 +138,10 @@ def cmd_dataset(args) -> int:
 # train / evaluate / ensemble / predict
 # ---------------------------------------------------------------------------
 
-def _encoder(cfg: ExperimentConfig, kinds):
-    """Dataset -> EncodedSet with the inputs that members of these kinds read."""
-    inputs = input_flags(kinds)
-    ctx = build_feature_context(cfg)
-    if inputs["with_word"] and ctx.table is None:
-        raise ValueError("word models need an embeddings path in the config")
-    return lambda ds: encode_dataset(ds, ctx, **inputs)
-
-
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     kind = args.kind
-    enc = _encoder(cfg, [kind])(load_dataset(args.train_data))
+    enc = roster_encoder(build_feature_context(cfg), [kind])(load_dataset(args.train_data))
     seed = cfg.seed if args.seed is None else args.seed
     if kind in CNN_KINDS:
         member, best = train_cnn_member(kind, enc, cfg, init_seed=seed,
@@ -162,7 +152,7 @@ def cmd_train(args) -> int:
         return 0
     vocab, idf = baselines.fit_tfidf(enc.tokens)
     x = baselines.bow_features(enc, vocab, idf)
-    member = train_bow_member(kind, 0, enc, x, vocab, idf, enc.labels, cfg, seed)
+    member = train_bow_member(kind, 0, enc, x, vocab, idf, cfg, seed)
     save_baseline_member(member, args.output)
     print(f"trained {kind}, saved to {args.output}")
     return 0
@@ -179,7 +169,7 @@ def _member_from_path(path):
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     kind, member = _member_from_path(args.checkpoint)
-    enc = _encoder(cfg, [kind])(load_dataset(args.test_data))
+    enc = roster_encoder(build_feature_context(cfg), [kind])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     pred, _ = member.predict_batch(enc)
@@ -194,7 +184,8 @@ def cmd_ensemble(args) -> int:
     loaded = [_member_from_path(p) for p in args.members.split(",")]
     spec = EnsembleSpec(tuple((k, m) for k, m in loaded), mode=args.mode)
     members = resolve_members(spec)
-    enc = _encoder(cfg, [m.kind for m in members])(load_dataset(args.test_data))
+    encode = roster_encoder(build_feature_context(cfg), [m.kind for m in members])
+    enc = encode(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     votes = ensemble_vote_batch(members, enc)
@@ -207,7 +198,7 @@ def cmd_ensemble(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     kind, member = _member_from_path(args.checkpoint)
-    enc = _encoder(cfg, [kind])(Dataset([Tweet("input0", args.text)]))
+    enc = roster_encoder(build_feature_context(cfg), [kind])(Dataset([Tweet("input0", args.text)]))
     cls, p_pos = member.predict(enc, 0)
     label = "positive" if cls == 1 else "negative"
     print(f"{label}\tp_positive={p_pos:.6f}")
@@ -256,7 +247,8 @@ def cmd_prefilter(args) -> int:
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
     ds = load_dataset(args.input)
-    x = baselines.bow_features(_encoder(cfg, [kind])(ds), member.vocab, member.idf)
+    enc = roster_encoder(build_feature_context(cfg), [kind])(ds)
+    x = baselines.bow_features(enc, member.vocab, member.idf)
     result = baselines.prefilter(ds, member.model, x, threshold=args.threshold,
                                  sample_n=args.sample, seed=args.seed)
     save_dataset(result.sample, args.output)

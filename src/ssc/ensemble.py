@@ -49,12 +49,6 @@ COMPOSITIONS = {"ensemble_cnn": Counter(dict.fromkeys(CNN_KINDS, 2)),
 TAG_KINDS = {spec.tag: kind for kind, spec in KINDS.items()}
 
 
-def input_flags(kinds) -> dict[str, bool]:
-    """encode_dataset keywords that encode what the given member kinds read."""
-    specs = [KINDS[k] for k in kinds]
-    return {"with_word": any(s.word for s in specs), "with_char": any(s.char for s in specs)}
-
-
 class EnsembleError(RuntimeError):
     """A member failed to load or predict; the message names the member."""
 
@@ -69,15 +63,6 @@ def vote(classes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     negative = classes.shape[0] - positive
     tie = np.asarray(probs, dtype=np.float64).mean(axis=0) > 0.5
     return np.where(positive == negative, tie, positive > negative).astype(np.int64)
-
-
-def majority_vote(votes: Sequence[int], probs: Sequence[float]) -> int:
-    """vote() for one example, from its members' votes and probabilities."""
-    if len(votes) == 0:
-        raise ValueError("majority_vote requires at least one vote")
-    if len(votes) != len(probs):
-        raise ValueError("votes and probabilities must be aligned")
-    return int(vote(np.asarray(votes)[:, None], np.asarray(probs)[:, None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +137,9 @@ class EnsembleSpec:
 
 
 def load_member(kind: str, ref) -> Member:
-    """Materialize a member from an in-memory object or a checkpoint path."""
+    """Materialize a member from a Member, a loaded checkpoint or a checkpoint path."""
     if isinstance(ref, Member):
         return ref
-    if isinstance(ref, models.Model):
-        return CnnMember(ref)
     cp = ref if isinstance(ref, ModelCheckpoint) else load_checkpoint(ref)
     if kind in CNN_KINDS:
         return CnnMember(models.model_from_checkpoint(cp))

@@ -1,11 +1,13 @@
 """Experiment orchestration over class-distribution scenarios.
 
-For every scenario the orchestrator builds one fold plan, trains every
-roster member on identical folds, evaluates on the corresponding test
-blocks, votes the six-member ensembles, and emits averaged rows. All
-artifacts (fold plans, best-epoch checkpoints, per-fold CSVs, provenance)
-land under the output directory. Failures abort a scenario but preserve
-completed scenarios plus a failure manifest.
+The experiment is one loop. For every scenario, _run_scenario builds and
+saves one fold plan and calls _run_fold on each fold; _run_fold trains
+every roster member on that fold, checkpoints it, evaluates it on the
+fold's test block and votes the six-member ensembles. _run_scenario then
+writes the per-fold CSV and averages each member kind and ensemble over
+the folds. All artifacts (fold plans, best-epoch checkpoints, per-fold
+CSVs, provenance) land under the output directory. Failures abort a
+scenario but preserve completed scenarios plus a failure manifest.
 """
 
 from __future__ import annotations
@@ -17,12 +19,21 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import baselines, models
 from .config import ExperimentConfig
-from .corpus import Dataset, ScenarioPlan, fold_datasets, load_dataset, make_folds, save_fold_plan
+from .corpus import (
+    Dataset,
+    FoldPlan,
+    ScenarioPlan,
+    fold_datasets,
+    load_dataset,
+    make_folds,
+    save_fold_plan,
+)
 from .embeddings import load_embeddings
 from .encoding import EncodedSet, FeatureContext, encode_dataset
 from .ensemble import (
@@ -32,7 +43,6 @@ from .ensemble import (
     BowMember,
     CnnMember,
     ensemble_vote_batch,
-    input_flags,
     save_baseline_member,
 )
 from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
@@ -109,8 +119,9 @@ def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
 
 def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
                      x_train: np.ndarray, vocab: dict, idf: np.ndarray,
-                     labels: np.ndarray, cfg: ExperimentConfig, seed: int) -> BowMember:
+                     cfg: ExperimentConfig, seed: int) -> BowMember:
     """Train one classical member on the fold's shared TF-IDF features."""
+    labels = enc_train.labels
     if kind == "svm":
         model = baselines.train_svm(x_train, labels, lam=cfg.svm_lambda,
                                     epochs=cfg.svm_epochs, seed=seed)
@@ -128,6 +139,19 @@ def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
+def roster_encoder(ctx: FeatureContext, kinds) -> Callable[[Dataset], EncodedSet]:
+    """Dataset -> EncodedSet with the inputs that members of these kinds read.
+
+    Raises at once when a kind reads word vectors and ctx has no embedding
+    table, rather than at the first encode.
+    """
+    with_word = any(KINDS[k].word for k in kinds)
+    with_char = any(KINDS[k].char for k in kinds)
+    if with_word and ctx.table is None:
+        raise ValueError("word models need an embeddings path in the config")
+    return lambda ds: encode_dataset(ds, ctx, with_word=with_word, with_char=with_char)
+
+
 @contextmanager
 def _naming_failures(unit: str):
     """Re-raise an error of the block prefixed with the unit (member tag, fold)."""
@@ -137,14 +161,69 @@ def _naming_failures(unit: str):
         raise RuntimeError(f"{unit}: {e}") from e
 
 
+def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
+              cfg: ExperimentConfig, encode: Callable[[Dataset], EncodedSet],
+              ckpt_dir: Path, jobs: int) -> list[tuple[str, MetricsReport]]:
+    """Train, checkpoint, predict and vote one fold.
+
+    Returns (row name, report) pairs in per-fold CSV order: every roster
+    member as kind.m<j> (its j-th member of that kind), then each ensemble
+    whose composition the roster holds.
+    """
+    roster = cfg.roster_members()
+    units = [(i, kind, f"{kind}.m{roster[:i].count(kind)}") for i, kind in enumerate(roster)]
+    train_ds, test_ds = fold_datasets(pool, folds, fold)
+    enc_train, enc_test = encode(train_ds), encode(test_ds)
+    members: dict[int, object] = {}
+
+    def train_cnn_unit(unit):
+        i, kind, tag = unit
+        with _naming_failures(f"{tag} fold {fold}"):
+            return train_cnn_member(
+                kind, enc_train, cfg,
+                init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
+                train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1),
+            )
+
+    cnn_units = [u for u in units if u[1] in CNN_KINDS]
+    if jobs > 1 and len(cnn_units) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
+            trained = list(pool_exec.map(train_cnn_unit, cnn_units))
+    else:
+        trained = [train_cnn_unit(u) for u in cnn_units]
+    for (i, _, tag), (member, best) in zip(cnn_units, trained):
+        members[i] = member
+        save_checkpoint(best, ckpt_dir / f"{tag}.f{fold}.ckpt")
+
+    bow_units = [u for u in units if u[1] not in CNN_KINDS]
+    if bow_units:
+        vocab, idf = baselines.fit_tfidf(enc_train.tokens)
+        x_train = baselines.bow_features(enc_train, vocab, idf)
+        for i, kind, tag in bow_units:
+            with _naming_failures(f"{tag} fold {fold}"):
+                members[i] = train_bow_member(
+                    kind, roster[:i].count(kind), enc_train, x_train, vocab, idf, cfg,
+                    seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2),
+                )
+            save_baseline_member(members[i], ckpt_dir / f"{tag}.f{fold}.ckpt")
+
+    gold = list(enc_test.labels)
+    rows = []
+    for i, _, tag in units:
+        pred, _ = members[i].predict_batch(enc_test)
+        rows.append((tag, compute_metrics(pred.tolist(), gold)))
+    for name, composition in COMPOSITIONS.items():
+        mine = [i for i, kind in enumerate(roster) if KINDS[kind].ensemble == name]
+        if Counter(roster[i] for i in mine) == composition:
+            votes = ensemble_vote_batch([members[i] for i in mine], enc_test)
+            rows.append((name, compute_metrics(votes.tolist(), gold)))
+    return rows
+
+
 def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
                   cfg: ExperimentConfig, ctx: FeatureContext, out: Path,
-                  jobs: int, log) -> tuple[list[ReportRow], list[str]]:
-    roster = cfg.roster_members()
-    inputs = input_flags(roster)
-    if inputs["with_word"] and ctx.table is None:
-        raise ValueError("roster contains word models but no embeddings file is configured")
-
+                  jobs: int, log) -> list[ReportRow]:
+    encode = roster_encoder(ctx, cfg.roster_members())
     folds = make_folds(pool, plan, cfg.folds)
     plans_dir = out / "fold_plans"
     plans_dir.mkdir(parents=True, exist_ok=True)
@@ -153,92 +232,28 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
     ckpt_dir = out / "checkpoints" / tag
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    # (kind, member_idx) -> list of per-fold reports; ensembles keyed by name
-    member_reports: dict[tuple[str, int], list[MetricsReport]] = {}
-    ensemble_reports: dict[str, list[MetricsReport]] = {}
+    # Row name -> its per-fold reports; first-seen order is roster order.
+    reports: dict[str, list[MetricsReport]] = {}
     per_fold_lines = [CSV_HEADER + ",fold"]
-
-    cnn_units = [(i, kind) for i, kind in enumerate(roster) if kind in CNN_KINDS]
-    bow_units = [(i, kind) for i, kind in enumerate(roster) if kind not in CNN_KINDS]
-    kind_counters: dict[str, int] = {}
-    kind_index = {}  # roster position -> index among members of that kind
-    for i, kind in enumerate(roster):
-        kind_index[i] = kind_counters.get(kind, 0)
-        kind_counters[kind] = kind_index[i] + 1
-
     for fold in range(cfg.folds):
-        train_ds, test_ds = fold_datasets(pool, folds, fold)
-        enc_train = encode_dataset(train_ds, ctx, **inputs)
-        enc_test = encode_dataset(test_ds, ctx, **inputs)
-        gold = list(enc_test.labels)
-        fold_members: dict[int, object] = {}
-
-        def run_cnn_unit(unit):
-            i, kind = unit
-            with _naming_failures(f"{kind}.m{kind_index[i]} fold {fold}"):
-                member, best = train_cnn_member(
-                    kind, enc_train, cfg,
-                    init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
-                    train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1),
-                )
-            return i, kind, member, best
-
-        if jobs > 1 and len(cnn_units) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-                results = list(pool_exec.map(run_cnn_unit, cnn_units))
-        else:
-            results = [run_cnn_unit(u) for u in cnn_units]
-        for i, kind, member, best in sorted(results, key=lambda r: r[0]):
-            fold_members[i] = member
-            save_checkpoint(best, ckpt_dir / f"{kind}.m{kind_index[i]}.f{fold}.ckpt")
-
-        if bow_units:
-            vocab, idf = baselines.fit_tfidf(enc_train.tokens)
-            x_train = baselines.bow_features(enc_train, vocab, idf)
-            for i, kind in bow_units:
-                with _naming_failures(f"{kind}.m{kind_index[i]} fold {fold}"):
-                    member = train_bow_member(
-                        kind, kind_index[i], enc_train, x_train, vocab, idf,
-                        enc_train.labels, cfg,
-                        seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2),
-                    )
-                fold_members[i] = member
-                save_baseline_member(member, ckpt_dir / f"{kind}.m{kind_index[i]}.f{fold}.ckpt")
-
-        for i, kind in enumerate(roster):
-            member = fold_members[i]
-            pred, _ = member.predict_batch(enc_test)
-            report = compute_metrics(pred.tolist(), gold)
-            member_reports.setdefault((kind, kind_index[i]), []).append(report)
-            per_fold_lines.append(
-                report.csv_row(plan.label, f"{kind}.m{kind_index[i]}") + f",{fold}")
-
-        for name, composition in COMPOSITIONS.items():
-            mine = [i for i, k in enumerate(roster) if KINDS[k].ensemble == name]
-            if Counter(roster[i] for i in mine) == composition:
-                members = [fold_members[i] for i in mine]
-                votes = ensemble_vote_batch(members, enc_test)
-                report = compute_metrics(votes.tolist(), gold)
-                ensemble_reports.setdefault(name, []).append(report)
-                per_fold_lines.append(report.csv_row(plan.label, name) + f",{fold}")
+        for name, report in _run_fold(pool, folds, fold, scenario_idx, cfg, encode,
+                                      ckpt_dir, jobs):
+            reports.setdefault(name, []).append(report)
+            per_fold_lines.append(report.csv_row(plan.label, name) + f",{fold}")
         log(f"  scenario {plan.label}: fold {fold + 1}/{cfg.folds} done")
 
     per_fold_dir = out / "per_fold"
     per_fold_dir.mkdir(parents=True, exist_ok=True)
     (per_fold_dir / f"{tag}.csv").write_text("\n".join(per_fold_lines) + "\n")
 
+    # A kind's mean runs over its members' reports, member-major, fold-minor.
     rows = []
-    kind_means: dict[str, MetricsReport] = {}
-    for name in ensemble_reports:
-        kind_means[name] = mean_report(ensemble_reports[name])
-    present_kinds = {kind for kind, _ in member_reports}
-    for kind in present_kinds:
-        all_reports = [r for (k, _), reps in member_reports.items() if k == kind for r in reps]
-        kind_means[kind] = mean_report(all_reports)
-    for model_name in (*COMPOSITIONS, *KINDS):
-        if model_name in kind_means:
-            rows.append(ReportRow(plan.label, model_name, kind_means[model_name]))
-    return rows, per_fold_lines
+    for model in (*COMPOSITIONS, *KINDS):
+        mine = [r for name, reps in reports.items() if name.partition(".")[0] == model
+                for r in reps]
+        if mine:
+            rows.append(ReportRow(plan.label, model, mean_report(mine)))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1, log=None) -> ExperimentReport:
@@ -256,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, log=None) -> Experiment
     for idx, plan in enumerate(cfg.scenario_plans()):
         log(f"scenario {plan.label}: starting ({cfg.folds} folds)")
         try:
-            scenario_rows, _ = _run_scenario(pool, plan, idx, cfg, ctx, out, jobs, log)
+            scenario_rows = _run_scenario(pool, plan, idx, cfg, ctx, out, jobs, log)
             rows.extend(scenario_rows)
             completed.append(plan.label)
         except Exception as e:

@@ -1,4 +1,4 @@
-"""Binary classification metrics and cross-validation orchestration.
+"""Binary classification metrics and their average over folds.
 
 All measures target the positive class: precision_p, recall_p and f1_p use
 the zero-division convention (0 when the denominator is 0) so heavily
@@ -8,9 +8,7 @@ imbalanced folds with no positive predictions stay well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-from .corpus import Dataset, FoldPlan, fold_datasets
+from typing import Sequence
 
 MEASURES = ("accuracy", "precision_p", "recall_p", "f1_p")
 
@@ -42,8 +40,8 @@ class MetricsReport:
             raise ValueError(f"unknown measure {measure!r}")
         return getattr(self, measure)
 
-    def csv_row(self, scenario: str, model: str, decimals: int = 6) -> str:
-        vals = ",".join(f"{self.value(m):.{decimals}f}" for m in MEASURES)
+    def csv_row(self, scenario: str, model: str) -> str:
+        vals = ",".join(f"{self.value(m):.6f}" for m in MEASURES)
         counts = ",".join(f"{c:g}" for c in (self.tp, self.fp, self.fn, self.tn))
         return f"{scenario},{model},{vals},{counts}"
 
@@ -89,39 +87,3 @@ def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
         fn=sum(r.fn for r in reports) / n,
         tn=sum(r.tn for r in reports) / n,
     )
-
-
-class CrossValidationError(RuntimeError):
-    """A fold's trainer failed; carries the fold index."""
-
-    def __init__(self, fold: int, cause: Exception):
-        super().__init__(f"fold {fold} failed: {cause}")
-        self.fold = fold
-
-
-@dataclass(frozen=True)
-class CrossValidationResult:
-    per_fold: tuple[MetricsReport, ...]
-    mean: MetricsReport
-
-
-def cross_validate(
-    pool: Dataset,
-    folds: FoldPlan,
-    recipe: Callable[[Dataset, Dataset, int], Sequence[int]],
-) -> CrossValidationResult:
-    """Run a train/predict recipe on every fold and average the reports.
-
-    recipe(train, test, fold_index) must return one predicted class per
-    test item. Any recipe failure aborts with the offending fold index.
-    """
-    reports = []
-    for i in range(folds.k):
-        train, test = fold_datasets(pool, folds, i)
-        try:
-            pred = recipe(train, test, i)
-        except Exception as e:
-            raise CrossValidationError(i, e) from e
-        gold = [t.label for t in test]
-        reports.append(compute_metrics(list(pred), gold))
-    return CrossValidationResult(tuple(reports), mean_report(reports))

@@ -42,9 +42,6 @@ class ParamSet:
         for p in self._params.values():
             p.grad = None
 
-    def n_values(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotationSet, Dataset, Tweet
+from .corpus import Dataset, Tweet
 from .embeddings import EmbeddingTable, save_embeddings
 from .encoding import FeatureContext
 from .features import ClusterMap, Lexicon, SynonymMap, tokenize
@@ -256,22 +256,6 @@ def feature_context(embed_dim: int = 50, seed: int = 0,
         synonyms=synonym_map() if with_synonyms else None,
         table=build_embedding_table(embed_dim, seed),
     )
-
-
-def generate_annotations(dataset: Dataset, n_annotators: int = 3,
-                         flip_rate: float = 0.15, seed: int = 0) -> AnnotationSet:
-    """Noisy per-annotator labels over a labeled dataset."""
-    rng = np.random.default_rng(seed)
-    entries = {}
-    for tweet in dataset:
-        anns = []
-        for a in range(n_annotators):
-            label = tweet.label
-            if rng.random() < flip_rate:
-                label = 1 - label
-            anns.append((f"ann{a}", label))
-        entries[tweet.id] = tuple(anns)
-    return AnnotationSet(entries)
 
 
 def write_fixture_files(directory, embed_dim: int = 50, seed: int = 0) -> dict[str, Path]:

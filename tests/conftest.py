@@ -151,3 +151,38 @@ def nb_predict_oracle(model, tokens):
     post = np.exp(log_post - log_post.max())
     post /= post.sum()
     return int(np.argmax(post)), float(post[1])
+
+
+def svm_objective(model, x, y, lam):
+    """lam/2 ||w||^2 plus the mean hinge loss on (x, y), one row at a time."""
+    hinge = 0.0
+    for row, label in zip(x, y):
+        sign = 1.0 if label == 1 else -1.0
+        margin = sign * (float(model.weights @ row) + model.bias)
+        hinge += max(0.0, 1.0 - margin)
+    return 0.5 * lam * float(model.weights @ model.weights) + hinge / len(y)
+
+
+def gini(counts):
+    """Gini impurity 1 - sum_c p_c^2 of a class-count vector; 0 for no samples."""
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    return 1.0 - sum((c / total) ** 2 for c in counts)
+
+
+# ---------------------------------------------------------------------------
+# Ensemble vote, one example at a time
+# ---------------------------------------------------------------------------
+
+def vote_oracle(votes, probs):
+    """Strict majority of one example's binary votes.
+
+    A tie goes positive only when the mean positive probability is
+    strictly above 0.5.
+    """
+    positive = sum(1 for v in votes if v == 1)
+    negative = len(votes) - positive
+    if positive != negative:
+        return int(positive > negative)
+    return int(sum(probs) / len(probs) > 0.5)

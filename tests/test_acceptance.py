@@ -18,7 +18,7 @@ from ssc.agreement import cohen_kappa, krippendorff_alpha
 from ssc.corpus import AnnotationSet, ScenarioPlan, make_folds, make_scenario, save_dataset
 from ssc.config import load_config
 from ssc.encoding import EncodedSet, encode_dataset
-from ssc.ensemble import majority_vote
+from ssc.ensemble import vote
 from ssc.experiment import run_experiment
 from ssc.features import AUX_DIM
 from ssc.metrics import MetricsReport
@@ -467,22 +467,24 @@ rf_max_depth = 8
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_ensemble_votes():
+    # Each of the 64 six-vote patterns is one column of a (6, 64) vote.
     rng = np.random.default_rng(1008)
-    for votes in itertools.product([0, 1], repeat=6):
-        probs = rng.random(6)
-        got = majority_vote(list(votes), probs.tolist())
-        positives = sum(votes)
+    classes = np.array(list(itertools.product([0, 1], repeat=6))).T
+    probs = rng.random(classes.shape)
+    got = vote(classes, probs)
+    for col in range(classes.shape[1]):
+        positives = classes[:, col].sum()
         if positives > 3:
-            assert got == 1
+            assert got[col] == 1
         elif positives < 3:
-            assert got == 0
+            assert got[col] == 0
         else:
-            assert got == (1 if probs.mean() > 0.5 else 0)
-        # permutation invariance on the same pattern
-        perm = rng.permutation(6)
-        shuffled = majority_vote([votes[i] for i in perm],
-                                 [probs[i] for i in perm])
-        assert shuffled == got
-    assert majority_vote([1, 0], [0.5, 0.5]) == 0
+            assert got[col] == (1 if probs[:, col].mean() > 0.5 else 0)
+    # permutation invariance: shuffle the members of every pattern
+    perm = np.argsort(rng.random(classes.shape), axis=0)
+    shuffled = vote(np.take_along_axis(classes, perm, axis=0),
+                    np.take_along_axis(probs, perm, axis=0))
+    assert np.array_equal(shuffled, got)
+    assert vote(np.array([[1], [0]]), np.array([[0.5], [0.5]]))[0] == 0
     report(8, "all 64 six-vote patterns verified with randomized "
               "probabilities, including the 3-3 tie rule")

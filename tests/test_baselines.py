@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    gini,
     nb_predict_oracle,
     rf_predict_oracle,
+    svm_objective,
     svm_predict_oracle,
     tfidf_row_oracle,
     tree_vote_oracle,
@@ -14,17 +16,16 @@ from conftest import (
 from ssc import synth
 from ssc.baselines import (
     SvmModel,
+    _best_split,
     bow_features,
     calibrate_svm,
     dense_matrix,
     fit_tfidf,
-    gini,
     nb_predict,
     platt_fit,
     platt_probability,
     prefilter,
     rf_predict,
-    svm_objective,
     svm_predict,
     train_nb,
     train_rf,
@@ -276,9 +277,33 @@ class TestPlatt:
 
 
 class TestRandomForest:
-    def test_gini_cases(self):
-        assert gini(np.array([5.0, 0.0])) == 0.0
-        assert gini(np.array([4.0, 4.0])) == 0.5
+    def test_best_split_impurity_is_weighted_gini_of_children(self):
+        # Column 1 holds repeated values (tied sorted entries) and decides most
+        # labels; column 3 duplicates it, so two candidates tie on impurity.
+        local = np.random.default_rng(12)
+        x = local.normal(size=(40, 4))
+        x[:, 1] = local.integers(0, 4, size=40)
+        x[:, 3] = x[:, 1]
+        labels = (x[:, 1] >= 2).astype(np.int64)
+        labels[[0, 5, 9]] ^= 1
+        rows = local.choice(40, size=30, replace=False)
+        y = labels[rows]
+        candidates = [0, 3, 2, 1]
+
+        f, thr, impurity = _best_split(x, rows, y, candidates)
+
+        def weighted_gini(f, thr):
+            left = x[rows, f] <= thr
+            return sum(side.sum() * gini(np.bincount(y[side], minlength=2))
+                       for side in (left, ~left)) / len(y)
+
+        assert impurity == pytest.approx(weighted_gini(f, thr), abs=1e-12)
+        splits = [(weighted_gini(c, (a + b) / 2), c, (a + b) / 2) for c in candidates
+                  for a, b in zip(np.unique(x[rows, c]), np.unique(x[rows, c])[1:])]
+        best = min(s[0] for s in splits)
+        assert impurity == pytest.approx(best, abs=1e-12)
+        assert (f, thr) == next((c, t) for s, c, t in splits if s <= best + 1e-12)
+        assert f == 3  # the tie keeps the earlier candidate
 
     def test_memorizes_consistent_data(self):
         local = np.random.default_rng(10)

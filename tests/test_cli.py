@@ -194,6 +194,16 @@ class TestModelCommands:
                      "--checkpoint", str(ckpt),
                      "--test-data", str(workspace / "corpus.tsv")]) == 0
 
+    def test_train_word_member_without_embeddings_fails(self, workspace, tmp_path, capsys):
+        conf = tmp_path / "no_embeddings.conf"
+        lines = (workspace / "exp.conf").read_text().splitlines()
+        conf.write_text("\n".join(x for x in lines if not x.startswith("embeddings =")))
+        assert main(["train", "--config", str(conf), "--kind", "word_aux",
+                     "--train-data", str(workspace / "corpus.tsv"),
+                     "--output", str(tmp_path / "word.ckpt")]) == 1
+        assert "word models need an embeddings path" in capsys.readouterr().err
+        assert not (tmp_path / "word.ckpt").exists()
+
     def test_prefilter_matches_library_on_encoded_features(self, workspace, tmp_path, capsys):
         conf, corpus = str(workspace / "exp.conf"), str(workspace / "corpus.tsv")
         ckpt, out = tmp_path / "svm.ckpt", tmp_path / "sample.tsv"

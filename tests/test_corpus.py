@@ -1,5 +1,8 @@
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssc.corpus import (
@@ -263,6 +266,22 @@ class TestMakeFolds:
         loaded = load_fold_plan(p, pool=pool)
         assert loaded.folds == folds.folds
         assert loaded.class_counts == folds.class_counts
+
+    # Ids may hold any encodable character but the file's separators.
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 4), per_block=st.integers(1, 3), seed=st.integers(0, 2**16),
+           ids=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+                                min_size=1),
+                        min_size=24, max_size=40, unique=True))
+    def test_round_trip_file_property(self, k, per_block, seed, ids):
+        half = len(ids) // 2
+        pool = Dataset([Tweet(i, "text", int(n < half)) for n, i in enumerate(ids)])
+        plan = ScenarioPlan((50, 50), 2 * per_block, 2 * per_block, seed=seed)
+        folds = make_folds(pool, plan, k=k)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plan.folds"
+            save_fold_plan(folds, path)
+            assert load_fold_plan(path, pool) == folds
 
     def test_fold_datasets_resolves_ids(self):
         pool = labeled_pool(60, 60)

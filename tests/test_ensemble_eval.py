@@ -5,38 +5,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import vote_oracle
 from ssc.agreement import cohen_kappa, krippendorff_alpha
-from ssc.corpus import AnnotationSet, Dataset, ScenarioPlan, Tweet, make_folds
-from ssc.ensemble import EnsembleSpec, majority_vote, vote
-from ssc.metrics import (
-    CrossValidationError,
-    MetricsReport,
-    compute_metrics,
-    cross_validate,
-    mean_report,
-)
+from ssc.corpus import AnnotationSet
+from ssc.ensemble import EnsembleSpec, vote
+from ssc.metrics import MetricsReport, compute_metrics, mean_report
+
+
+def vote_one(votes, probs):
+    """vote() on one example, given as (members, 1) column arrays."""
+    return int(vote(np.array(votes)[:, None], np.array(probs, dtype=np.float64)[:, None])[0])
 
 
 class TestMajorityVote:
     def test_tie_resolved_by_mean_probability(self):
         votes = [1, 1, 1, 0, 0, 0]
-        assert majority_vote(votes, [0.9, 0.8, 0.7, 0.4, 0.4, 0.5]) == 1  # mean 0.62
-        assert majority_vote(votes, [0.5, 0.5, 0.5, 0.1, 0.1, 0.1]) == 0
+        assert vote_one(votes, [0.9, 0.8, 0.7, 0.4, 0.4, 0.5]) == 1  # mean 0.62
+        assert vote_one(votes, [0.5, 0.5, 0.5, 0.1, 0.1, 0.1]) == 0
 
     def test_exact_half_mean_is_negative(self):
-        assert majority_vote([1, 0], [0.5, 0.5]) == 0
+        assert vote_one([1, 0], [0.5, 0.5]) == 0
 
     def test_strict_majority_ignores_probs(self):
-        assert majority_vote([1, 1, 1, 1, 0, 0], [0.0] * 6) == 1
-        assert majority_vote([0, 0, 0, 0, 1, 1], [1.0] * 6) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            majority_vote([], [])
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(ValueError):
-            majority_vote([1, 0], [0.5])
+        assert vote_one([1, 1, 1, 1, 0, 0], [0.0] * 6) == 1
+        assert vote_one([0, 0, 0, 0, 1, 1], [1.0] * 6) == 0
 
     @given(st.lists(st.tuples(st.sampled_from([0, 1]),
                               st.floats(0, 1, allow_nan=False)),
@@ -44,24 +36,24 @@ class TestMajorityVote:
     def test_permutation_invariant(self, pairs):
         votes = [v for v, _ in pairs]
         probs = [p for _, p in pairs]
-        base = majority_vote(votes, probs)
-        assert majority_vote(list(reversed(votes)), list(reversed(probs))) == base
+        base = vote_one(votes, probs)
+        assert vote_one(list(reversed(votes)), list(reversed(probs))) == base
 
     def test_flipping_one_vote_of_5_1_majority(self):
         local = np.random.default_rng(0)
         for _ in range(50):
             probs = local.random(6).tolist()
             votes = [1, 1, 1, 1, 1, 0]
-            base = majority_vote(votes, probs)
+            base = vote_one(votes, probs)
             flipped = votes.copy()
             flipped[5] = 1
-            assert majority_vote(flipped, probs) == base == 1
+            assert vote_one(flipped, probs) == base == 1
 
     def test_exhaustive_patterns_with_random_probs(self):
         local = np.random.default_rng(1)
         for votes in itertools.product([0, 1], repeat=6):
             probs = local.random(6)
-            got = majority_vote(list(votes), probs.tolist())
+            got = vote_one(list(votes), probs.tolist())
             positives = sum(votes)
             if positives > 3:
                 assert got == 1
@@ -77,7 +69,7 @@ class TestMajorityVote:
         probs[:, :50] = 0.5  # exact-half means on some ties
         got = vote(classes, probs)
         assert got.dtype == np.int64
-        expected = [majority_vote(classes[:, i].tolist(), probs[:, i].tolist())
+        expected = [vote_oracle(classes[:, i].tolist(), probs[:, i].tolist())
                     for i in range(400)]
         assert got.tolist() == expected
         assert (classes.sum(axis=0) == 3).sum() > 50  # ties were exercised
@@ -148,19 +140,7 @@ class TestComputeMetrics:
         assert len(fields) == 10
 
 
-class TestCrossValidate:
-    def pool(self):
-        return Dataset([Tweet(f"p{i}", f"pos {i}", 1) for i in range(30)]
-                       + [Tweet(f"n{i}", f"neg {i}", 0) for i in range(30)])
-
-    def test_constant_recipe_mean_equals_value(self):
-        plan = ScenarioPlan((50, 50), 20, 10, seed=0)
-        folds = make_folds(self.pool(), plan, k=3)
-        result = cross_validate(self.pool(), folds,
-                                lambda train, test, i: [t.label for t in test])
-        assert result.mean.accuracy == 1.0
-        assert all(r.accuracy == 1.0 for r in result.per_fold)
-
+class TestMeanReport:
     def test_mean_is_unweighted_arithmetic(self):
         a = MetricsReport.from_counts(8, 0, 2, 10)  # acc 0.9... check below
         b = MetricsReport.from_counts(6, 4, 4, 6)
@@ -179,31 +159,6 @@ class TestCrossValidate:
                    MetricsReport.from_counts(5, 0, 0, 5),
                    MetricsReport.from_counts(2, 2, 2, 4)]
         assert mean_report(reports) == mean_report(list(reversed(reports)))
-
-    def test_reproducible_per_fold_reports(self):
-        plan = ScenarioPlan((50, 50), 20, 10, seed=1)
-        folds = make_folds(self.pool(), plan, k=3)
-
-        def recipe(train, test, i):
-            rng = np.random.default_rng(i)  # deterministic given fold
-            return rng.integers(0, 2, size=len(test)).tolist()
-
-        r1 = cross_validate(self.pool(), folds, recipe)
-        r2 = cross_validate(self.pool(), folds, recipe)
-        assert r1.per_fold == r2.per_fold
-
-    def test_failure_carries_fold_index(self):
-        plan = ScenarioPlan((50, 50), 20, 10, seed=2)
-        folds = make_folds(self.pool(), plan, k=3)
-
-        def recipe(train, test, i):
-            if i == 1:
-                raise RuntimeError("boom")
-            return [0] * len(test)
-
-        with pytest.raises(CrossValidationError, match="fold 1") as exc:
-            cross_validate(self.pool(), folds, recipe)
-        assert exc.value.fold == 1
 
 
 def alpha_pairwise_oracle(entries):

@@ -1,4 +1,4 @@
-"""run_experiment end to end on a tiny config: failure naming and --jobs determinism."""
+"""run_experiment end to end on a tiny config: failure naming, fold plans and --jobs determinism."""
 
 from dataclasses import replace
 
@@ -7,8 +7,8 @@ import pytest
 
 from ssc import models, synth
 from ssc.config import load_config
-from ssc.corpus import save_dataset
-from ssc.experiment import run_experiment
+from ssc.corpus import load_dataset, load_fold_plan, make_folds, save_dataset
+from ssc.experiment import roster_encoder, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +72,36 @@ def test_training_failure_names_member_and_fold(tiny_config, monkeypatch):
                 "char_aux: non-finite loss nan at epoch 1, batch 1")
     assert result.failures == [expected]
     assert expected in (out / "failures.txt").read_text().splitlines()
+
+
+def test_word_roster_without_embeddings_fails_naming_scenario(tiny_config):
+    cfg, root = tiny_config
+    out = root / "no_embeddings"
+    result = run_experiment(replace(cfg, embeddings="", output=str(out)), jobs=1,
+                            log=lambda msg: None)
+    expected = "scenario 50:50: word models need an embeddings path in the config"
+    assert result.failures == [expected]
+    assert result.rows == []
+    assert expected in (out / "failures.txt").read_text().splitlines()
+
+
+def test_saved_fold_plan_loads_back_as_made(tiny_config):
+    cfg, root = tiny_config
+    out = root / "fold_plan"
+    result = run_experiment(replace(cfg, roster="nb:1", output=str(out)), jobs=1,
+                            log=lambda msg: None)
+    assert not result.failures
+    pool = load_dataset(cfg.dataset)
+    (plan,) = cfg.scenario_plans()
+    loaded = load_fold_plan(out / "fold_plans" / "scenario_50-50.folds", pool)
+    assert loaded == make_folds(pool, plan, cfg.folds)
+
+
+@pytest.mark.parametrize("kinds, word, char", [(["nb", "svm"], False, False),
+                                               (["char_cnn", "rf"], False, True),
+                                               (["word_aux", "char_aux"], True, True)])
+def test_roster_encoder_encodes_what_the_kinds_read(kinds, word, char):
+    ds = synth.generate_dataset(3, 3, seed=2)
+    enc = roster_encoder(synth.feature_context(embed_dim=8, seed=0), kinds)(ds)
+    assert (enc.word is not None, enc.char is not None) == (word, char)
+    assert len(enc) == 6 and enc.labels.tolist() == [t.label for t in ds]
