@@ -212,6 +212,9 @@ def calibrate_svm(model: SvmModel, x: np.ndarray, y: Sequence[int]) -> SvmModel:
 # Platt scaling
 # ---------------------------------------------------------------------------
 
+PLATT_TOL = 1e-8  # Newton stops once the gradient norm drops below this
+PLATT_MAX_ITER = 100
+
 def platt_probability(score, a: float, b: float) -> np.ndarray:
     """1 / (1 + exp(a * score + b)) elementwise, without overflow."""
     z = a * np.asarray(score, dtype=np.float64) + b
@@ -219,13 +222,13 @@ def platt_probability(score, a: float, b: float) -> np.ndarray:
     return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def platt_fit(scores: Sequence[float], labels: Sequence[int],
-              tol: float = 1e-8, max_iter: int = 100) -> tuple[float, float]:
+def platt_fit(scores: Sequence[float], labels: Sequence[int]) -> tuple[float, float]:
     """Fit p = 1/(1+exp(A*s+B)) by Newton's method on the smoothed NLL.
 
     Targets use the standard smoothing t+ = (N+ + 1)/(N+ + 2) and
-    t- = 1/(N- + 2). Iterates until the gradient norm drops below tol or
-    max_iter iterations; a step is halved while it fails to reduce the NLL.
+    t- = 1/(N- + 2). Iterates until the gradient norm drops below PLATT_TOL
+    or for PLATT_MAX_ITER iterations; a step is halved while it fails to
+    reduce the NLL.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
@@ -246,12 +249,12 @@ def platt_fit(scores: Sequence[float], labels: Sequence[int],
 
     a, b = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
     current = nll(a, b)
-    for _ in range(max_iter):
+    for _ in range(PLATT_MAX_ITER):
         z = a * s + b
         p = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
         residual = target - p  # dNLL/d(a,b) = (sum r*s, sum r)
         g = np.array([float(residual @ s), float(residual.sum())])
-        if math.hypot(*g) < tol:
+        if math.hypot(*g) < PLATT_TOL:
             break
         w = p * (1.0 - p)
         h = np.array([[float((w * s) @ s), float(w @ s)],
@@ -361,11 +364,10 @@ def _grow(x, rows, y, rng, max_depth, n_candidates, nodes, depth):
 
 
 def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
-             max_depth: int | None = 16, seed: int = 0,
-             bootstrap: bool = True) -> RfModel:
+             max_depth: int | None = 16, seed: int = 0) -> RfModel:
     """Random forest of Gini-split trees.
 
-    Per tree: a bootstrap sample (unless disabled), recursive best-Gini
+    Per tree: a bootstrap sample, recursive best-Gini
     splits over sqrt(n_features) random candidate features (all features
     when none of them splits), stopping at purity, max_depth, or fewer
     than 2 samples.
@@ -379,10 +381,7 @@ def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
     forest = []
     for i in range(trees):
         rng = np.random.default_rng([seed, i])
-        if bootstrap:
-            pick = rng.integers(0, n, size=n)
-        else:
-            pick = np.arange(n)
+        pick = rng.integers(0, n, size=n)
         nodes = {"feature": [], "threshold": [], "left": [], "right": [], "counts": []}
         _grow(x, pick, y[pick], rng, max_depth, n_candidates, nodes, depth=0)
         forest.append(Tree(

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .corpus import ScenarioPlan
 from .ensemble import KINDS
+from .metrics import MEASURES
 
 DEFAULT_SCENARIOS = "50:50:3450:690,40:60:2850:570,30:70:2450:490,20:80:2150:430,10:90:1900:380"
 DEFAULT_ROSTER = "char_aux:2,char_cnn:2,word_aux:2,svm:2,rf:2,nb:2"
@@ -111,7 +112,7 @@ _OPTIONAL_PATHS = ("abuse_lexicon", "slang_lexicon", "cluster_map",
                    "synonym_map", "embeddings")
 
 
-def load_config(path, require_paths: bool = True) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file, filling defaults."""
     values: dict[str, object] = {}
     section = None
@@ -142,19 +143,21 @@ def load_config(path, require_paths: bool = True) -> ExperimentConfig:
                 values[key] = caster(value)
             except ValueError:
                 errors.append(f"line {lineno}: malformed value {value!r} for {key!r}")
+            if key == "selection_metric" and value not in MEASURES:
+                errors.append(f"line {lineno}: selection_metric {value!r} is not one of "
+                              + ", ".join(MEASURES))
     if errors:
         raise ConfigFileError("bad config file:\n" + "\n".join(errors))
 
     cfg = replace(ExperimentConfig(), **values)
     if not cfg.dataset:
         raise ConfigFileError("missing required path: dataset")
-    if require_paths:
-        if not Path(cfg.dataset).exists():
-            raise ConfigFileError(f"dataset path does not exist: {cfg.dataset}")
-        for name in _OPTIONAL_PATHS:
-            value = getattr(cfg, name)
-            if value and not Path(value).exists():
-                raise ConfigFileError(f"{name} path does not exist: {value}")
+    if not Path(cfg.dataset).exists():
+        raise ConfigFileError(f"dataset path does not exist: {cfg.dataset}")
+    for name in _OPTIONAL_PATHS:
+        value = getattr(cfg, name)
+        if value and not Path(value).exists():
+            raise ConfigFileError(f"{name} path does not exist: {value}")
     cfg.scenario_plans()
     cfg.roster_members()
     if cfg.folds < 1:

@@ -34,6 +34,8 @@ class Tweet:
     def __post_init__(self):
         if not self.id:
             raise CorpusError("item id must be non-empty")
+        if any(c in self.id for c in "\t\n\r"):
+            raise CorpusError(f"item {self.id!r}: id must not contain tabs or line breaks")
         if not self.text:
             raise CorpusError(f"item {self.id!r}: text must be non-empty")
         if "\n" in self.text or "\r" in self.text:
@@ -72,9 +74,6 @@ class Dataset:
     @property
     def all_labeled(self) -> bool:
         return all(t.label is not None for t in self.items)
-
-    def labels(self) -> list[int | None]:
-        return [t.label for t in self.items]
 
     def by_class(self) -> tuple[list[Tweet], list[Tweet]]:
         """Split into (positives, negatives); requires a fully labeled dataset."""
@@ -303,13 +302,11 @@ class FoldPlan:
     """k train/test splits over a sampled pool, stored as item ids.
 
     Test blocks are pairwise disjoint and every fold's train set is disjoint
-    from its own test block. class_counts holds per-fold
-    ((train_pos, train_neg), (test_pos, test_neg)) when known.
+    from its own test block.
     """
 
     k: int
     folds: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    class_counts: tuple[tuple[tuple[int, int], tuple[int, int]], ...] | None = None
 
     def __post_init__(self):
         if self.k != len(self.folds):
@@ -336,11 +333,7 @@ def make_folds(pool: Dataset, plan: ScenarioPlan, k: int = 6) -> FoldPlan:
         raise CorpusError("k must be >= 1")
     if k == 1:
         train, test = make_scenario(pool, plan)
-        return FoldPlan(
-            1,
-            ((tuple(t.id for t in train), tuple(t.id for t in test)),),
-            ((plan.class_counts(plan.n_train), plan.class_counts(plan.n_test)),),
-        )
+        return FoldPlan(1, ((tuple(t.id for t in train), tuple(t.id for t in test)),))
 
     pos, neg = pool.by_class()
     rng = np.random.default_rng(plan.seed)
@@ -368,7 +361,6 @@ def make_folds(pool: Dataset, plan: ScenarioPlan, k: int = 6) -> FoldPlan:
     neg_rest = neg[k * te_neg:]
 
     folds = []
-    counts = []
     for i in range(k):
         test = pos_blocks[i] + neg_blocks[i]
         cand_pos = [t for j in range(k) if j != i for t in pos_blocks[j]] + pos_rest
@@ -378,8 +370,7 @@ def make_folds(pool: Dataset, plan: ScenarioPlan, k: int = 6) -> FoldPlan:
         train = _shuffled(train, fold_rng)
         test = _shuffled(test, fold_rng)
         folds.append((tuple(t.id for t in train), tuple(t.id for t in test)))
-        counts.append(((tr_pos, tr_neg), (te_pos, te_neg)))
-    return FoldPlan(k, tuple(folds), tuple(counts))
+    return FoldPlan(k, tuple(folds))
 
 
 def fold_datasets(pool: Dataset, fold_plan: FoldPlan, fold: int) -> tuple[Dataset, Dataset]:
@@ -404,8 +395,8 @@ def save_fold_plan(fold_plan: FoldPlan, path) -> None:
                 fh.write(f"{i}\ttest\t{item_id}\n")
 
 
-def load_fold_plan(path, pool: Dataset | None = None) -> FoldPlan:
-    """Read a fold plan file; class counts are filled in when pool is given."""
+def load_fold_plan(path) -> FoldPlan:
+    """Read a fold plan file written by save_fold_plan."""
     by_fold: dict[int, tuple[list[str], list[str]]] = {}
     errors: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -415,7 +406,7 @@ def load_fold_plan(path, pool: Dataset | None = None) -> FoldPlan:
                 errors.append(f"line {lineno}: expected fold_index<TAB>role<TAB>item_id")
                 continue
             fold_tok, role, item_id = parts
-            if not fold_tok.isdigit():
+            if not (fold_tok.isascii() and fold_tok.isdigit()):
                 errors.append(f"line {lineno}: invalid fold index {fold_tok!r}")
                 continue
             if role not in ("train", "test"):
@@ -431,18 +422,4 @@ def load_fold_plan(path, pool: Dataset | None = None) -> FoldPlan:
     folds = tuple(
         (tuple(by_fold[i][0]), tuple(by_fold[i][1])) for i in range(len(by_fold))
     )
-    counts = None
-    if pool is not None:
-        index = pool.by_id()
-        counts = []
-        for train_ids, test_ids in folds:
-            per = []
-            for ids in (train_ids, test_ids):
-                labels = [index[i].label for i in ids if i in index]
-                if len(labels) != len(ids):
-                    raise CorpusError("fold plan references ids missing from pool")
-                per.append((sum(1 for x in labels if x == POSITIVE),
-                            sum(1 for x in labels if x == NEGATIVE)))
-            counts.append((per[0], per[1]))
-        counts = tuple(counts)
-    return FoldPlan(len(folds), folds, counts)
+    return FoldPlan(len(folds), folds)

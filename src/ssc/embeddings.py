@@ -1,4 +1,9 @@
-"""Pretrained word-embedding tables and fixed-shape word-matrix encoding."""
+"""Pretrained word-embedding tables and fixed-shape word-matrix encoding.
+
+A text becomes a (MAX_TOKENS, dim) matrix: one table row per token, a
+deterministic pseudo-random vector for a token the table lacks, zero rows
+after the last token.
+"""
 
 from __future__ import annotations
 
@@ -51,7 +56,7 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
             parts = raw.split()
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+            if lineno == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
                 declared_count, header_dim = int(parts[0]), int(parts[1])
                 if header_dim != expected_dim:
                     raise EmbeddingError(
@@ -77,11 +82,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     return EmbeddingTable(expected_dim, vectors)
 
 
-def save_embeddings(table: EmbeddingTable, path, header: bool = True) -> None:
-    """Write a table in the text embedding format load_embeddings reads."""
+def save_embeddings(table: EmbeddingTable, path) -> None:
+    """Write a table, with its ``V D`` header, in the format load_embeddings reads."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(f"{len(table.vectors)} {table.dim}\n")
+        fh.write(f"{len(table.vectors)} {table.dim}\n")
         for word, vec in table.vectors.items():
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
@@ -99,20 +103,15 @@ def oov_vector(token: str, dim: int) -> np.ndarray:
     return vec / peak if peak > 0 else vec
 
 
-def embed_words(
-    tokens: TokenSeq,
-    table: EmbeddingTable,
-    max_len: int = MAX_TOKENS,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Encode tokens as a (max_len, dim) matrix.
+def embed_words(tokens: TokenSeq, table: EmbeddingTable, dtype=np.float64) -> np.ndarray:
+    """Encode tokens as a (MAX_TOKENS, dim) matrix.
 
     Row i is the table vector for token i when present, otherwise its
-    deterministic out-of-vocabulary vector. Tokens beyond max_len are
+    deterministic out-of-vocabulary vector. Tokens beyond MAX_TOKENS are
     dropped; rows beyond the token count stay zero.
     """
-    out = np.zeros((max_len, table.dim), dtype=dtype)
-    for i, tok in enumerate(tokens[:max_len]):
+    out = np.zeros((MAX_TOKENS, table.dim), dtype=dtype)
+    for i, tok in enumerate(tokens[:MAX_TOKENS]):
         vec = table.vectors.get(tok)
         if vec is None:
             vec = oov_vector(tok, table.dim)

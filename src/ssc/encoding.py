@@ -59,16 +59,16 @@ def encode_dataset(
     ctx: FeatureContext,
     with_word: bool = True,
     with_char: bool = True,
-    dtype=None,
 ) -> EncodedSet:
     """Tokenize and vectorize every item of a dataset.
 
     The auxiliary vector is computed from the raw tokens; synonym expansion
     (when a synonym map is present) applies to the token stream fed to the
     word model and the bag-of-words baselines. The character path encodes
-    the raw text. Requires an embedding table when with_word is set.
+    the raw text. Requires an embedding table when with_word is set. Float
+    arrays take the default dtype (SSC_PRECISION).
     """
-    dtype = dtype or default_dtype()
+    dtype = default_dtype()
     n = len(dataset)
     aux = np.zeros((n, features.AUX_DIM), dtype=dtype)
     word = None

@@ -57,11 +57,13 @@ def vote(classes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Strict majority over (members, examples) binary votes, per example.
 
     On a tie, the mean positive probability decides: strictly above 0.5
-    means positive, otherwise negative.
+    means positive, otherwise negative. The probabilities are added in
+    member order, so an example's vote does not depend on the batch around it.
     """
     positive = (classes == 1).sum(axis=0)
     negative = classes.shape[0] - positive
-    tie = np.asarray(probs, dtype=np.float64).mean(axis=0) > 0.5
+    rows = np.asarray(probs, dtype=np.float64)
+    tie = sum(rows) / len(rows) > 0.5  # builtin sum: one row after another
     return np.where(positive == negative, tie, positive > negative).astype(np.int64)
 
 

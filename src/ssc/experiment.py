@@ -47,7 +47,7 @@ from .ensemble import (
 )
 from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
 from .metrics import CSV_HEADER, MEASURES, MetricsReport, compute_metrics, mean_report
-from .models import CCnnConfig, TrainConfig, WCnnConfig
+from .models import CnnConfig, TrainConfig
 from .nn import default_dtype, save_checkpoint
 
 
@@ -85,20 +85,14 @@ def _unit_seed(base: int, scenario: int, member: int, fold: int, salt: int = 0) 
     return ((base * 1_000_003 + scenario * 10_007 + member * 101 + fold) * 8 + salt) & 0x7FFFFFFF
 
 
-def _parse_kernels(text: str) -> tuple[int, ...]:
-    return tuple(int(k) for k in text.split(",") if k.strip())
-
-
-def _wcnn_config(cfg: ExperimentConfig) -> WCnnConfig:
-    return WCnnConfig(kernel_sizes=_parse_kernels(cfg.word_kernels),
-                      filters=cfg.filters, embed_dim=cfg.embedding_dim,
-                      dropout=cfg.dropout)
-
-
-def _ccnn_config(cfg: ExperimentConfig) -> CCnnConfig:
-    return CCnnConfig(kernel_sizes=_parse_kernels(cfg.char_kernels),
-                      filters=cfg.filters, embed_dim=cfg.char_embed_dim,
-                      dropout=cfg.dropout)
+def _cnn_config(cfg: ExperimentConfig, kind: str) -> CnnConfig:
+    """The word or the char fields of cfg, as the kind reads words or chars."""
+    word = KINDS[kind].word
+    kernels = cfg.word_kernels if word else cfg.char_kernels
+    return CnnConfig(kernel_sizes=tuple(int(k) for k in kernels.split(",") if k.strip()),
+                     filters=cfg.filters,
+                     embed_dim=cfg.embedding_dim if word else cfg.char_embed_dim,
+                     dropout=cfg.dropout)
 
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
@@ -109,8 +103,7 @@ def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
 def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
                      init_seed: int, train_seed: int) -> tuple[CnnMember, object]:
     """Train one CNN member, restore its best epoch, return (member, checkpoint)."""
-    model = models.build_model(kind, seed=init_seed, wcnn=_wcnn_config(cfg),
-                               ccnn=_ccnn_config(cfg))
+    model = models.build_model(kind, _cnn_config(cfg, kind), seed=init_seed)
     checkpoints = models.train(model, enc_train, _train_config(cfg, train_seed))
     best = models.select_best_epoch(checkpoints, cfg.selection_metric)
     model.params.load_state_dict(best.arrays)

@@ -120,7 +120,7 @@ def load_cluster_map(path) -> ClusterMap:
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 2 or not re.fullmatch(r"-?[0-9]+", parts[1]):
                 raise ValueError(f"cluster file line {lineno}: expected term<TAB>cluster_id")
             cid = int(parts[1])
             if not 0 <= cid < N_CLUSTERS:

@@ -2,12 +2,13 @@
 
 The member kind selects the architecture: "word_aux" is the word CNN,
 "char_aux" and "char_cnn" are the char CNN with and without the auxiliary
-vector. The configs hold only what a run can change (kernel sizes, filters,
-embedding width, dropout, and the word model's pool size); everything else
-is one of these constants:
+vector. One CnnConfig holds what a run can change (kernel sizes, filters,
+embedding width, dropout); everything else is one of these constants:
 
 - MAX_TOKENS (40) word rows per text and MAX_CHARS (280) character slots,
   fixed by the encoders; CHARSET_SIZE rows in the character embedding;
+- POOL_SIZE (2), the window and stride of the word model's max pools, which
+  leave WORD_BRANCH_LEN (10) steps per word branch;
 - DENSE_LAYERS (2) dense layers of DENSE_UNITS (1024) units;
 - AUX_DIM (154) auxiliary entries, concatenated onto the last hidden layer
   for the kinds in AUX_KINDS;
@@ -37,51 +38,36 @@ DENSE_UNITS = 1024
 DENSE_LAYERS = 2
 AUX_KINDS = ("word_aux", "char_aux")  # kinds whose output layer also reads aux
 PREDICT_ROWS = 256  # rows per inference forward pass
+POOL_SIZE = 2
+# Two same-padding convs, each followed by a POOL_SIZE/POOL_SIZE max pool.
+WORD_BRANCH_LEN = ((MAX_TOKENS - POOL_SIZE) // POOL_SIZE + 1 - POOL_SIZE) // POOL_SIZE + 1
 
 
 class ConfigError(ValueError):
     """A model config violates one of the fixed architecture invariants."""
 
 
-def _check_common(cfg) -> None:
-    if not cfg.kernel_sizes or cfg.filters < 1:
-        raise ConfigError("need at least one kernel size and one filter")
-    if not 0 <= cfg.dropout < 1:
-        raise ConfigError("dropout must be in [0, 1)")
-
-
 @dataclass(frozen=True)
-class WCnnConfig:
-    kernel_sizes: tuple[int, ...] = (3, 4, 5)
-    filters: int = 128
-    pool_size: int = 2
-    embed_dim: int = 400
-    dropout: float = 0.5
+class CnnConfig:
+    """What a run can change in either architecture; the kind picks which one."""
+
+    kernel_sizes: tuple[int, ...]
+    filters: int
+    embed_dim: int
+    dropout: float
 
     def validate(self) -> None:
-        _check_common(self)
-        if self.pool_size < 1:
-            raise ConfigError("pool_size must be >= 1")
-        if self.branch_len() < 1:
-            raise ConfigError("sequence too short for two pooling stages")
+        if not self.kernel_sizes or self.filters < 1:
+            raise ConfigError("need at least one kernel size and one filter")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError("dropout must be in [0, 1)")
 
-    def branch_len(self) -> int:
-        # Two same-padding convs, each followed by a p/p max pool.
-        after_one = (MAX_TOKENS - self.pool_size) // self.pool_size + 1
-        return (after_one - self.pool_size) // self.pool_size + 1
-
-
-@dataclass(frozen=True)
-class CCnnConfig:
-    kernel_sizes: tuple[int, ...] = (3, 4, 5, 7)
-    filters: int = 128
-    embed_dim: int = 128
-    dropout: float = 0.5
-
-    def validate(self) -> None:
-        _check_common(self)
-        if max(self.kernel_sizes) > MAX_CHARS:
-            raise ConfigError("kernel size exceeds sequence length")
+    @classmethod
+    def from_items(cls, items: dict[str, str]) -> "CnnConfig":
+        """Inverse of _config_items; entries that are not fields are ignored."""
+        return cls(kernel_sizes=tuple(int(x) for x in items["kernel_sizes"].split(",")),
+                   filters=int(items["filters"]), embed_dim=int(items["embed_dim"]),
+                   dropout=float(items["dropout"]))
 
 
 def _config_items(cfg) -> list[tuple[str, str]]:
@@ -92,21 +78,6 @@ def _config_items(cfg) -> list[tuple[str, str]]:
             v = ",".join(str(x) for x in v)
         out.append((f.name, str(v)))
     return out
-
-
-def _config_from_items(cls, items: dict[str, str]):
-    """Inverse of _config_items: parse each field by the type of its default.
-
-    Entries that are not fields of cls are ignored.
-    """
-    values = {}
-    for f in fields(cls):
-        text = items[f.name]
-        if isinstance(f.default, tuple):
-            values[f.name] = tuple(int(x) for x in text.split(","))
-        else:
-            values[f.name] = type(f.default)(text)
-    return cls(**values)
 
 
 def config_digest(*configs) -> str:
@@ -149,17 +120,16 @@ class Model:
 
 class WordCnn(Model):
     def forward(self, batch, train=False, rng=None):
-        cfg = self.config
         x = Tensor(batch.word)
         p = self.params
         branches = []
-        for k in cfg.kernel_sizes:
+        for k in self.config.kernel_sizes:
             h = nn.conv1d(x, p[f"conv{k}a_w"], p[f"conv{k}a_b"], padding="same")
             h = nn.relu(h)
-            h = nn.maxpool1d(h, cfg.pool_size, cfg.pool_size)
+            h = nn.maxpool1d(h, POOL_SIZE, POOL_SIZE)
             h = nn.conv1d(h, p[f"conv{k}b_w"], p[f"conv{k}b_b"], padding="same")
             h = nn.relu(h)
-            h = nn.maxpool1d(h, cfg.pool_size, cfg.pool_size)
+            h = nn.maxpool1d(h, POOL_SIZE, POOL_SIZE)
             branches.append(nn.reshape(h, (h.shape[0], -1)))
         return self.head(nn.concat(branches, axis=1), nn.relu, batch, train, rng)
 
@@ -187,18 +157,18 @@ def _head_specs(in_dim: int, with_aux: bool) -> list[ParamSpec]:
     return specs
 
 
-def _wcnn_specs(cfg: WCnnConfig, with_aux: bool) -> list[ParamSpec]:
+def _wcnn_specs(cfg: CnnConfig, with_aux: bool) -> list[ParamSpec]:
     specs = []
     for k in cfg.kernel_sizes:
         specs.append(ParamSpec(f"conv{k}a_w", (k, cfg.embed_dim, cfg.filters)))
         specs.append(ParamSpec(f"conv{k}a_b", (cfg.filters,), init="zeros"))
         specs.append(ParamSpec(f"conv{k}b_w", (k, cfg.filters, cfg.filters)))
         specs.append(ParamSpec(f"conv{k}b_b", (cfg.filters,), init="zeros"))
-    concat_dim = cfg.branch_len() * cfg.filters * len(cfg.kernel_sizes)
+    concat_dim = WORD_BRANCH_LEN * cfg.filters * len(cfg.kernel_sizes)
     return specs + _head_specs(concat_dim, with_aux)
 
 
-def _ccnn_specs(cfg: CCnnConfig, with_aux: bool) -> list[ParamSpec]:
+def _ccnn_specs(cfg: CnnConfig, with_aux: bool) -> list[ParamSpec]:
     specs = [ParamSpec("char_embed", (CHARSET_SIZE, cfg.embed_dim), init="embedding")]
     for k in cfg.kernel_sizes:
         specs.append(ParamSpec(f"conv{k}_w", (k, cfg.embed_dim, cfg.filters)))
@@ -206,28 +176,27 @@ def _ccnn_specs(cfg: CCnnConfig, with_aux: bool) -> list[ParamSpec]:
     return specs + _head_specs(cfg.filters * len(cfg.kernel_sizes), with_aux)
 
 
-# kind -> (model class, config class, parameter specs of a config)
+# kind -> (model class, parameter specs of a config)
 _ARCHITECTURES = {
-    "word_aux": (WordCnn, WCnnConfig, _wcnn_specs),
-    "char_aux": (CharCnn, CCnnConfig, _ccnn_specs),
-    "char_cnn": (CharCnn, CCnnConfig, _ccnn_specs),
+    "word_aux": (WordCnn, _wcnn_specs),
+    "char_aux": (CharCnn, _ccnn_specs),
+    "char_cnn": (CharCnn, _ccnn_specs),
 }
 
 
-def _architecture(kind: str, cfg) -> tuple[type[Model], list[ParamSpec]]:
+def _architecture(kind: str, cfg: CnnConfig) -> tuple[type[Model], list[ParamSpec]]:
     """(model class, parameter specs) of a member kind under a validated config."""
-    cls, _, specs = _ARCHITECTURES[kind]
+    if kind not in _ARCHITECTURES:
+        raise ConfigError(f"unknown model kind {kind!r}")
     cfg.validate()
+    cls, specs = _ARCHITECTURES[kind]
+    if cls is CharCnn and max(cfg.kernel_sizes) > MAX_CHARS:
+        raise ConfigError("kernel size exceeds sequence length")
     return cls, specs(cfg, kind in AUX_KINDS)
 
 
-def build_model(kind: str, seed: int = 0, dtype=None, *, wcnn: WCnnConfig | None = None,
-                ccnn: CCnnConfig | None = None) -> Model:
-    """A freshly initialized CNN of a member kind; wcnn configures word_aux, ccnn the char kinds."""
-    if kind not in _ARCHITECTURES:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    config_cls = _ARCHITECTURES[kind][1]
-    cfg = (wcnn if config_cls is WCnnConfig else ccnn) or config_cls()
+def build_model(kind: str, cfg: CnnConfig, seed: int = 0, dtype=None) -> Model:
+    """A freshly initialized CNN of a member kind."""
     cls, specs = _architecture(kind, cfg)
     return cls(kind, cfg, nn.init_params(specs, seed, dtype=dtype), seed)
 
@@ -351,22 +320,20 @@ def select_best_epoch(checkpoints, metric: str = "f1_p") -> ModelCheckpoint:
     return max(checkpoints, key=lambda cp: cp.metrics[metric])
 
 
-def model_from_checkpoint(cp: ModelCheckpoint, dtype=None) -> Model:
+def model_from_checkpoint(cp: ModelCheckpoint) -> Model:
     """Rebuild a model from a self-describing checkpoint's arrays (no values drawn).
 
-    The kind entry selects the architecture and its config class; config
-    entries that class does not have are ignored. The parameters take the
-    dtype the checkpoint stores unless dtype is given.
+    The kind entry selects the architecture; config entries that CnnConfig
+    does not have are ignored. The parameters take the dtype the checkpoint
+    stores.
     """
-    if dtype is None and cp.arrays:
-        dtype = next(iter(cp.arrays.values())).dtype
+    dtype = next(iter(cp.arrays.values())).dtype if cp.arrays else None
     kind = cp.metadata.get("kind")
     conf = {k[len("config."):]: v for k, v in cp.metadata.items() if k.startswith("config.")}
     seed = int(cp.metadata.get("seed", "0"))
-    try:
-        cfg = _config_from_items(_ARCHITECTURES[kind][1], conf)
-    except KeyError:
-        raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})") from None
+    if kind not in _ARCHITECTURES or any(f.name not in conf for f in fields(CnnConfig)):
+        raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})")
+    cfg = CnnConfig.from_items(conf)
     cls, specs = _architecture(kind, cfg)
     params = nn.ParamSet()
     for spec in specs:  # unwritten placeholders: load_state_dict checks and replaces them

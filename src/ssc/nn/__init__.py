@@ -1,6 +1,6 @@
 """Minimal tensor/layer engine with reverse-mode gradients."""
 
-from .tensor import Tensor, astensor, default_dtype, set_precision
+from .tensor import Tensor, astensor, default_dtype
 from .ops import (
     activation,
     concat,
@@ -29,7 +29,7 @@ from .checkpoint import (
 )
 
 __all__ = [
-    "Tensor", "astensor", "default_dtype", "set_precision",
+    "Tensor", "astensor", "default_dtype",
     "activation", "concat", "conv1d", "dense", "dropout", "embedding_lookup",
     "global_maxpool", "maxpool1d", "relu", "reshape", "selu", "softmax",
     "softmax_xent", "tanh", "SELU_ALPHA", "SELU_LAMBDA",

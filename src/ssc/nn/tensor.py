@@ -2,10 +2,10 @@
 
 A Tensor wraps a numpy array plus an optional gradient buffer. Ops build a
 graph of backward closures; Tensor.backward() walks it in reverse
-topological order. Training defaults to 32-bit floats; verification (e.g.
-finite-difference checks) runs in 64-bit. The SSC_PRECISION environment
-variable (32 or 64) selects the starting default; any other value fails
-the import.
+topological order. The SSC_PRECISION environment variable (32 or 64,
+default 32) fixes the float dtype of new tensors and parameters for the
+whole process; any other value fails the import. Verification (e.g.
+finite-difference checks) asks for 64-bit arrays explicitly.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ _env_precision = os.environ.get("SSC_PRECISION", "32")
 if _env_precision not in _PRECISIONS:
     raise ValueError(f"SSC_PRECISION must be 32 or 64, got {_env_precision!r}")
 _default_dtype = _PRECISIONS[_env_precision]
-
-
-def set_precision(bits: int) -> None:
-    """Set the default float dtype for newly created tensors/parameters."""
-    global _default_dtype
-    if str(bits) not in _PRECISIONS:
-        raise ValueError("precision must be 32 or 64")
-    _default_dtype = _PRECISIONS[str(bits)]
 
 
 def default_dtype():
@@ -52,16 +44,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{grad})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:

@@ -74,12 +74,19 @@ class TestConfig:
         (tmp_path / "bad.conf").write_text(
             "[paths]\ndataset = x\n[training]\nlearning_rte = 0.1\n")
         with pytest.raises(ConfigFileError, match="line 4.*learning_rte"):
-            load_config(tmp_path / "bad.conf", require_paths=False)
+            load_config(tmp_path / "bad.conf")
 
     def test_malformed_value_named_with_line(self, tmp_path):
         (tmp_path / "bad.conf").write_text("[training]\nepochs = soon\n")
         with pytest.raises(ConfigFileError, match="line 2"):
-            load_config(tmp_path / "bad.conf", require_paths=False)
+            load_config(tmp_path / "bad.conf")
+
+    @pytest.mark.parametrize("metric", ["f1", "fit_loss"])
+    def test_unknown_selection_metric_named_with_line(self, tmp_path, metric):
+        (tmp_path / "bad.conf").write_text(
+            f"[paths]\ndataset = x\n[training]\nselection_metric = {metric}\n")
+        with pytest.raises(ConfigFileError, match=f"line 4: selection_metric '{metric}'"):
+            load_config(tmp_path / "bad.conf")
 
     def test_missing_dataset_path(self, tmp_path):
         (tmp_path / "bad.conf").write_text("[experiment]\nseed = 1\n")
@@ -289,10 +296,9 @@ class TestEnsembleSurface:
             member = next(m for m in members if m.kind == kind)
             save_baseline_member(member, path)
         else:
-            model = models.build_model(
-                kind, seed=3, dtype=np.float64,
-                wcnn=models.WCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=16),
-                ccnn=models.CCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8))
+            cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=4,
+                                   embed_dim=16 if kind == "word_aux" else 8, dropout=0.5)
+            model = models.build_model(kind, cfg, seed=3, dtype=np.float64)
             member = CnnMember(model)
             nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
                                                   metadata=model.metadata()), path)

@@ -95,6 +95,13 @@ class TestTweetInvariants:
         with pytest.raises(CorpusError):
             Dataset([Tweet("a", "one"), Tweet("a", "two")])
 
+    @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
+    def test_id_with_separator_rejected(self, sep):
+        # Every file format is tab- and line-separated, so such an id could
+        # be saved but not read back.
+        with pytest.raises(CorpusError, match="id must not contain"):
+            Tweet(f"a{sep}b", "text")
+
 
 class TestAggregate:
     def test_two_of_three_majority(self):
@@ -263,9 +270,8 @@ class TestMakeFolds:
         folds = make_folds(pool, plan, k=3)
         p = tmp_path / "plan.folds"
         save_fold_plan(folds, p)
-        loaded = load_fold_plan(p, pool=pool)
+        loaded = load_fold_plan(p)
         assert loaded.folds == folds.folds
-        assert loaded.class_counts == folds.class_counts
 
     # Ids may hold any encodable character but the file's separators.
     @settings(max_examples=40, deadline=None)
@@ -281,7 +287,12 @@ class TestMakeFolds:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "plan.folds"
             save_fold_plan(folds, path)
-            assert load_fold_plan(path, pool) == folds
+            assert load_fold_plan(path) == folds
+
+    def test_non_ascii_digit_fold_index_named_with_line(self, tmp_path):
+        p = write(tmp_path, "plan.folds", "0\ttrain\ta\n\u00b2\ttest\tb\n")
+        with pytest.raises(CorpusError, match="line 2: invalid fold index"):
+            load_fold_plan(p)
 
     def test_fold_datasets_resolves_ids(self):
         pool = labeled_pool(60, 60)

@@ -41,6 +41,14 @@ def test_header_count_mismatch(tmp_path):
         load_embeddings(p, expected_dim=4)
 
 
+def test_non_ascii_digit_header_names_line_number(tmp_path):
+    # Not a "V D" header, so line 1 is read as a (too short) data line.
+    p = tmp_path / "emb.txt"
+    p.write_text("3 \u00b2\n" + FIXTURE, encoding="utf-8")
+    with pytest.raises(EmbeddingError, match="line 1"):
+        load_embeddings(p, expected_dim=4)
+
+
 def test_short_line_names_line_number(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 0.1 0.2 0.3 0.4\ndog 1 2 3\n")

@@ -74,6 +74,31 @@ class TestMajorityVote:
         assert got.tolist() == expected
         assert (classes.sum(axis=0) == 3).sum() > 50  # ties were exercised
 
+    def test_eight_member_tie_same_alone_and_in_a_batch(self):
+        # Four votes each way; the probabilities add up to exactly 4.0 in
+        # member order, so the mean is 0.5 and the tie goes negative. A
+        # summation order that depended on the array shape gave 1 alone.
+        probs = np.array([0.46755281437145607, 0.37787766502738684, 0.5201910001960112,
+                          0.49611649614419223, 0.6066324553166257, 0.4078366075502192,
+                          0.5804716931479511, 0.5433212682461579])
+        votes = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        alone = vote(votes[:, None], probs[:, None])
+        tiled = vote(np.tile(votes[:, None], (1, 2)), np.tile(probs[:, None], (1, 2)))
+        assert alone.tolist() == [0] and tiled.tolist() == [0, 0]
+
+    def test_each_column_votes_as_it_would_alone(self):
+        # Near-ties: the last member's probability brings each column's sum
+        # to within rounding of M/2, where the order of the additions decides.
+        local = np.random.default_rng(3)
+        for m in range(2, 13):
+            classes = np.zeros((m, 300), dtype=np.int64)
+            for col in classes.T:
+                col[local.permutation(m)[:m // 2]] = 1
+            probs = local.uniform(0.3, 0.7, size=(m, 300))
+            probs[-1] = np.clip(m / 2 - probs[:-1].sum(axis=0), 0.0, 1.0)
+            got = vote(classes, probs)
+            alone = [vote(classes[:, i:i + 1], probs[:, i:i + 1])[0] for i in range(300)]
+            assert got.tolist() == alone, m
 
 class TestEnsembleSpec:
     def test_strict_requires_known_composition(self):

@@ -93,7 +93,7 @@ def test_saved_fold_plan_loads_back_as_made(tiny_config):
     assert not result.failures
     pool = load_dataset(cfg.dataset)
     (plan,) = cfg.scenario_plans()
-    loaded = load_fold_plan(out / "fold_plans" / "scenario_50-50.folds", pool)
+    loaded = load_fold_plan(out / "fold_plans" / "scenario_50-50.folds")
     assert loaded == make_folds(pool, plan, cfg.folds)
 
 

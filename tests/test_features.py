@@ -129,6 +129,13 @@ class TestClusterFeatures:
         with pytest.raises(ValueError, match="line 1"):
             load_cluster_map(p)
 
+    @pytest.mark.parametrize("cid", ["\u00b2", "--5"])
+    def test_load_rejects_non_integer_id_with_line(self, tmp_path, cid):
+        p = tmp_path / "c.tsv"
+        p.write_text(f"weed\t3\noxy\t{cid}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: expected term<TAB>cluster_id"):
+            load_cluster_map(p)
+
 
 class TestAuxVector:
     def test_zero_hit_tokens_all_zeros(self):

@@ -7,10 +7,9 @@ from ssc.embeddings import MAX_TOKENS
 from ssc.encoding import EncodedSet, encode_dataset
 from ssc.features import AUX_DIM, CHARSET_SIZE, MAX_CHARS, encode_chars
 from ssc.models import (
-    CCnnConfig,
+    CnnConfig,
     ConfigError,
     TrainConfig,
-    WCnnConfig,
     build_model,
     model_from_checkpoint,
     predict_batch,
@@ -21,8 +20,8 @@ from ssc.nn import ModelCheckpoint
 
 rng = np.random.default_rng(99)
 
-SMALL_W = WCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=12)
-SMALL_C = CCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8)
+SMALL_W = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=12, dropout=0.5)
+SMALL_C = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8, dropout=0.5)
 
 
 def n_values(model):
@@ -49,12 +48,18 @@ def char_batch(n, seed=0, length=MAX_CHARS):
 class TestConfigs:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            build_model("lstm")
+            build_model("lstm", SMALL_C)
+
+    @pytest.mark.parametrize("kind", ["char_aux", "char_cnn"])
+    def test_char_kernel_longer_than_text_rejected(self, kind):
+        cfg = CnnConfig(kernel_sizes=(2, MAX_CHARS + 1), filters=1, embed_dim=2, dropout=0.0)
+        with pytest.raises(ConfigError, match="exceeds sequence length"):
+            build_model(kind, cfg)
 
 
 class TestWcnnForward:
     def test_zero_input_valid_probability(self):
-        model = build_model("word_aux", wcnn=SMALL_W, seed=0)
+        model = build_model("word_aux", SMALL_W, seed=0)
         batch = EncodedSet(aux=np.zeros((1, AUX_DIM), dtype=np.float32),
                            word=np.zeros((1, 40, 12), dtype=np.float32))
         logits = model.forward(batch)
@@ -63,7 +68,7 @@ class TestWcnnForward:
         assert np.isclose(p.sum(), 1.0)
 
     def test_output_shape_two(self):
-        model = build_model("word_aux", wcnn=SMALL_W, seed=0)
+        model = build_model("word_aux", SMALL_W, seed=0)
         logits = model.forward(word_batch(5))
         assert logits.data.shape == (5, 2)
 
@@ -79,11 +84,12 @@ class TestWcnnForward:
         expected += 3840 * 1024 + 1024
         expected += 1024 * 1024 + 1024
         expected += (1024 + AUX_DIM) * 2 + 2
-        model = build_model("word_aux", wcnn=WCnnConfig(), seed=0)
+        model = build_model("word_aux", CnnConfig(kernel_sizes=(3, 4, 5), filters=128,
+                                                  embed_dim=400, dropout=0.5), seed=0)
         assert n_values(model) == expected == 5796918
 
     def test_aux_scaling_changes_logits_not_shape(self):
-        model = build_model("word_aux", wcnn=SMALL_W, seed=1)
+        model = build_model("word_aux", SMALL_W, seed=1)
         batch = word_batch(2, seed=1)
         base = model.forward(batch).data
         scaled = EncodedSet(aux=batch.aux * 3.0, word=batch.word)
@@ -94,14 +100,15 @@ class TestWcnnForward:
 
 class TestCcnnForward:
     def test_aux_mode_weight_difference(self):
-        full = build_model("char_aux", seed=0)
-        none = build_model("char_cnn", seed=0)
+        cfg = CnnConfig(kernel_sizes=(3, 4, 5, 7), filters=128, embed_dim=128, dropout=0.5)
+        full = build_model("char_aux", cfg, seed=0)
+        none = build_model("char_cnn", cfg, seed=0)
         diff = n_values(full) - n_values(none)
         assert diff == AUX_DIM * 2
 
     def test_aux_mode_none_ignores_aux_contents(self):
-        model = build_model("char_cnn", ccnn=CCnnConfig(kernel_sizes=(2, 3), filters=4,
-                                                        embed_dim=8), seed=2)
+        model = build_model("char_cnn", CnnConfig(kernel_sizes=(2, 3), filters=4,
+                                                  embed_dim=8, dropout=0.5), seed=2)
         batch = char_batch(3, seed=2)
         out1 = model.forward(batch).data
         noisy = EncodedSet(aux=batch.aux + 100.0, char=batch.char)
@@ -111,8 +118,8 @@ class TestCcnnForward:
     def test_pad_region_permutation_invariance(self):
         # Padding indices beyond the text are uniform, so shuffling them
         # changes nothing as long as conv windows cannot straddle real text.
-        cfg = CCnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8)
-        model = build_model("char_aux", ccnn=cfg, seed=3)
+        cfg = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8, dropout=0.5)
+        model = build_model("char_aux", cfg, seed=3)
         text = "short message"
         encoded = encode_chars(text)
         assert len(text) < 280 - max(cfg.kernel_sizes)
@@ -126,13 +133,13 @@ class TestCcnnForward:
         assert np.array_equal(out1, out2)
 
     def test_probabilities_sum_to_one(self):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=4)
+        model = build_model("char_aux", SMALL_C, seed=4)
         logits = model.forward(char_batch(4, seed=4))
         p = nn.softmax(logits.data)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
     def test_char_embedding_is_trainable(self):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=5)
+        model = build_model("char_aux", SMALL_C, seed=5)
         batch = char_batch(2, seed=5)
         logits = model.forward(batch)
         loss, _ = nn.softmax_xent(logits, np.array([0, 1]))
@@ -144,12 +151,12 @@ class TestCcnnForward:
 
 class TestFullArchitectureGradients:
     @pytest.mark.parametrize("builder,batch_fn", [
-        (lambda: build_model("word_aux", wcnn=WCnnConfig(kernel_sizes=(2, 3), filters=2,
-                                                         embed_dim=6, dropout=0.0),
+        (lambda: build_model("word_aux", CnnConfig(kernel_sizes=(2, 3), filters=2,
+                                                   embed_dim=6, dropout=0.0),
                              seed=7, dtype=np.float64),
          lambda cfg: word_batch(2, cfg, seed=7)),
-        (lambda: build_model("char_aux", ccnn=CCnnConfig(kernel_sizes=(2, 3), filters=2,
-                                                         embed_dim=4, dropout=0.0),
+        (lambda: build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=2,
+                                                   embed_dim=4, dropout=0.0),
                              seed=8, dtype=np.float64),
          lambda cfg: char_batch(2, seed=8, length=20)),
     ], ids=["wcnn", "ccnn"])
@@ -187,15 +194,15 @@ def toy_training_set(n_per_class=10):
 class TestTraining:
     def test_epoch_count_matches_checkpoints(self):
         enc = toy_training_set()
-        model = build_model("char_aux", ccnn=SMALL_C, seed=0)
+        model = build_model("char_aux", SMALL_C, seed=0)
         cps = train(model, enc, TrainConfig(epochs=3, batch_size=4, seed=0))
         assert [cp.epoch for cp in cps] == [1, 2, 3]
 
     def test_overfits_separable_toy_set(self):
         # Overfitting sanity oracle: 20 samples, 30 epochs, train acc 1.0.
         enc = toy_training_set(10)
-        model = build_model("char_aux", ccnn=CCnnConfig(kernel_sizes=(2, 3), filters=8,
-                                                        embed_dim=16, dropout=0.0), seed=1)
+        model = build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=8,
+                                                  embed_dim=16, dropout=0.0), seed=1)
         cps = train(model, enc, TrainConfig(epochs=30, batch_size=4, seed=1, lr=3e-3))
         model.params.load_state_dict(cps[-1].arrays)
         classes, _ = predict_batch(model, enc)
@@ -205,14 +212,14 @@ class TestTraining:
         enc = toy_training_set()
         seqs = []
         for _ in range(2):
-            model = build_model("char_aux", ccnn=SMALL_C, seed=2)
+            model = build_model("char_aux", SMALL_C, seed=2)
             cps = train(model, enc, TrainConfig(epochs=3, batch_size=4, seed=9))
             seqs.append([cp.metrics["fit_loss"] for cp in cps])
         assert seqs[0] == seqs[1]
 
     def test_loss_finite_every_epoch(self):
         enc = toy_training_set()
-        model = build_model("word_aux", wcnn=SMALL_W, seed=3)
+        model = build_model("word_aux", SMALL_W, seed=3)
         cps = train(model, enc, TrainConfig(epochs=3, batch_size=4, seed=3))
         assert all(np.isfinite(cp.metrics["fit_loss"]) for cp in cps)
 
@@ -227,7 +234,7 @@ class TestTraining:
         poisoned = 3
         enc.aux[fit_idx[order[poisoned]], 0] = np.nan
         batch = poisoned // cfg.batch_size + 1
-        model = build_model("char_aux", ccnn=SMALL_C, seed=6)
+        model = build_model("char_aux", SMALL_C, seed=6)
         with pytest.raises(FloatingPointError,
                            match=f"^char_aux: non-finite loss nan at epoch 1, batch {batch}$"):
             train(model, enc, cfg)
@@ -235,20 +242,20 @@ class TestTraining:
     def test_empty_training_set_rejected(self):
         enc = EncodedSet(aux=np.zeros((0, AUX_DIM)), char=np.zeros((0, 280), dtype=np.int64),
                          labels=np.zeros(0, dtype=np.int64))
-        model = build_model("char_aux", ccnn=SMALL_C, seed=0)
+        model = build_model("char_aux", SMALL_C, seed=0)
         with pytest.raises(ValueError):
             train(model, enc, TrainConfig(epochs=1, seed=0))
 
     def test_single_class_rejected(self):
         enc = toy_training_set()
         single = enc.subset(np.flatnonzero(enc.labels == 1))
-        model = build_model("char_aux", ccnn=SMALL_C, seed=0)
+        model = build_model("char_aux", SMALL_C, seed=0)
         with pytest.raises(ValueError, match="single class"):
             train(model, enc.subset(np.flatnonzero(enc.labels == 1)), TrainConfig(epochs=1))
 
     def test_val_metrics_recompute_identically_after_reload(self, tmp_path):
         enc = toy_training_set()
-        model = build_model("char_aux", ccnn=SMALL_C, seed=4)
+        model = build_model("char_aux", SMALL_C, seed=4)
         cfg = TrainConfig(epochs=2, batch_size=4, seed=4)
         cps = train(model, enc, cfg)
         # Reconstruct the validation split exactly as train() does.
@@ -291,7 +298,7 @@ class TestSelectBestEpoch:
 
 class TestPredict:
     def test_reports_positive_probability(self):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=6)
+        model = build_model("char_aux", SMALL_C, seed=6)
         batch = char_batch(3, seed=6)
         classes, p_pos = predict_batch(model, batch)
         full = nn.softmax(model.forward(batch).data)
@@ -300,7 +307,7 @@ class TestPredict:
         assert np.array_equal(classes, np.argmax(full, axis=1))
 
     def test_exact_tie_is_negative(self):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=7)
+        model = build_model("char_aux", SMALL_C, seed=7)
         # Zero output weights force logits [0, 0] -> probs [0.5, 0.5].
         model.params["out_w"].data[:] = 0
         model.params["out_b"].data[:] = 0
@@ -308,7 +315,7 @@ class TestPredict:
         assert np.all(p_pos == 0.5) and np.all(classes == 0)
 
     def test_rows_forwarded_in_fixed_chunks(self):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=5)
+        model = build_model("char_aux", SMALL_C, seed=5)
         batch = char_batch(models.PREDICT_ROWS + 44, seed=5)
         classes, p_pos = predict_batch(model, batch)
         for rows in (np.arange(models.PREDICT_ROWS), np.arange(models.PREDICT_ROWS, len(batch))):
@@ -317,7 +324,7 @@ class TestPredict:
             assert np.array_equal(classes[rows], np.argmax(probs, axis=1))
 
     def test_pure_at_inference(self):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=8)
+        model = build_model("char_aux", SMALL_C, seed=8)
         batch = char_batch(2, seed=8)
         a = predict_batch(model, batch)
         b = predict_batch(model, batch)
@@ -327,7 +334,7 @@ class TestPredict:
 class TestCheckpointEquivalence:
     def test_reloaded_char_model_reproduces_predictions(self, tmp_path):
         enc = toy_training_set()
-        model = build_model("char_aux", ccnn=SMALL_C, seed=9)
+        model = build_model("char_aux", SMALL_C, seed=9)
         cps = train(model, enc, TrainConfig(epochs=2, batch_size=4, seed=9))
         best = select_best_epoch(cps)
         nn.save_checkpoint(best, tmp_path / "best.ckpt")
@@ -341,7 +348,7 @@ class TestCheckpointEquivalence:
 
     def test_reloaded_word_model_reproduces_predictions(self, tmp_path):
         enc = toy_training_set()
-        model = build_model("word_aux", wcnn=SMALL_W, seed=11)
+        model = build_model("word_aux", SMALL_W, seed=11)
         cps = train(model, enc, TrainConfig(epochs=2, batch_size=4, seed=11))
         best = select_best_epoch(cps)
         nn.save_checkpoint(best, tmp_path / "w.ckpt")
@@ -356,7 +363,7 @@ class TestCheckpointEquivalence:
         assert np.array_equal(a_p, b_p)
 
     def test_load_draws_no_initial_values(self, monkeypatch):
-        model = build_model("char_aux", ccnn=SMALL_C, seed=13)
+        model = build_model("char_aux", SMALL_C, seed=13)
         cp = nn.ModelCheckpoint(1, model.params.state_dict(), metadata=model.metadata())
 
         def no_draws(*args, **kwargs):
@@ -372,7 +379,7 @@ class TestCheckpointEquivalence:
     def test_file_with_retired_config_entries_loads(self, kind, tmp_path):
         # Checkpoints written before the fixed sizes left the configs carry
         # them as config.* entries; the kind alone now selects the architecture.
-        model = build_model(kind, seed=15, wcnn=SMALL_W, ccnn=SMALL_C)
+        model = build_model(kind, SMALL_W if kind == "word_aux" else SMALL_C, seed=15)
         cfg = model.config
         kernels = ",".join(map(str, cfg.kernel_sizes))
         if kind == "word_aux":
@@ -399,7 +406,7 @@ class TestCheckpointEquivalence:
 
     @pytest.mark.parametrize("damage", ["missing", "shape"])
     def test_damaged_parameters_rejected(self, damage):
-        model = build_model("word_aux", wcnn=SMALL_W, seed=14)
+        model = build_model("word_aux", SMALL_W, seed=14)
         arrays = model.params.state_dict()
         if damage == "missing":
             del arrays["dense2_b"]

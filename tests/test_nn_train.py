@@ -135,21 +135,6 @@ class TestPrecisionMode:
             assert Path(child_file).resolve() == ssc_file
             assert dtype_name == expected, f"SSC_PRECISION={value!r}"
 
-    def test_set_precision(self):
-        from ssc.nn import default_dtype, set_precision
-        before = default_dtype()
-        try:
-            set_precision(64)
-            assert default_dtype() == np.float64
-            t = nn.Tensor([1.0, 2.0])
-            assert t.data.dtype == np.float64
-        finally:
-            set_precision(64 if before == np.float64 else 32)
-
-    def test_invalid_precision(self):
-        with pytest.raises(ValueError):
-            nn.set_precision(16)
-
 
 class TestParamSet:
     def test_state_dict_round_trip(self):
