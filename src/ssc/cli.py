@@ -69,6 +69,11 @@ def _load_cfg(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _encoder(cfg: ExperimentConfig, kinds):
+    """Dataset encoder for members of these kinds; reads the embeddings only if one needs them."""
+    return roster_encoder(build_feature_context(cfg, kinds), kinds)
+
+
 def _parse_ratio(text: str) -> tuple[int, int]:
     pos, _, neg = text.partition(":")
     return int(pos), int(neg)
@@ -141,7 +146,7 @@ def cmd_dataset(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     kind = args.kind
-    enc = roster_encoder(build_feature_context(cfg), [kind])(load_dataset(args.train_data))
+    enc = _encoder(cfg, [kind])(load_dataset(args.train_data))
     seed = cfg.seed if args.seed is None else args.seed
     if kind in CNN_KINDS:
         member, best = train_cnn_member(kind, enc, cfg, init_seed=seed,
@@ -169,11 +174,11 @@ def _member_from_path(path):
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     kind, member = _member_from_path(args.checkpoint)
-    enc = roster_encoder(build_feature_context(cfg), [kind])(load_dataset(args.test_data))
+    enc = _encoder(cfg, [kind])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     pred, _ = member.predict_batch(enc)
-    report = compute_metrics(pred.tolist(), list(enc.labels))
+    report = compute_metrics(pred, enc.labels)
     print(CSV_HEADER)
     print(report.csv_row("-", kind))
     return 0
@@ -184,12 +189,11 @@ def cmd_ensemble(args) -> int:
     loaded = [_member_from_path(p) for p in args.members.split(",")]
     spec = EnsembleSpec(tuple((k, m) for k, m in loaded), mode=args.mode)
     members = resolve_members(spec)
-    encode = roster_encoder(build_feature_context(cfg), [m.kind for m in members])
-    enc = encode(load_dataset(args.test_data))
+    enc = _encoder(cfg, [m.kind for m in members])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     votes = ensemble_vote_batch(members, enc)
-    report = compute_metrics(votes.tolist(), list(enc.labels))
+    report = compute_metrics(votes, enc.labels)
     print(CSV_HEADER)
     print(report.csv_row("-", "ensemble"))
     return 0
@@ -198,7 +202,7 @@ def cmd_ensemble(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     kind, member = _member_from_path(args.checkpoint)
-    enc = roster_encoder(build_feature_context(cfg), [kind])(Dataset([Tweet("input0", args.text)]))
+    enc = _encoder(cfg, [kind])(Dataset([Tweet("input0", args.text)]))
     cls, p_pos = member.predict(enc, 0)
     label = "positive" if cls == 1 else "negative"
     print(f"{label}\tp_positive={p_pos:.6f}")
@@ -247,7 +251,7 @@ def cmd_prefilter(args) -> int:
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
     ds = load_dataset(args.input)
-    enc = roster_encoder(build_feature_context(cfg), [kind])(ds)
+    enc = _encoder(cfg, [kind])(ds)
     x = baselines.bow_features(enc, member.vocab, member.idf)
     result = baselines.prefilter(ds, member.model, x, threshold=args.threshold,
                                  sample_n=args.sample, seed=args.seed)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .corpus import ScenarioPlan
 from .ensemble import KINDS
+from .features import MAX_CHARS
 from .metrics import MEASURES
 
 DEFAULT_SCENARIOS = "50:50:3450:690,40:60:2850:570,30:70:2450:490,20:80:2150:430,10:90:1900:380"
@@ -112,6 +113,17 @@ _OPTIONAL_PATHS = ("abuse_lexicon", "slang_lexicon", "cluster_map",
                    "synonym_map", "embeddings")
 
 
+def parse_kernels(text: str, longest: int | None = None) -> tuple[int, ...]:
+    """Kernel sizes from "3,4,5": distinct positive integers, each <= longest if given."""
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    sizes = tuple(int(x) for x in items if x.isascii() and x.isdigit())
+    if not sizes or len(sizes) < len(items) or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+        raise ValueError(f"{text!r} is not a list of distinct positive integers")
+    if longest is not None and max(sizes) > longest:
+        raise ValueError(f"kernel size {max(sizes)} exceeds the sequence length {longest}")
+    return sizes
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file, filling defaults."""
     values: dict[str, object] = {}
@@ -146,6 +158,11 @@ def load_config(path) -> ExperimentConfig:
             if key == "selection_metric" and value not in MEASURES:
                 errors.append(f"line {lineno}: selection_metric {value!r} is not one of "
                               + ", ".join(MEASURES))
+            if key in ("word_kernels", "char_kernels"):
+                try:
+                    parse_kernels(value, MAX_CHARS if key == "char_kernels" else None)
+                except ValueError as e:
+                    errors.append(f"line {lineno}: {key}: {e}")
     if errors:
         raise ConfigFileError("bad config file:\n" + "\n".join(errors))
 

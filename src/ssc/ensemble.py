@@ -143,6 +143,9 @@ def load_member(kind: str, ref) -> Member:
     if isinstance(ref, Member):
         return ref
     cp = ref if isinstance(ref, ModelCheckpoint) else load_checkpoint(ref)
+    tag = cp.metadata.get("kind", "")
+    if TAG_KINDS.get(tag) != kind:
+        raise EnsembleError(f"checkpoint kind tag {tag!r} does not match {kind!r}")
     if kind in CNN_KINDS:
         return CnnMember(models.model_from_checkpoint(cp))
     return _baseline_from_checkpoint(kind, cp)
@@ -204,9 +207,6 @@ def save_baseline_member(member: BowMember, path) -> None:
 
 
 def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
-    tag = cp.metadata.get("kind", "")
-    if TAG_KINDS.get(tag) != kind:
-        raise EnsembleError(f"checkpoint kind tag {tag!r} does not match {kind!r}")
     if any(a.dtype == np.float32 for a in cp.arrays.values()):
         raise EnsembleError(f"{kind} checkpoint holds float32 arrays (an ECNN1 file); "
                             "classical members load only from exact ECNN2 checkpoints")

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, models
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_kernels
 from .corpus import (
     Dataset,
     FoldPlan,
@@ -65,17 +65,21 @@ class ExperimentReport:
     failures: list[str]
 
 
-def build_feature_context(cfg: ExperimentConfig) -> FeatureContext:
-    """Load lexicons/cluster/synonym/embedding files named in the config.
+def build_feature_context(cfg: ExperimentConfig, kinds=None) -> FeatureContext:
+    """Load the lexicon/cluster/synonym/embedding files named in the config.
 
-    Absent optional paths fall back to empty resources; the embedding table
-    stays None (word models then refuse to encode).
+    The embedding table is read only when one of kinds (by default the
+    config's roster) reads word vectors. Absent optional paths fall back to
+    empty resources; the embedding table stays None (word models then
+    refuse to encode).
     """
+    kinds = cfg.roster_members() if kinds is None else kinds
     abuse = load_lexicon(cfg.abuse_lexicon) if cfg.abuse_lexicon else Lexicon(frozenset())
     slang = load_lexicon(cfg.slang_lexicon, min_length=6) if cfg.slang_lexicon else Lexicon(frozenset())
     clusters = load_cluster_map(cfg.cluster_map) if cfg.cluster_map else ClusterMap({})
     synonyms = load_synonym_map(cfg.synonym_map) if cfg.synonym_map else None
-    table = load_embeddings(cfg.embeddings, cfg.embedding_dim) if cfg.embeddings else None
+    reads_words = cfg.embeddings and any(KINDS[k].word for k in kinds)
+    table = load_embeddings(cfg.embeddings, cfg.embedding_dim) if reads_words else None
     return FeatureContext(abuse=abuse, slang=slang, clusters=clusters,
                           synonyms=synonyms, table=table,
                           max_append=cfg.max_append)
@@ -89,7 +93,7 @@ def _cnn_config(cfg: ExperimentConfig, kind: str) -> CnnConfig:
     """The word or the char fields of cfg, as the kind reads words or chars."""
     word = KINDS[kind].word
     kernels = cfg.word_kernels if word else cfg.char_kernels
-    return CnnConfig(kernel_sizes=tuple(int(k) for k in kernels.split(",") if k.strip()),
+    return CnnConfig(kernel_sizes=parse_kernels(kernels),
                      filters=cfg.filters,
                      embed_dim=cfg.embedding_dim if word else cfg.char_embed_dim,
                      dropout=cfg.dropout)
@@ -200,16 +204,15 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
                 )
             save_baseline_member(members[i], ckpt_dir / f"{tag}.f{fold}.ckpt")
 
-    gold = list(enc_test.labels)
     rows = []
     for i, _, tag in units:
         pred, _ = members[i].predict_batch(enc_test)
-        rows.append((tag, compute_metrics(pred.tolist(), gold)))
+        rows.append((tag, compute_metrics(pred, enc_test.labels)))
     for name, composition in COMPOSITIONS.items():
         mine = [i for i, kind in enumerate(roster) if KINDS[kind].ensemble == name]
         if Counter(roster[i] for i in mine) == composition:
             votes = ensemble_vote_batch([members[i] for i in mine], enc_test)
-            rows.append((name, compute_metrics(votes.tolist(), gold)))
+            rows.append((name, compute_metrics(votes, enc_test.labels)))
     return rows
 
 

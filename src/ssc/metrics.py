@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 MEASURES = ("accuracy", "precision_p", "recall_p", "f1_p")
 
 
@@ -49,23 +51,20 @@ class MetricsReport:
 CSV_HEADER = "scenario,model,accuracy,precision_p,recall_p,f1_p,tp,fp,fn,tn"
 
 
-def compute_metrics(pred: Sequence[int], gold: Sequence[int]) -> MetricsReport:
-    """Confusion counts and the four measures for aligned prediction lists."""
+def compute_metrics(pred: np.ndarray, gold: np.ndarray) -> MetricsReport:
+    """Confusion counts and the four measures for aligned class arrays.
+
+    A pair that is neither (1, 1), (1, 0) nor (0, 1) counts as a true negative.
+    """
+    pred, gold = np.asarray(pred), np.asarray(gold)
     if len(pred) != len(gold):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(gold)} labels")
     if len(pred) == 0:
         raise ValueError("cannot compute metrics on empty lists")
-    tp = fp = fn = tn = 0
-    for p, g in zip(pred, gold):
-        if p == 1 and g == 1:
-            tp += 1
-        elif p == 1 and g == 0:
-            fp += 1
-        elif p == 0 and g == 1:
-            fn += 1
-        else:
-            tn += 1
-    return MetricsReport.from_counts(tp, fp, fn, tn)
+    tp = int(np.count_nonzero((pred == 1) & (gold == 1)))
+    fp = int(np.count_nonzero((pred == 1) & (gold == 0)))
+    fn = int(np.count_nonzero((pred == 0) & (gold == 1)))
+    return MetricsReport.from_counts(tp, fp, fn, len(pred) - tp - fp - fn)
 
 
 def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:

@@ -7,7 +7,7 @@ embedding width, dropout); everything else is one of these constants:
 
 - MAX_TOKENS (40) word rows per text and MAX_CHARS (280) character slots,
   fixed by the encoders; CHARSET_SIZE rows in the character embedding;
-- POOL_SIZE (2), the window and stride of the word model's max pools, which
+- POOL_SIZE (2), the window of the word model's non-overlapping max pools, which
   leave WORD_BRANCH_LEN (10) steps per word branch;
 - DENSE_LAYERS (2) dense layers of DENSE_UNITS (1024) units;
 - AUX_DIM (154) auxiliary entries, concatenated onto the last hidden layer
@@ -39,8 +39,8 @@ DENSE_LAYERS = 2
 AUX_KINDS = ("word_aux", "char_aux")  # kinds whose output layer also reads aux
 PREDICT_ROWS = 256  # rows per inference forward pass
 POOL_SIZE = 2
-# Two same-padding convs, each followed by a POOL_SIZE/POOL_SIZE max pool.
-WORD_BRANCH_LEN = ((MAX_TOKENS - POOL_SIZE) // POOL_SIZE + 1 - POOL_SIZE) // POOL_SIZE + 1
+# Two same-padding convs, each followed by a non-overlapping POOL_SIZE max pool.
+WORD_BRANCH_LEN = MAX_TOKENS // POOL_SIZE // POOL_SIZE
 
 
 class ConfigError(ValueError):
@@ -59,6 +59,8 @@ class CnnConfig:
     def validate(self) -> None:
         if not self.kernel_sizes or self.filters < 1:
             raise ConfigError("need at least one kernel size and one filter")
+        if min(self.kernel_sizes) < 1 or len(set(self.kernel_sizes)) < len(self.kernel_sizes):
+            raise ConfigError(f"kernel sizes {self.kernel_sizes} must be distinct and >= 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must be in [0, 1)")
 
@@ -102,11 +104,10 @@ class Model:
              rng: np.random.Generator | None) -> Tensor:
         """The dense layers (act, then dropout while training), aux concat, output."""
         p = self.params
-        dropout = self.config.dropout
         for layer in range(1, DENSE_LAYERS + 1):
             h = act(nn.dense(h, p[f"dense{layer}_w"], p[f"dense{layer}_b"]))
-            if train and dropout > 0:
-                h = nn.dropout(h, dropout, rng)
+            if train:
+                h = nn.dropout(h, self.config.dropout, rng)
         if self.kind in AUX_KINDS:
             h = nn.concat([h, Tensor(batch.aux)], axis=1)
         return nn.dense(h, p["out_w"], p["out_b"])
@@ -126,10 +127,10 @@ class WordCnn(Model):
         for k in self.config.kernel_sizes:
             h = nn.conv1d(x, p[f"conv{k}a_w"], p[f"conv{k}a_b"], padding="same")
             h = nn.relu(h)
-            h = nn.maxpool1d(h, POOL_SIZE, POOL_SIZE)
+            h = nn.maxpool1d(h, POOL_SIZE)
             h = nn.conv1d(h, p[f"conv{k}b_w"], p[f"conv{k}b_b"], padding="same")
             h = nn.relu(h)
-            h = nn.maxpool1d(h, POOL_SIZE, POOL_SIZE)
+            h = nn.maxpool1d(h, POOL_SIZE)
             branches.append(nn.reshape(h, (h.shape[0], -1)))
         return self.head(nn.concat(branches, axis=1), nn.relu, batch, train, rng)
 
@@ -297,7 +298,7 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
             loss.backward()
             optimizer.step()
             epoch_loss += batch_loss * len(batch)
-        report = compute_metrics(predict_batch(model, val)[0].tolist(), val.labels.tolist())
+        report = compute_metrics(predict_batch(model, val)[0], val.labels)
         metrics = {m: report.value(m) for m in
                    ("accuracy", "precision_p", "recall_p", "f1_p")}
         metrics["fit_loss"] = epoch_loss / n_fit

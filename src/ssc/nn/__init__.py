@@ -2,7 +2,6 @@
 
 from .tensor import Tensor, astensor, default_dtype
 from .ops import (
-    activation,
     concat,
     conv1d,
     dense,
@@ -30,7 +29,7 @@ from .checkpoint import (
 
 __all__ = [
     "Tensor", "astensor", "default_dtype",
-    "activation", "concat", "conv1d", "dense", "dropout", "embedding_lookup",
+    "concat", "conv1d", "dense", "dropout", "embedding_lookup",
     "global_maxpool", "maxpool1d", "relu", "reshape", "selu", "softmax",
     "softmax_xent", "tanh", "SELU_ALPHA", "SELU_LAMBDA",
     "ParamSet", "ParamSpec", "glorot_bound", "init_params",

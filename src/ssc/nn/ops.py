@@ -1,8 +1,9 @@
 """Differentiable operations: conv1d, pooling, dense, activations, losses.
 
-Every op accepts a single sample (e.g. conv1d input of shape (L, C)) or a
-leading batch dimension ((B, L, C)); gradients flow through either form.
-Plain numpy arrays are wrapped automatically.
+conv1d, maxpool1d, global_maxpool, dense and softmax_xent take batches only:
+the leading dimension is the batch ((B, L, C) sequences, (B, N) rows,
+(B, K) logits), and an input of another rank raises ValueError. maxpool1d
+pools non-overlapping windows. Plain numpy arrays are wrapped automatically.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 
-def _batched(x: Tensor) -> tuple[np.ndarray, bool]:
-    """Return (data with batch dim, had_no_batch_dim) for rank-normalized ops."""
-    if x.data.ndim == 2:
-        return x.data[None], True
-    return x.data, False
+def _batch_of(x: Tensor, rank: int, shape: str) -> np.ndarray:
+    """x.data, checked to have the rank of a batch of the given shape, e.g. 3 and "(B, L, C)"."""
+    if x.data.ndim != rank:
+        raise ValueError(f"expected a batch of rank {rank} {shape}, got shape {x.data.shape}")
+    return x.data
 
 
 def reshape(x, shape) -> Tensor:
@@ -81,23 +82,12 @@ def selu(x) -> Tensor:
     return node(out_data.astype(x.data.dtype, copy=False), (x,), bwd)
 
 
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "selu": selu}
-
-
-def activation(x, kind: str) -> Tensor:
-    """Elementwise activation by name: relu, tanh or selu."""
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-
-
 def conv1d(x, kernel, bias, padding: str = "valid") -> Tensor:
-    """1-D convolution: out[t, f] = bias[f] + sum_{i,c} x[t+i-off, c] k[i, c, f].
+    """1-D convolution: out[b, t, f] = bias[f] + sum_{i,c} x[b, t+i-off, c] k[i, c, f].
 
-    x is (L, C) or (B, L, C); kernel is (k, C, F); bias is (F,). "valid"
-    yields length L-k+1; "same" zero-pads with left offset (k-1)//2 and
-    keeps length L.
+    x is (B, L, C); kernel is (k, C, F); bias is (F,). "valid" yields
+    length L-k+1; "same" zero-pads with left offset (k-1)//2 and keeps
+    length L.
     """
     x, kernel, bias = astensor(x), astensor(kernel), astensor(bias)
     if kernel.data.ndim != 3:
@@ -105,9 +95,9 @@ def conv1d(x, kernel, bias, padding: str = "valid") -> Tensor:
     k, c_in, f = kernel.data.shape
     if bias.data.shape != (f,):
         raise ValueError("bias must have shape (F,)")
-    xd, single = _batched(x)
-    if xd.ndim != 3 or xd.shape[2] != c_in:
-        raise ValueError(f"input channels {xd.shape[-1] if xd.ndim else '?'} do not match kernel ({c_in})")
+    xd = _batch_of(x, 3, "(B, L, C)")
+    if xd.shape[2] != c_in:
+        raise ValueError(f"input channels {xd.shape[2]} do not match kernel ({c_in})")
     length = xd.shape[1]
 
     if padding == "same":
@@ -126,52 +116,48 @@ def conv1d(x, kernel, bias, padding: str = "valid") -> Tensor:
     out_data = np.tensordot(win, kernel.data, axes=([3, 2], [0, 1])) + bias.data
 
     def bwd(g):
-        g3 = g[None] if single else g
-        bias.accumulate_grad(g3.sum(axis=(0, 1)))
+        bias.accumulate_grad(g.sum(axis=(0, 1)))
         if kernel.requires_grad:
-            dk = np.tensordot(win, g3, axes=([0, 1], [0, 1]))  # (C, k, F)
+            dk = np.tensordot(win, g, axes=([0, 1], [0, 1]))  # (C, k, F)
             kernel.accumulate_grad(dk.transpose(1, 0, 2))
         if x.requires_grad:
-            contrib = np.tensordot(g3, kernel.data, axes=([2], [2]))  # (B, L', k, C)
+            contrib = np.tensordot(g, kernel.data, axes=([2], [2]))  # (B, L', k, C)
             dxp = np.zeros_like(xp)
             for i in range(k):
                 dxp[:, i:i + out_len, :] += contrib[:, :, i, :]
-            dx = dxp[:, left:left + length, :]
-            x.accumulate_grad(dx[0] if single else dx)
+            x.accumulate_grad(dxp[:, left:left + length, :])
 
-    result = out_data[0] if single else out_data
-    return node(result, (x, kernel, bias), bwd)
+    return node(out_data, (x, kernel, bias), bwd)
 
 
-def maxpool1d(x, pool: int, stride: int) -> Tensor:
-    """Windowed channel-wise maxima; output length floor((L-pool)/stride)+1."""
+def maxpool1d(x, pool: int) -> Tensor:
+    """Channel-wise maxima of non-overlapping windows of x (B, L, F).
+
+    Output length is L // pool; trailing steps that fill no window are dropped.
+    """
     x = astensor(x)
-    xd, single = _batched(x)
+    xd = _batch_of(x, 3, "(B, L, F)")
     b, length, f = xd.shape
-    if pool > length:
-        raise ValueError(f"pool size {pool} exceeds input length {length}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    win = sliding_window_view(xd, pool, axis=1)[:, ::stride]  # (B, L', F, pool)
-    out_data = win.max(axis=3)
-    argmax = win.argmax(axis=3)  # (B, L', F)
-    out_len = out_data.shape[1]
+    if not 0 < pool <= length:
+        raise ValueError(f"pool size {pool} must be in [1, {length}] (the input length)")
+    out_len = length // pool
+    win = xd[:, :out_len * pool].reshape(b, out_len, pool, f)
+    out_data = win.max(axis=2)
+    argmax = win.argmax(axis=2)  # (B, L', F)
 
     def bwd(g):
-        g3 = g[None] if single else g
         dx = np.zeros_like(xd)
         bb, tt, ff = np.ogrid[:b, :out_len, :f]
-        np.add.at(dx, (bb, tt * stride + argmax, ff), g3)
-        x.accumulate_grad(dx[0] if single else dx)
+        dx[bb, tt * pool + argmax, ff] = g  # windows are disjoint: no index repeats
+        x.accumulate_grad(dx)
 
-    result = out_data[0] if single else out_data
-    return node(result, (x,), bwd)
+    return node(out_data, (x,), bwd)
 
 
 def global_maxpool(x) -> Tensor:
-    """Channel-wise maximum over the whole sequence."""
+    """Channel-wise maximum over the whole sequence of x (B, L, F)."""
     x = astensor(x)
-    xd, single = _batched(x)
+    xd = _batch_of(x, 3, "(B, L, F)")
     b, length, f = xd.shape
     if length == 0:
         raise ValueError("global_maxpool requires a non-empty input")
@@ -179,41 +165,35 @@ def global_maxpool(x) -> Tensor:
     argmax = xd.argmax(axis=1)  # (B, F)
 
     def bwd(g):
-        g2 = g[None] if single else g
         dx = np.zeros_like(xd)
         bb, ff = np.ogrid[:b, :f]
-        dx[bb, argmax, ff] = g2
-        x.accumulate_grad(dx[0] if single else dx)
+        dx[bb, argmax, ff] = g
+        x.accumulate_grad(dx)
 
-    result = out_data[0] if single else out_data
-    return node(result, (x,), bwd)
+    return node(out_data, (x,), bwd)
 
 
 def dense(x, w, b) -> Tensor:
-    """Affine map x @ w + b; x is (N,) or (B, N), w is (N, M), b is (M,)."""
+    """Affine map x @ w + b; x is (B, N), w is (N, M), b is (M,)."""
     x, w, b = astensor(x), astensor(w), astensor(b)
     if w.data.ndim != 2:
         raise ValueError("weights must have shape (N, M)")
     n, m = w.data.shape
     if b.data.shape != (m,):
         raise ValueError("bias must have shape (M,)")
-    single = x.data.ndim == 1
-    xd = x.data[None] if single else x.data
-    if xd.ndim != 2 or xd.shape[1] != n:
-        raise ValueError(f"input width {xd.shape[-1] if xd.ndim else '?'} does not match weights ({n})")
+    xd = _batch_of(x, 2, "(B, N)")
+    if xd.shape[1] != n:
+        raise ValueError(f"input width {xd.shape[1]} does not match weights ({n})")
     out_data = xd @ w.data + b.data
 
     def bwd(g):
-        g2 = g[None] if single else g
         if x.requires_grad:
-            dx = g2 @ w.data.T
-            x.accumulate_grad(dx[0] if single else dx)
+            x.accumulate_grad(g @ w.data.T)
         if w.requires_grad:
-            w.accumulate_grad(xd.T @ g2)
-        b.accumulate_grad(g2.sum(axis=0))
+            w.accumulate_grad(xd.T @ g)
+        b.accumulate_grad(g.sum(axis=0))
 
-    result = out_data[0] if single else out_data
-    return node(result, (x, w, b), bwd)
+    return node(out_data, (x, w, b), bwd)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -257,17 +237,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits, gold) -> tuple[Tensor, np.ndarray]:
-    """Mean softmax cross-entropy loss.
+    """Mean softmax cross-entropy loss of logits (B, K) against gold classes (B,).
 
-    logits is (K,) with an integer gold class, or (B, K) with gold (B,).
     Returns (scalar loss tensor, probabilities as a plain array); the
     gradient wrt logits is (p - onehot(gold)) / B. The loss is log-sum-exp
     minus the gold logit, finite even where p(gold) underflows to 0.
     """
     logits = astensor(logits)
-    single = logits.data.ndim == 1
-    ld = logits.data[None] if single else logits.data
-    y = np.atleast_1d(np.asarray(gold, dtype=np.int64))
+    ld = _batch_of(logits, 2, "(B, K)")
+    y = np.asarray(gold, dtype=np.int64)
     if y.shape != (ld.shape[0],):
         raise ValueError("gold labels do not match the batch size")
     p = softmax(ld)
@@ -279,7 +257,6 @@ def softmax_xent(logits, gold) -> tuple[Tensor, np.ndarray]:
         d = p.copy()
         d[rows, y] -= 1.0
         d *= g / ld.shape[0]
-        logits.accumulate_grad(d[0] if single else d)
+        logits.accumulate_grad(d)
 
-    loss = node(loss_val, (logits,), bwd)
-    return loss, (p[0] if single else p)
+    return node(loss_val, (logits,), bwd), p

@@ -19,6 +19,7 @@ from ssc.ensemble import (
     save_baseline_member,
 )
 from ssc.experiment import build_feature_context
+from ssc.features import MAX_CHARS
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,17 @@ class TestConfig:
         (tmp_path / "bad.conf").write_text(
             f"[paths]\ndataset = x\n[training]\nselection_metric = {metric}\n")
         with pytest.raises(ConfigFileError, match=f"line 4: selection_metric '{metric}'"):
+            load_config(tmp_path / "bad.conf")
+
+    @pytest.mark.parametrize("key, value", [
+        ("word_kernels", "3,x"), ("char_kernels", "0,3"), ("word_kernels", "-1"),
+        ("char_kernels", "3,3"), ("word_kernels", ""), ("word_kernels", "\u00b2"),
+        ("char_kernels", str(MAX_CHARS + 1)),
+    ])
+    def test_bad_kernel_list_named_with_line(self, tmp_path, key, value):
+        (tmp_path / "bad.conf").write_text(
+            f"[paths]\ndataset = x\n[training]\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigFileError, match=f"line 4: {key}"):
             load_config(tmp_path / "bad.conf")
 
     def test_missing_dataset_path(self, tmp_path):
@@ -200,6 +212,18 @@ class TestModelCommands:
         assert main(["evaluate", "--config", str(workspace / "exp.conf"),
                      "--checkpoint", str(ckpt),
                      "--test-data", str(workspace / "corpus.tsv")]) == 0
+
+    def test_word_member_evaluates_under_classical_roster(self, workspace, tmp_path, capsys):
+        # exp.conf's roster has no word kind; the checkpoint's kind decides
+        # whether the embedding table is read.
+        ckpt = tmp_path / "word.ckpt"
+        assert main(["train", "--config", str(workspace / "exp.conf"),
+                     "--kind", "word_aux", "--train-data", str(workspace / "corpus.tsv"),
+                     "--output", str(ckpt), "--seed", "2"]) == 0
+        assert main(["evaluate", "--config", str(workspace / "exp.conf"),
+                     "--checkpoint", str(ckpt),
+                     "--test-data", str(workspace / "corpus.tsv")]) == 0
+        assert ",word_aux," in capsys.readouterr().out
 
     def test_train_word_member_without_embeddings_fails(self, workspace, tmp_path, capsys):
         conf = tmp_path / "no_embeddings.conf"
@@ -317,6 +341,16 @@ class TestEnsembleSurface:
         spec = EnsembleSpec((("nb", tmp_path / "missing.ckpt"),), mode="free")
         with pytest.raises(EnsembleError, match="member 0 \\(nb\\)"):
             resolve_members(spec)
+
+    @pytest.mark.parametrize("declared", ["char_cnn", "char_aux", "svm"])
+    def test_cnn_checkpoint_kind_tag_checked(self, tmp_path, declared):
+        cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=2, embed_dim=8, dropout=0.0)
+        model = models.build_model("word_aux", cfg, seed=0)
+        path = tmp_path / "word.ckpt"
+        nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
+                                              metadata=model.metadata()), path)
+        with pytest.raises(EnsembleError, match=f"'word_aux' does not match '{declared}'"):
+            load_member(declared, path)
 
     def test_kind_tag_mismatch_detected(self, workspace, tmp_path):
         members, paths, _ = self.members_via_checkpoints(workspace, tmp_path)

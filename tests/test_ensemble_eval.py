@@ -150,6 +150,17 @@ class TestComputeMetrics:
         report = compute_metrics([1, 1, 0, 0], [1, 0, 1, 0])
         assert (report.tp, report.fp, report.fn, report.tn) == (1, 1, 1, 1)
 
+    def test_int_arrays_match_pairwise_count(self):
+        local = np.random.default_rng(17)
+        for _ in range(50):
+            n = int(local.integers(1, 40))
+            pred, gold = local.integers(0, 2, size=n), local.integers(0, 2, size=n)
+            pairs = list(zip(pred.tolist(), gold.tolist()))
+            want = tuple(pairs.count(pair) for pair in ((1, 1), (1, 0), (0, 1), (0, 0)))
+            report = compute_metrics(pred, gold)
+            counts = (report.tp, report.fp, report.fn, report.tn)
+            assert counts == want and all(type(c) is int for c in counts)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_metrics([1], [1, 0])

@@ -8,7 +8,7 @@ import pytest
 from ssc import models, synth
 from ssc.config import load_config
 from ssc.corpus import load_dataset, load_fold_plan, make_folds, save_dataset
-from ssc.experiment import roster_encoder, run_experiment
+from ssc.experiment import build_feature_context, roster_encoder, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,23 @@ def test_word_roster_without_embeddings_fails_naming_scenario(tiny_config):
     assert result.failures == [expected]
     assert result.rows == []
     assert expected in (out / "failures.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("kinds, reads_table", [(None, True), (["word_aux"], True),
+                                                (["nb", "svm", "rf"], False),
+                                                (["char_aux", "char_cnn"], False)])
+def test_embedding_table_read_only_for_word_kinds(tiny_config, kinds, reads_table):
+    cfg, _ = tiny_config  # its roster holds word_aux; kinds=None means the roster
+    assert (build_feature_context(cfg, kinds).table is not None) == reads_table
+
+
+def test_classical_roster_never_reads_the_embeddings(tiny_config):
+    cfg, root = tiny_config
+    (root / "broken_embeddings.txt").write_text("not an embedding table\n")
+    result = run_experiment(replace(cfg, roster="nb:1", output=str(root / "no_table"),
+                                    embeddings=str(root / "broken_embeddings.txt")),
+                            jobs=1, log=lambda msg: None)
+    assert not result.failures and result.rows
 
 
 def test_saved_fold_plan_loads_back_as_made(tiny_config):

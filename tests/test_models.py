@@ -50,6 +50,11 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             build_model("lstm", SMALL_C)
 
+    @pytest.mark.parametrize("kernels", [(0, 3), (-1,), (3, 3)])
+    def test_bad_kernel_sizes_rejected(self, kernels):
+        with pytest.raises(ConfigError, match="distinct and >= 1"):
+            CnnConfig(kernels, filters=1, embed_dim=2, dropout=0.0).validate()
+
     @pytest.mark.parametrize("kind", ["char_aux", "char_cnn"])
     def test_char_kernel_longer_than_text_rejected(self, kind):
         cfg = CnnConfig(kernel_sizes=(2, MAX_CHARS + 1), filters=1, embed_dim=2, dropout=0.0)
@@ -268,7 +273,7 @@ class TestTraining:
             nn.save_checkpoint(cp, tmp_path / "cp.ckpt")
             reloaded = model_from_checkpoint(nn.load_checkpoint(tmp_path / "cp.ckpt"))
             classes, _ = predict_batch(reloaded, val)
-            report = compute_metrics(classes.tolist(), val.labels.tolist())
+            report = compute_metrics(classes, val.labels)
             for m in ("accuracy", "precision_p", "recall_p", "f1_p"):
                 assert report.value(m) == cp.metrics[m]
 

@@ -17,55 +17,65 @@ def grad_tensor(shape):
     return t
 
 
+def project(out, readout):
+    """Scalar readout . vec(out): the (1, 1) output of a dense layer, as a () tensor."""
+    flat = nn.reshape(out, (1, -1))
+    w = Tensor(readout[:flat.data.size, None])
+    return nn.reshape(nn.dense(flat, w, Tensor(np.zeros(1))), ())
+
+
 class TestConv1d:
     def test_identity_kernel(self):
-        x = rng.normal(size=(6, 3))
+        x = rng.normal(size=(2, 6, 3))
         kernel = np.eye(3)[None]  # k=1, C=F=3
         out = nn.conv1d(x, kernel, np.zeros(3)).data
         assert np.allclose(out, x)
 
     def test_zero_input_gives_bias_rows(self):
         bias = np.array([1.5, -2.0])
-        out = nn.conv1d(np.zeros((5, 4)), rng.normal(size=(3, 4, 2)), bias).data
-        assert np.allclose(out, np.tile(bias, (3, 1)))
+        out = nn.conv1d(np.zeros((2, 5, 4)), rng.normal(size=(3, 4, 2)), bias).data
+        assert np.allclose(out, np.tile(bias, (2, 3, 1)))
 
     def test_random_case_vs_oracle(self):
-        x = rng.normal(size=(7, 2))
+        x = rng.normal(size=(3, 7, 2))
         k = rng.normal(size=(3, 2, 2))
         b = rng.normal(size=(2,))
         got = nn.conv1d(x, k, b, padding="valid").data
-        assert np.abs(got - conv1d_oracle(x, k, b, "valid")).max() < 1e-6
+        for row in range(3):
+            assert np.abs(got[row] - conv1d_oracle(x[row], k, b, "valid")).max() < 1e-6
 
     @pytest.mark.parametrize("padding", ["valid", "same"])
     def test_100_random_cases(self, padding):
         local = np.random.default_rng(7)
         for _ in range(100):
+            batch = int(local.integers(2, 5))
             length = int(local.integers(3, 12))
             k = int(local.integers(1, min(5, length) + 1))
             c = int(local.integers(1, 4))
             f = int(local.integers(1, 4))
-            x = local.normal(size=(length, c))
+            x = local.normal(size=(batch, length, c))
             kernel = local.normal(size=(k, c, f))
             bias = local.normal(size=(f,))
             got = nn.conv1d(x, kernel, bias, padding=padding).data
-            want = conv1d_oracle(x, kernel, bias, padding)
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() < 1e-6
+            for row in range(batch):
+                want = conv1d_oracle(x[row], kernel, bias, padding)
+                assert got[row].shape == want.shape
+                assert np.abs(got[row] - want).max() < 1e-6
 
     def test_same_padding_preserves_length(self):
         for k in (1, 2, 3, 4, 5):
-            out = nn.conv1d(rng.normal(size=(9, 2)), rng.normal(size=(k, 2, 3)),
+            out = nn.conv1d(rng.normal(size=(2, 9, 2)), rng.normal(size=(k, 2, 3)),
                             np.zeros(3), padding="same")
-            assert out.data.shape == (9, 3)
+            assert out.data.shape == (2, 9, 3)
 
     def test_kernel_too_large_valid(self):
         with pytest.raises(ValueError):
-            nn.conv1d(rng.normal(size=(3, 2)), rng.normal(size=(4, 2, 1)),
+            nn.conv1d(rng.normal(size=(2, 3, 2)), rng.normal(size=(4, 2, 1)),
                       np.zeros(1), padding="valid")
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
-            nn.conv1d(rng.normal(size=(5, 3)), rng.normal(size=(2, 2, 1)), np.zeros(1))
+            nn.conv1d(rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 2, 1)), np.zeros(1))
 
     def test_batched_matches_per_sample(self):
         x = rng.normal(size=(4, 8, 3))
@@ -73,55 +83,55 @@ class TestConv1d:
         b = rng.normal(size=(5,))
         batched = nn.conv1d(x, k, b, padding="same").data
         for i in range(4):
-            single = nn.conv1d(x[i], k, b, padding="same").data
-            assert np.allclose(batched[i], single)
+            assert np.allclose(batched[i], conv1d_oracle(x[i], k, b, "same"))
 
 
 class TestPooling:
     def test_pool_equals_global_when_window_is_length(self):
-        x = rng.normal(size=(6, 3))
-        assert np.allclose(nn.maxpool1d(x, 6, 1).data[0], x.max(axis=0))
+        x = rng.normal(size=(2, 6, 3))
+        assert np.allclose(nn.maxpool1d(x, 6).data[:, 0], x.max(axis=1))
 
     def test_increasing_column_takes_window_ends(self):
-        x = np.arange(8, dtype=float)[:, None]
-        out = nn.maxpool1d(x, 2, 2).data
-        assert out[:, 0].tolist() == [1, 3, 5, 7]
+        x = np.arange(16, dtype=float).reshape(2, 8, 1)
+        out = nn.maxpool1d(x, 2).data
+        assert out[:, :, 0].tolist() == [[1, 3, 5, 7], [9, 11, 13, 15]]
 
     def test_100_random_cases_exact(self):
         local = np.random.default_rng(8)
         for _ in range(100):
+            batch = int(local.integers(2, 5))
             length = int(local.integers(2, 14))
             pool = int(local.integers(1, length + 1))
-            stride = int(local.integers(1, 4))
-            x = local.normal(size=(length, int(local.integers(1, 4))))
-            got = nn.maxpool1d(x, pool, stride).data
-            want = maxpool1d_oracle(x, pool, stride)
-            assert got.shape == want.shape and np.array_equal(got, want)
+            x = local.normal(size=(batch, length, int(local.integers(1, 4))))
+            got = nn.maxpool1d(x, pool).data
+            for row in range(batch):
+                want = maxpool1d_oracle(x[row], pool, pool)
+                assert got[row].shape == want.shape and np.array_equal(got[row], want)
 
     def test_pool_larger_than_input_rejected(self):
         with pytest.raises(ValueError):
-            nn.maxpool1d(rng.normal(size=(3, 2)), 4, 1)
+            nn.maxpool1d(rng.normal(size=(2, 3, 2)), 4)
 
     def test_global_single_row(self):
-        x = rng.normal(size=(1, 5))
-        assert np.array_equal(nn.global_maxpool(x).data, x[0])
+        x = rng.normal(size=(2, 1, 5))
+        assert np.array_equal(nn.global_maxpool(x).data, x[:, 0])
 
     def test_global_column_max(self):
-        x = np.array([[-1.0], [3.0], [2.0]])
-        assert nn.global_maxpool(x).data[0] == 3.0
+        x = np.array([[[-1.0], [3.0], [2.0]], [[4.0], [0.0], [-5.0]]])
+        assert nn.global_maxpool(x).data[:, 0].tolist() == [3.0, 4.0]
 
     def test_global_equals_full_window_pool(self):
-        x = rng.normal(size=(9, 4))
-        assert np.array_equal(nn.global_maxpool(x).data, nn.maxpool1d(x, 9, 1).data[0])
+        x = rng.normal(size=(3, 9, 4))
+        assert np.array_equal(nn.global_maxpool(x).data, nn.maxpool1d(x, 9).data[:, 0])
 
     def test_global_empty_rejected(self):
         with pytest.raises(ValueError):
-            nn.global_maxpool(np.zeros((0, 3)))
+            nn.global_maxpool(np.zeros((2, 0, 3)))
 
 
 class TestActivations:
     def test_relu_values(self):
-        out = nn.activation(np.array([-1.0, 2.0]), "relu").data
+        out = nn.relu(np.array([-1.0, 2.0])).data
         assert out.tolist() == [0.0, 2.0]
 
     def test_tanh_and_selu_at_zero(self):
@@ -138,55 +148,53 @@ class TestActivations:
         x = np.array([-2.0])
         assert np.isclose(nn.selu(x).data[0], lam * alpha * (math.exp(-2.0) - 1.0))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            nn.activation(np.zeros(2), "gelu")
-
 
 class TestDense:
     def test_identity(self):
-        x = rng.normal(size=(6,))
+        x = rng.normal(size=(2, 6))
         out = nn.dense(x, np.eye(6), np.zeros(6)).data
         assert np.allclose(out, x)
 
     def test_zero_input_gives_bias(self):
         b = rng.normal(size=(4,))
-        assert np.allclose(nn.dense(np.zeros(3), rng.normal(size=(3, 4)), b).data, b)
+        out = nn.dense(np.zeros((2, 3)), rng.normal(size=(3, 4)), b).data
+        assert np.allclose(out, np.tile(b, (2, 1)))
 
     def test_random_vs_dot_oracle(self):
-        x = rng.normal(size=(5,))
+        x = rng.normal(size=(2, 5))
         w = rng.normal(size=(5, 3))
         b = rng.normal(size=(3,))
-        want = np.array([sum(x[i] * w[i, j] for i in range(5)) + b[j] for j in range(3)])
+        want = np.array([[sum(x[r, i] * w[i, j] for i in range(5)) + b[j] for j in range(3)]
+                         for r in range(2)])
         assert np.abs(nn.dense(x, w, b).data - want).max() <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            nn.dense(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
+            nn.dense(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
 
 
 class TestSoftmaxXent:
     def test_symmetric_logits(self):
-        loss, p = nn.softmax_xent(np.zeros(2), 0)
-        assert np.allclose(p, [0.5, 0.5])
+        loss, p = nn.softmax_xent(np.zeros((2, 2)), np.array([0, 1]))
+        assert np.allclose(p, 0.5)
         assert np.isclose(float(loss.data), math.log(2.0))
 
     def test_extreme_logits_stable(self):
-        loss, p = nn.softmax_xent(np.array([1000.0, 0.0]), 0)
+        loss, p = nn.softmax_xent(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.array([0, 1]))
         assert float(loss.data) < 1e-6
         assert np.isfinite(p).all()
 
     def test_saturated_wrong_logit_gives_finite_loss(self):
         # p(gold) underflows to 0 here; -log(p) would be inf with a warning.
-        logits = Tensor(np.array([1000.0, -1000.0]))
+        logits = Tensor(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]))
         logits.requires_grad = True
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            loss, p = nn.softmax_xent(logits, 1)
+            loss, p = nn.softmax_xent(logits, np.array([1, 0]))
             loss.backward()
         assert float(loss.data) == 2000.0
-        assert np.array_equal(p, [1.0, 0.0])
-        assert np.array_equal(logits.grad, [1.0, -1.0])
+        assert np.array_equal(p, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(logits.grad, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_probs_sum_to_one(self):
         local = np.random.default_rng(3)
@@ -197,10 +205,10 @@ class TestSoftmaxXent:
             assert np.isfinite(p).all()
 
     def test_gradient_is_p_minus_onehot(self):
-        logits = grad_tensor((2,))
-        loss, p = nn.softmax_xent(logits, 1)
+        logits = grad_tensor((2, 2))
+        loss, p = nn.softmax_xent(logits, np.array([1, 0]))
         loss.backward()
-        assert np.allclose(logits.grad, p - np.array([0.0, 1.0]))
+        assert np.allclose(logits.grad, (p - np.array([[0.0, 1.0], [1.0, 0.0]])) / 2)
 
     def test_gradient_vs_finite_differences(self):
         data = rng.normal(size=(3, 2))
@@ -214,6 +222,21 @@ class TestSoftmaxXent:
         assert max_relative_error(logits.grad, numeric) < 1e-7
 
 
+UNBATCHED = [
+    ("conv1d", lambda: nn.conv1d(np.zeros((5, 2)), np.zeros((3, 2, 1)), np.zeros(1))),
+    ("maxpool1d", lambda: nn.maxpool1d(np.zeros((4, 2)), 2)),
+    ("global_maxpool", lambda: nn.global_maxpool(np.zeros((4, 2)))),
+    ("dense", lambda: nn.dense(np.zeros(3), np.zeros((3, 2)), np.zeros(2))),
+    ("softmax_xent", lambda: nn.softmax_xent(np.zeros(2), 0)),
+]
+
+
+@pytest.mark.parametrize("name,call", UNBATCHED, ids=[c[0] for c in UNBATCHED])
+def test_unbatched_input_rejected(name, call):
+    with pytest.raises(ValueError, match="rank"):
+        call()
+
+
 class TestBackwardBasics:
     def test_backward_requires_scalar(self):
         t = grad_tensor((3,))
@@ -221,42 +244,43 @@ class TestBackwardBasics:
             nn.relu(t).backward()
 
     def test_frozen_tensor_gets_no_grad(self):
-        x = Tensor(rng.normal(size=(4,)))  # requires_grad False
+        x = Tensor(rng.normal(size=(2, 4)))  # requires_grad False
         w = grad_tensor((4, 2))
-        loss, _ = nn.softmax_xent(nn.dense(x, w, Tensor(np.zeros(2))), 0)
+        loss, _ = nn.softmax_xent(nn.dense(x, w, Tensor(np.zeros(2))), np.array([0, 1]))
         loss.backward()
         assert x.grad is None and w.grad is not None
 
     def test_closed_form_dense_xent(self):
-        # Single dense + xent: dW = x^T (p - y).
-        x_data = rng.normal(size=(3,))
+        # Dense + mean xent over B rows: dW = x^T (p - y) / B, db = sum_rows (p - y) / B.
+        x_data = rng.normal(size=(3, 3))
         x = Tensor(x_data)
         w = grad_tensor((3, 2))
         b = grad_tensor((2,))
-        loss, p = nn.softmax_xent(nn.dense(x, w, b), 1)
+        gold = np.array([1, 0, 1])
+        loss, p = nn.softmax_xent(nn.dense(x, w, b), gold)
         loss.backward()
-        delta = p - np.array([0.0, 1.0])
-        assert np.allclose(w.grad, np.outer(x_data, delta))
-        assert np.allclose(b.grad, delta)
+        delta = (p - np.eye(2)[gold]) / 3
+        assert np.allclose(w.grad, x_data.T @ delta)
+        assert np.allclose(b.grad, delta.sum(axis=0))
 
     def test_grad_accumulates_across_reuse(self):
-        x = grad_tensor((4,))
-        y = nn.concat([nn.relu(x), nn.relu(x)])
+        x = grad_tensor((2, 4))
+        y = nn.concat([nn.relu(x), nn.relu(x)], axis=1)
         w = Tensor(np.ones((8, 2)))
-        loss, _ = nn.softmax_xent(nn.dense(y, w, Tensor(np.zeros(2))), 0)
+        loss, _ = nn.softmax_xent(nn.dense(y, w, Tensor(np.zeros(2))), np.array([0, 1]))
         loss.backward()
         assert x.grad is not None
 
 
 OP_CASES = [
     ("conv_valid", lambda d: nn.conv1d(d["x"], d["k"], d["b"], padding="valid"),
-     {"x": (7, 3), "k": (3, 3, 2), "b": (2,)}),
+     {"x": (2, 7, 3), "k": (3, 3, 2), "b": (2,)}),
     ("conv_same", lambda d: nn.conv1d(d["x"], d["k"], d["b"], padding="same"),
-     {"x": (6, 2), "k": (4, 2, 3), "b": (3,)}),
-    ("maxpool", lambda d: nn.maxpool1d(d["x"], 3, 2), {"x": (9, 4)}),
-    ("globalpool", lambda d: nn.global_maxpool(d["x"]), {"x": (8, 3)}),
+     {"x": (3, 6, 2), "k": (4, 2, 3), "b": (3,)}),
+    ("maxpool", lambda d: nn.maxpool1d(d["x"], 3), {"x": (2, 10, 4)}),
+    ("globalpool", lambda d: nn.global_maxpool(d["x"]), {"x": (3, 8, 3)}),
     ("dense", lambda d: nn.dense(d["x"], d["w"], d["b"]),
-     {"x": (5,), "w": (5, 4), "b": (4,)}),
+     {"x": (3, 5), "w": (5, 4), "b": (4,)}),
     ("relu", lambda d: nn.relu(d["x"]), {"x": (6, 2)}),
     ("tanh", lambda d: nn.tanh(d["x"]), {"x": (6, 2)}),
     ("selu", lambda d: nn.selu(d["x"]), {"x": (6, 2)}),
@@ -269,26 +293,17 @@ OP_CASES = [
 @pytest.mark.parametrize("name,op,shapes", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_gradcheck_per_op(name, op, shapes):
     """Central finite differences in 64-bit against the recorded backward."""
-    local = np.random.default_rng(hash(name) % 2**32)
+    local = np.random.default_rng(sum(map(ord, name)))
     arrays = {key: local.normal(size=shape) for key, shape in shapes.items()}
     readout = local.normal(size=64)  # fixed projection to a scalar
-
-    def build_loss(tensors):
-        out = op(tensors)
-        flat = nn.reshape(out, (-1,))
-        w = Tensor(readout[:flat.data.size])
-        return nn.dense(flat, nn.reshape(w, (flat.data.size, 1)), Tensor(np.zeros(1)))
 
     tensors = {k: Tensor(v) for k, v in arrays.items()}
     for t in tensors.values():
         t.requires_grad = True
-    loss = build_loss(tensors)
-    loss = nn.reshape(loss, ())
-    loss.backward()
+    project(op(tensors), readout).backward()
 
     def loss_fn():
-        fresh = {k: Tensor(v) for k, v in arrays.items()}
-        return float(build_loss(fresh).data[0])
+        return float(project(op({k: Tensor(v) for k, v in arrays.items()}), readout).data)
 
     for key in arrays:
         numeric = central_difference(loss_fn, [arrays[key]])[0]
@@ -299,16 +314,13 @@ def test_gradcheck_per_op(name, op, shapes):
 def test_gradcheck_embedding_lookup():
     local = np.random.default_rng(5)
     table = local.normal(size=(9, 4))
-    idx = local.integers(0, 9, size=(7,))
-    readout = local.normal(size=7 * 4)
+    idx = local.integers(0, 9, size=(2, 7))
+    readout = local.normal(size=idx.size * 4)
 
     def loss_of(table_arr):
         t = Tensor(table_arr)
         t.requires_grad = True
-        out = nn.embedding_lookup(t, idx)
-        flat = nn.reshape(out, (-1,))
-        loss = nn.dense(flat, Tensor(readout[:, None]), Tensor(np.zeros(1)))
-        return t, nn.reshape(loss, ())
+        return t, project(nn.embedding_lookup(t, idx), readout)
 
     t, loss = loss_of(table)
     loss.backward()
@@ -325,9 +337,7 @@ def test_gradcheck_dropout_with_frozen_mask():
         t = Tensor(arr)
         t.requires_grad = True
         out = nn.dropout(t, 0.5, np.random.default_rng(123))  # same mask every call
-        flat = nn.reshape(out, (-1,))
-        loss = nn.dense(flat, Tensor(readout[:, None]), Tensor(np.zeros(1)))
-        return t, nn.reshape(loss, ())
+        return t, project(out, readout)
 
     t, loss = run(x)
     loss.backward()
