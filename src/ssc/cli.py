@@ -40,7 +40,6 @@ from .ensemble import (
     ensemble_vote_batch,
     load_member,
     resolve_members,
-    save_baseline_member,
 )
 from .experiment import (
     build_feature_context,
@@ -149,17 +148,15 @@ def cmd_train(args) -> int:
     enc = _encoder(cfg, [kind])(load_dataset(args.train_data))
     seed = cfg.seed if args.seed is None else args.seed
     if kind in CNN_KINDS:
-        member, best = train_cnn_member(kind, enc, cfg, init_seed=seed,
-                                        train_seed=seed + 1)
-        save_checkpoint(best, args.output)
-        print(f"best epoch {best.epoch}: "
-              + " ".join(f"{k}={v:.4f}" for k, v in sorted(best.metrics.items())))
-        return 0
-    vocab, idf = baselines.fit_tfidf(enc.tokens)
-    x = baselines.bow_features(enc, vocab, idf)
-    member = train_bow_member(kind, 0, enc, x, vocab, idf, cfg, seed)
-    save_baseline_member(member, args.output)
-    print(f"trained {kind}, saved to {args.output}")
+        cp = train_cnn_member(kind, enc, cfg, init_seed=seed, train_seed=seed + 1)
+    else:
+        vocab, idf = baselines.fit_tfidf(enc.tokens)
+        x = baselines.bow_features(enc, vocab, idf)
+        cp = train_bow_member(kind, 0, enc, x, vocab, idf, cfg, seed)
+    save_checkpoint(cp, args.output)
+    best = " ".join(f"{k}={v:.4f}" for k, v in sorted(cp.metrics.items()))
+    print(f"trained {kind}, saved to {args.output}"
+          + (f"; best epoch {cp.epoch}: {best}" if cp.metrics else ""))
     return 0
 
 

@@ -1,16 +1,19 @@
 """Experiment configuration: a sectioned key=value text format.
 
 Lines are ``key = value`` under ``[section]`` headers; ``#`` starts a
-comment. Unknown keys, malformed values, and missing required paths are
-reported with line numbers. A minimal config needs only the dataset path;
-everything else has defaults matching the standard experiment grid.
+comment. Unknown keys, and values that do not parse or fall outside their
+key's range, are reported with line numbers. A minimal config needs only
+the dataset path; everything else has defaults matching the standard
+experiment grid.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .corpus import ScenarioPlan
 from .ensemble import KINDS
@@ -61,53 +64,38 @@ class ExperimentConfig:
 
     def scenario_plans(self) -> list[ScenarioPlan]:
         plans = []
-        for i, entry in enumerate(x for x in self.scenarios.split(",") if x.strip()):
-            parts = entry.strip().split(":")
-            if len(parts) != 4:
-                raise ConfigFileError(
-                    f"scenario entry {entry!r} must be POS:NEG:N_TRAIN:N_TEST")
-            pos, neg, n_train, n_test = (int(p) for p in parts)
+        for i, entry in enumerate(x.strip() for x in self.scenarios.split(",") if x.strip()):
+            try:
+                pos, neg, n_train, n_test = (int(p) for p in entry.split(":"))
+            except ValueError:
+                raise ConfigFileError(f"entry {entry!r} must be POS:NEG:N_TRAIN:N_TEST") from None
             plans.append(ScenarioPlan((pos, neg), n_train, n_test, seed=self.seed + i))
         if not plans:
-            raise ConfigFileError("no scenarios configured")
+            raise ConfigFileError("holds no scenario")
         return plans
 
     def roster_members(self) -> list[str]:
         """Expanded member kinds, e.g. ['char_aux', 'char_aux', 'svm', ...]."""
         members = []
-        for entry in (x for x in self.roster.split(",") if x.strip()):
-            kind, sep, count = entry.strip().partition(":")
+        for entry in (x.strip() for x in self.roster.split(",") if x.strip()):
+            kind, sep, count = entry.partition(":")
             if kind not in KINDS:
-                raise ConfigFileError(f"unknown roster kind {kind!r}")
-            n = int(count) if sep else 1
+                raise ConfigFileError(f"entry {entry!r} names no member kind ("
+                                      + ", ".join(KINDS) + ")")
+            try:
+                n = int(count) if sep else 1
+            except ValueError:
+                n = 0
             if n < 1:
-                raise ConfigFileError(f"roster count for {kind!r} must be >= 1")
+                raise ConfigFileError(f"entry {entry!r} must be KIND or KIND:COUNT, COUNT >= 1")
             members.extend([kind] * n)
         if not members:
-            raise ConfigFileError("empty model roster")
+            raise ConfigFileError("holds no member")
         return members
 
     def digest(self) -> str:
         return hashlib.sha256(dump_config(self).encode("utf-8")).hexdigest()
 
-
-_SCHEMA: dict[str, dict[str, type]] = {
-    "paths": {
-        "dataset": str, "abuse_lexicon": str, "slang_lexicon": str,
-        "cluster_map": str, "synonym_map": str, "embeddings": str, "output": str,
-    },
-    "experiment": {"scenarios": str, "folds": int, "roster": str, "seed": int},
-    "training": {
-        "epochs": int, "batch_size": int, "val_fraction": float,
-        "selection_metric": str, "lr": float, "dropout": float, "filters": int,
-        "word_kernels": str, "char_kernels": str, "embedding_dim": int,
-        "char_embed_dim": int, "max_append": int,
-    },
-    "baselines": {
-        "svm_lambda": float, "svm_epochs": int, "rf_trees": int,
-        "rf_max_depth": int,
-    },
-}
 
 _OPTIONAL_PATHS = ("abuse_lexicon", "slang_lexicon", "cluster_map",
                    "synonym_map", "embeddings")
@@ -120,8 +108,69 @@ def parse_kernels(text: str, longest: int | None = None) -> tuple[int, ...]:
     if not sizes or len(sizes) < len(items) or min(sizes) < 1 or len(set(sizes)) < len(sizes):
         raise ValueError(f"{text!r} is not a list of distinct positive integers")
     if longest is not None and max(sizes) > longest:
-        raise ValueError(f"kernel size {max(sizes)} exceeds the sequence length {longest}")
+        raise ValueError(f"{text!r} holds a kernel size above the sequence length {longest}")
     return sizes
+
+
+def _checked(cast, rule: str = "", ok=lambda value: True):
+    """Parser of one key: cast(text), which ok must accept; rule says what ok asks."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise ValueError(f"{text!r} is not {kind}") from None
+        if not ok(value):
+            raise ValueError(f"{value!r} must be {rule}")
+        return value
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, f">= {low}", lambda value: value >= low)
+
+
+_POSITIVE = _checked(float, "finite and > 0", lambda value: 0 < value < math.inf)
+
+
+def _text(check):
+    """Parser of one text key: the text itself, once check(text) has raised nothing."""
+    def parse(text: str) -> str:
+        check(text)
+        return text
+    return parse
+
+
+# Every key's parser: text -> value, raising ValueError with what is wrong.
+_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+    "paths": {
+        "dataset": str, "abuse_lexicon": str, "slang_lexicon": str,
+        "cluster_map": str, "synonym_map": str, "embeddings": str, "output": str,
+    },
+    "experiment": {
+        "scenarios": _text(lambda text: ExperimentConfig(scenarios=text).scenario_plans()),
+        "folds": _at_least(1),
+        "roster": _text(lambda text: ExperimentConfig(roster=text).roster_members()),
+        "seed": _checked(int),
+    },
+    "training": {
+        "epochs": _at_least(1), "batch_size": _at_least(1),
+        "val_fraction": _checked(float, "in (0, 0.5)", lambda value: 0 < value < 0.5),
+        "selection_metric": _checked(str, "one of " + ", ".join(MEASURES),
+                                     lambda value: value in MEASURES),
+        "lr": _POSITIVE,
+        "dropout": _checked(float, "in [0, 1)", lambda value: 0 <= value < 1),
+        "filters": _at_least(1),
+        "word_kernels": _text(parse_kernels),
+        "char_kernels": _text(lambda text: parse_kernels(text, MAX_CHARS)),
+        "embedding_dim": _at_least(1), "char_embed_dim": _at_least(1),
+        "max_append": _at_least(0),
+    },
+    "baselines": {
+        "svm_lambda": _POSITIVE, "svm_epochs": _at_least(1), "rf_trees": _at_least(1),
+        "rf_max_depth": _at_least(1),
+    },
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -150,19 +199,10 @@ def load_config(path) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
                 continue
-            caster = _SCHEMA[section][key]
             try:
-                values[key] = caster(value)
-            except ValueError:
-                errors.append(f"line {lineno}: malformed value {value!r} for {key!r}")
-            if key == "selection_metric" and value not in MEASURES:
-                errors.append(f"line {lineno}: selection_metric {value!r} is not one of "
-                              + ", ".join(MEASURES))
-            if key in ("word_kernels", "char_kernels"):
-                try:
-                    parse_kernels(value, MAX_CHARS if key == "char_kernels" else None)
-                except ValueError as e:
-                    errors.append(f"line {lineno}: {key}: {e}")
+                values[key] = _SCHEMA[section][key](value)
+            except ValueError as e:
+                errors.append(f"line {lineno}: {key} {e}")
     if errors:
         raise ConfigFileError("bad config file:\n" + "\n".join(errors))
 
@@ -175,10 +215,6 @@ def load_config(path) -> ExperimentConfig:
         value = getattr(cfg, name)
         if value and not Path(value).exists():
             raise ConfigFileError(f"{name} path does not exist: {value}")
-    cfg.scenario_plans()
-    cfg.roster_members()
-    if cfg.folds < 1:
-        raise ConfigFileError("folds must be >= 1")
     return cfg
 
 

@@ -20,6 +20,8 @@ import numpy as np
 from . import baselines, models
 from .baselines import NbModel, RfModel, SvmModel, Tree
 from .encoding import EncodedSet
+from .features import is_token
+# Nothing here saves; bench/tracing.py still wraps save_checkpoint by this module's name.
 from .nn import ModelCheckpoint, load_checkpoint, save_checkpoint
 
 
@@ -177,33 +179,38 @@ def ensemble_vote_batch(members: Sequence[Member], enc: EncodedSet) -> np.ndarra
 _TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 
 
-def save_baseline_member(member: BowMember, path) -> None:
-    """Serialize a classical member with its model-kind tag (NB1/SVM1/RF1)."""
+def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
+    """A classical member as a checkpoint with its model-kind tag (NB1/SVM1/RF1).
+
+    The vocabulary is one space-joined metadata entry, so a term that is
+    empty or holds whitespace is refused: it would not split back.
+    """
+    m = member.model
+    terms = m.vocab if member.kind == "nb" else member.vocab
+    bad = next((t for t in terms if not is_token(t)), None)
+    if bad is not None:
+        raise ValueError(f"refusing to serialize the vocabulary term {bad!r}: "
+                         "a term must be one non-empty token without whitespace")
     arrays: dict[str, np.ndarray] = {}
-    metadata = {"kind": KINDS[member.kind].tag}
+    metadata = {"kind": KINDS[member.kind].tag, "vocab": " ".join(terms)}
     if member.kind == "nb":
-        m: NbModel = member.model
         arrays["log_prior"] = m.log_prior
         arrays["log_likelihood"] = m.log_likelihood
-        metadata["vocab"] = " ".join(m.vocab)
     else:
-        metadata["vocab"] = " ".join(member.vocab)
         arrays["idf"] = member.idf
         if member.kind == "svm":
-            m: SvmModel = member.model
             if not m.calibrated:
                 raise ValueError("refusing to serialize an uncalibrated SVM")
             arrays["weights"] = m.weights
             arrays["bias"] = np.array([m.bias])
             arrays["platt"] = np.array([m.platt_a, m.platt_b])
         else:
-            m: RfModel = member.model
             metadata["n_trees"] = str(len(m.trees))
             metadata["rf_seed"] = str(m.seed)
             for t, tree in enumerate(m.trees):
                 for name in _TREE_ARRAYS:
                     arrays[f"tree{t}_{name}"] = getattr(tree, name)
-    save_checkpoint(ModelCheckpoint(epoch=0, arrays=arrays, metadata=metadata), path)
+    return ModelCheckpoint(epoch=0, arrays=arrays, metadata=metadata)
 
 
 def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:

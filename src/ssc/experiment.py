@@ -2,8 +2,8 @@
 
 The experiment is one loop. For every scenario, _run_scenario builds and
 saves one fold plan and calls _run_fold on each fold; _run_fold trains
-every roster member on that fold, checkpoints it, evaluates it on the
-fold's test block and votes the six-member ensembles. _run_scenario then
+every roster member on that fold to a checkpoint, saves it, and predicts and
+votes with the members those checkpoints reload as. _run_scenario then
 writes the per-fold CSV and averages each member kind and ensemble over
 the folds. All artifacts (fold plans, best-epoch checkpoints, per-fold
 CSVs, provenance) land under the output directory. Failures abort a
@@ -41,14 +41,14 @@ from .ensemble import (
     COMPOSITIONS,
     KINDS,
     BowMember,
-    CnnMember,
+    baseline_checkpoint,
     ensemble_vote_batch,
-    save_baseline_member,
+    load_member,
 )
 from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
 from .metrics import CSV_HEADER, MEASURES, MetricsReport, compute_metrics, mean_report
 from .models import CnnConfig, TrainConfig
-from .nn import default_dtype, save_checkpoint
+from .nn import ModelCheckpoint, default_dtype, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -105,34 +105,32 @@ def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
 
 
 def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
-                     init_seed: int, train_seed: int) -> tuple[CnnMember, object]:
-    """Train one CNN member, restore its best epoch, return (member, checkpoint)."""
+                     init_seed: int, train_seed: int) -> ModelCheckpoint:
+    """Train one CNN member; return its best epoch's checkpoint."""
     model = models.build_model(kind, _cnn_config(cfg, kind), seed=init_seed)
     checkpoints = models.train(model, enc_train, _train_config(cfg, train_seed))
-    best = models.select_best_epoch(checkpoints, cfg.selection_metric)
-    model.params.load_state_dict(best.arrays)
-    return CnnMember(model), best
+    return models.select_best_epoch(checkpoints, cfg.selection_metric)
 
 
 def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
                      x_train: np.ndarray, vocab: dict, idf: np.ndarray,
-                     cfg: ExperimentConfig, seed: int) -> BowMember:
-    """Train one classical member on the fold's shared TF-IDF features."""
+                     cfg: ExperimentConfig, seed: int) -> ModelCheckpoint:
+    """Train one classical member on the fold's shared TF-IDF features; return its checkpoint."""
     labels = enc_train.labels
     if kind == "svm":
         model = baselines.train_svm(x_train, labels, lam=cfg.svm_lambda,
                                     epochs=cfg.svm_epochs, seed=seed)
         baselines.calibrate_svm(model, x_train, labels)
-        return BowMember("svm", model, vocab, idf)
+        return baseline_checkpoint(BowMember("svm", model, vocab, idf))
     if kind == "rf":
         model = baselines.train_rf(x_train, labels, trees=cfg.rf_trees,
                                    max_depth=cfg.rf_max_depth, seed=seed)
-        return BowMember("rf", model, vocab, idf)
+        return baseline_checkpoint(BowMember("rf", model, vocab, idf))
     if kind == "nb":
         bootstrap = None if member_idx_of_kind == 0 else seed
         model = baselines.train_nb(enc_train.tokens, labels.tolist(),
                                    bootstrap_seed=bootstrap)
-        return BowMember("nb", model, vocab, idf)
+        return baseline_checkpoint(BowMember("nb", model))
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
@@ -161,7 +159,7 @@ def _naming_failures(unit: str):
 def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
               cfg: ExperimentConfig, encode: Callable[[Dataset], EncodedSet],
               ckpt_dir: Path, jobs: int) -> list[tuple[str, MetricsReport]]:
-    """Train, checkpoint, predict and vote one fold.
+    """Train, save and reload every member of one fold, then predict and vote with the reloads.
 
     Returns (row name, report) pairs in per-fold CSV order: every roster
     member as kind.m<j> (its j-th member of that kind), then each ensemble
@@ -171,7 +169,6 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
     units = [(i, kind, f"{kind}.m{roster[:i].count(kind)}") for i, kind in enumerate(roster)]
     train_ds, test_ds = fold_datasets(pool, folds, fold)
     enc_train, enc_test = encode(train_ds), encode(test_ds)
-    members: dict[int, object] = {}
 
     def train_cnn_unit(unit):
         i, kind, tag = unit
@@ -188,9 +185,7 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
             trained = list(pool_exec.map(train_cnn_unit, cnn_units))
     else:
         trained = [train_cnn_unit(u) for u in cnn_units]
-    for (i, _, tag), (member, best) in zip(cnn_units, trained):
-        members[i] = member
-        save_checkpoint(best, ckpt_dir / f"{tag}.f{fold}.ckpt")
+    checkpoints = {i: best for (i, _, _), best in zip(cnn_units, trained)}
 
     bow_units = [u for u in units if u[1] not in CNN_KINDS]
     if bow_units:
@@ -198,20 +193,24 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
         x_train = baselines.bow_features(enc_train, vocab, idf)
         for i, kind, tag in bow_units:
             with _naming_failures(f"{tag} fold {fold}"):
-                members[i] = train_bow_member(
+                checkpoints[i] = train_bow_member(
                     kind, roster[:i].count(kind), enc_train, x_train, vocab, idf, cfg,
                     seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2),
                 )
-            save_baseline_member(members[i], ckpt_dir / f"{tag}.f{fold}.ckpt")
 
+    members = {}
     rows = []
-    for i, _, tag in units:
-        pred, _ = members[i].predict_batch(enc_test)
+    for i, kind, tag in units:
+        with _naming_failures(f"{tag} fold {fold}"):
+            save_checkpoint(checkpoints[i], ckpt_dir / f"{tag}.f{fold}.ckpt")
+            members[i] = load_member(kind, checkpoints[i])
+            pred, _ = members[i].predict_batch(enc_test)
         rows.append((tag, compute_metrics(pred, enc_test.labels)))
     for name, composition in COMPOSITIONS.items():
         mine = [i for i, kind in enumerate(roster) if KINDS[kind].ensemble == name]
         if Counter(roster[i] for i in mine) == composition:
-            votes = ensemble_vote_batch([members[i] for i in mine], enc_test)
+            with _naming_failures(f"{name} fold {fold}"):
+                votes = ensemble_vote_batch([members[i] for i in mine], enc_test)
             rows.append((name, compute_metrics(votes, enc_test.labels)))
     return rows
 

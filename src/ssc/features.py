@@ -63,6 +63,11 @@ def tokenize(text: str) -> TokenSeq:
     return tokens
 
 
+def is_token(text: str) -> bool:
+    """True iff text is non-empty and holds no whitespace, as every tokenize() output is."""
+    return text.split() == [text]
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """A set of lowercase terms, optionally length-filtered at load time."""
@@ -131,7 +136,10 @@ def load_cluster_map(path) -> ClusterMap:
 
 @dataclass(frozen=True)
 class SynonymMap:
-    """term -> synonyms; self-mappings are dropped at construction."""
+    """term -> synonyms; self-mappings are dropped at construction.
+
+    A synonym is appended to a token sequence, so it must be one token.
+    """
 
     entries: dict[str, tuple[str, ...]]
 
@@ -139,6 +147,9 @@ class SynonymMap:
     def from_entries(cls, entries: dict[str, Sequence[str]]) -> "SynonymMap":
         cleaned = {}
         for term, syns in entries.items():
+            bad = next((s for s in syns if not is_token(s)), None)
+            if bad is not None:
+                raise ValueError(f"synonym {bad!r} of {term!r} is not a single token")
             term = term.lower()
             kept = tuple(dict.fromkeys(s.lower() for s in syns if s.lower() != term))
             if kept:
@@ -150,7 +161,7 @@ class SynonymMap:
 
 
 def load_synonym_map(path) -> SynonymMap:
-    """Load ``term<TAB>syn1,syn2,...`` lines."""
+    """Load ``term<TAB>syn1,syn2,...`` lines; each synonym is a single token."""
     entries: dict[str, list[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -161,6 +172,10 @@ def load_synonym_map(path) -> SynonymMap:
             if len(parts) != 2:
                 raise ValueError(f"synonym file line {lineno}: expected term<TAB>syn1,syn2,...")
             syns = [s for s in parts[1].split(",") if s]
+            bad = next((s for s in syns if not is_token(s)), None)
+            if bad is not None:
+                raise ValueError(f"synonym file line {lineno}: synonym {bad!r} holds "
+                                 "whitespace; synonyms are single tokens")
             entries[parts[0]] = syns
     return SynonymMap.from_entries(entries)
 

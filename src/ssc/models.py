@@ -61,6 +61,8 @@ class CnnConfig:
             raise ConfigError("need at least one kernel size and one filter")
         if min(self.kernel_sizes) < 1 or len(set(self.kernel_sizes)) < len(self.kernel_sizes):
             raise ConfigError(f"kernel sizes {self.kernel_sizes} must be distinct and >= 1")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim {self.embed_dim} must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must be in [0, 1)")
 

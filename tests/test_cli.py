@@ -13,10 +13,10 @@ from ssc.ensemble import (
     CnnMember,
     EnsembleError,
     EnsembleSpec,
+    baseline_checkpoint,
     ensemble_vote_batch,
     load_member,
     resolve_members,
-    save_baseline_member,
 )
 from ssc.experiment import build_feature_context
 from ssc.features import MAX_CHARS
@@ -98,6 +98,26 @@ class TestConfig:
         (tmp_path / "bad.conf").write_text(
             f"[paths]\ndataset = x\n[training]\n{key} = {value}\n", encoding="utf-8")
         with pytest.raises(ConfigFileError, match=f"line 4: {key}"):
+            load_config(tmp_path / "bad.conf")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "scenarios", "50:x:10:5"), ("experiment", "scenarios", "50:50:10"),
+        ("experiment", "scenarios", "50:40:10:10"), ("experiment", "roster", "nb:two"),
+        ("experiment", "roster", "nb:0"), ("experiment", "roster", "lstm:2"),
+        ("experiment", "folds", "0"), ("training", "epochs", "0"),
+        ("training", "batch_size", "0"), ("training", "filters", "0"),
+        ("training", "embedding_dim", "0"), ("training", "char_embed_dim", "0"),
+        ("training", "max_append", "-1"), ("training", "val_fraction", "0.7"),
+        ("training", "val_fraction", "0.5"), ("training", "val_fraction", "0"),
+        ("training", "dropout", "1"), ("training", "dropout", "-0.1"),
+        ("training", "lr", "-1"), ("training", "lr", "0"), ("training", "lr", "nan"),
+        ("baselines", "svm_lambda", "0"), ("baselines", "svm_epochs", "0"),
+        ("baselines", "rf_trees", "0"), ("baselines", "rf_max_depth", "0"),
+    ])
+    def test_out_of_range_value_named_with_line(self, tmp_path, section, key, value):
+        (tmp_path / "bad.conf").write_text(
+            f"[paths]\ndataset = x\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigFileError, match=f"line 4: {key} "):
             load_config(tmp_path / "bad.conf")
 
     def test_missing_dataset_path(self, tmp_path):
@@ -285,9 +305,24 @@ class TestEnsembleSurface:
         paths = []
         for m in members:
             p = tmp_path / f"{m.kind}.ckpt"
-            save_baseline_member(m, p)
+            nn.save_checkpoint(baseline_checkpoint(m), p)
             paths.append((m.kind, p))
         return members, paths, enc
+
+    @pytest.mark.parametrize("kind", ML_KINDS)
+    @pytest.mark.parametrize("term", ["mary jane", "", "a\tb"])
+    def test_vocabulary_term_that_would_not_split_back_refused(self, kind, term):
+        vocab = {"bud": 0, term: 1}
+        if kind == "nb":
+            member = BowMember("nb", baselines.NbModel(vocab, np.log([0.5, 0.5]),
+                                                       np.log(np.full((2, 2), 0.5))))
+        elif kind == "svm":
+            member = BowMember("svm", baselines.SvmModel(np.zeros(2), platt_a=-1.0, platt_b=0.0),
+                               vocab, np.ones(2))
+        else:
+            member = BowMember("rf", baselines.RfModel([], seed=0), vocab, np.ones(2))
+        with pytest.raises(ValueError, match="vocabulary term"):
+            baseline_checkpoint(member)
 
     def test_baseline_member_round_trip_predictions(self, workspace, tmp_path):
         members, paths, enc = self.members_via_checkpoints(workspace, tmp_path)
@@ -318,7 +353,7 @@ class TestEnsembleSurface:
         if kind in ML_KINDS:
             members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
             member = next(m for m in members if m.kind == kind)
-            save_baseline_member(member, path)
+            nn.save_checkpoint(baseline_checkpoint(member), path)
         else:
             cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=4,
                                    embed_dim=16 if kind == "word_aux" else 8, dropout=0.5)

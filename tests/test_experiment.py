@@ -1,14 +1,17 @@
-"""run_experiment end to end on a tiny config: failure naming, fold plans and --jobs determinism."""
+"""run_experiment end to end on a tiny config: failure naming, fold plans, --jobs
+determinism, and per-fold rows that the saved checkpoints reproduce."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssc import models, synth
+from ssc import experiment, models, synth
 from ssc.config import load_config
-from ssc.corpus import load_dataset, load_fold_plan, make_folds, save_dataset
+from ssc.corpus import Dataset, load_dataset, load_fold_plan, make_folds, save_dataset
+from ssc.ensemble import ML_KINDS, ensemble_vote_batch, load_member
 from ssc.experiment import build_feature_context, roster_encoder, run_experiment
+from ssc.metrics import compute_metrics
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,72 @@ def test_word_roster_without_embeddings_fails_naming_scenario(tiny_config):
     assert result.failures == [expected]
     assert result.rows == []
     assert expected in (out / "failures.txt").read_text().splitlines()
+
+
+def test_every_row_is_what_its_checkpoint_reproduces(tiny_config):
+    # One CNN kind, every classical kind and the full classical ensemble.
+    cfg, root = tiny_config
+    cfg = replace(cfg, roster="char_cnn:1,svm:2,rf:2,nb:2", rf_trees=5,
+                  output=str(root / "rows"))
+    assert not run_experiment(cfg, jobs=1, log=lambda msg: None).failures
+    out, roster = root / "rows", cfg.roster_members()
+    tags = [f"{kind}.m{roster[:i].count(kind)}" for i, kind in enumerate(roster)]
+    rows = {}
+    for line in (out / "per_fold" / "50-50.csv").read_text().splitlines()[1:]:
+        fields = line.split(",")
+        rows[(fields[1], int(fields[-1]))] = line
+    by_id = load_dataset(cfg.dataset).by_id()
+    encode = roster_encoder(build_feature_context(cfg), roster)
+    plan = load_fold_plan(out / "fold_plans" / "scenario_50-50.folds")
+    saved = sorted(p.name for p in (out / "checkpoints" / "50-50").glob("*.ckpt"))
+    assert saved == sorted(f"{tag}.f{fold}.ckpt" for tag in tags for fold in range(plan.k))
+
+    def row(name, fold, pred, labels):
+        return compute_metrics(pred, labels).csv_row("50:50", name) + f",{fold}"
+
+    reproduced = {}
+    for fold, (_, test_ids) in enumerate(plan.folds):
+        enc = encode(Dataset(by_id[i] for i in test_ids))
+        members = {tag: load_member(tag.split(".")[0],
+                                    out / "checkpoints" / "50-50" / f"{tag}.f{fold}.ckpt")
+                   for tag in tags}
+        for tag, member in members.items():
+            reproduced[(tag, fold)] = row(tag, fold, member.predict_batch(enc)[0], enc.labels)
+        classical = [m for tag, m in members.items() if m.kind in ML_KINDS]  # roster order
+        reproduced[("ensemble_ml", fold)] = row("ensemble_ml", fold,
+                                                ensemble_vote_batch(classical, enc), enc.labels)
+    assert reproduced == rows
+
+
+def test_predict_failure_names_member_and_fold(tiny_config):
+    cfg, root = tiny_config
+    result = run_experiment(replace(cfg, roster="rf:1", rf_trees=0, output=str(root / "no_trees")),
+                            jobs=1, log=lambda msg: None)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("scenario 50:50: rf.m0 fold 0: ")
+
+
+def test_vote_failure_names_ensemble_and_fold(tiny_config, monkeypatch):
+    cfg, root = tiny_config
+
+    def failing_vote(members, enc):
+        raise ValueError("no quorum")
+
+    monkeypatch.setattr(experiment, "ensemble_vote_batch", failing_vote)
+    result = run_experiment(replace(cfg, roster="svm:2,rf:2,nb:2", rf_trees=2,
+                                    output=str(root / "no_vote")),
+                            jobs=1, log=lambda msg: None)
+    assert result.failures == ["scenario 50:50: ensemble_ml fold 0: no quorum"]
+
+
+def test_synonym_with_whitespace_fails_before_training(tiny_config):
+    # Its vocabulary term would make every SVM and NB checkpoint unloadable.
+    cfg, root = tiny_config
+    (root / "spaced_synonyms.tsv").write_text("weed\tmary jane,bud\n")
+    with pytest.raises(ValueError, match="line 1"):
+        run_experiment(replace(cfg, roster="svm:1,nb:1", output=str(root / "spaced"),
+                               synonym_map=str(root / "spaced_synonyms.tsv")),
+                       jobs=1, log=lambda msg: None)
 
 
 @pytest.mark.parametrize("kinds, reads_table", [(None, True), (["word_aux"], True),

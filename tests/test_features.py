@@ -191,6 +191,19 @@ class TestSynonyms:
         syn = load_synonym_map(p)
         assert syn.get("happy") == ("glad", "cheerful")
 
+    @pytest.mark.parametrize("syns", ["mary jane,bud", "bud, herb", " ", "bud,\u00a0"])
+    def test_synonym_with_whitespace_named_with_line(self, tmp_path, syns):
+        # Such a synonym becomes a vocabulary term that no checkpoint can store.
+        p = tmp_path / "syn.tsv"
+        p.write_text(f"happy\tglad\nweed\t{syns}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: synonym .* holds whitespace"):
+            load_synonym_map(p)
+
+    @pytest.mark.parametrize("syn", ["mary jane", "", " ", "a\tb"])
+    def test_from_entries_rejects_what_is_not_one_token(self, syn):
+        with pytest.raises(ValueError, match="not a single token"):
+            SynonymMap.from_entries({"weed": ["bud", syn]})
+
 
 class TestEncodeChars:
     def test_single_char(self):

@@ -55,6 +55,11 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="distinct and >= 1"):
             CnnConfig(kernels, filters=1, embed_dim=2, dropout=0.0).validate()
 
+    @pytest.mark.parametrize("kind", ["char_aux", "char_cnn", "word_aux"])
+    def test_empty_embedding_rejected(self, kind):
+        with pytest.raises(ConfigError, match="embed_dim 0 must be >= 1"):
+            build_model(kind, CnnConfig((2, 3), filters=1, embed_dim=0, dropout=0.0))
+
     @pytest.mark.parametrize("kind", ["char_aux", "char_cnn"])
     def test_char_kernel_longer_than_text_rejected(self, kind):
         cfg = CnnConfig(kernel_sizes=(2, MAX_CHARS + 1), filters=1, embed_dim=2, dropout=0.0)
@@ -420,3 +425,10 @@ class TestCheckpointEquivalence:
         cp = nn.ModelCheckpoint(1, arrays, metadata=model.metadata())
         with pytest.raises(ValueError, match="dense2_b"):
             model_from_checkpoint(cp)
+
+    def test_checkpoint_with_empty_embedding_rejected(self):
+        # A checkpoint reaches CnnConfig.validate from outside the config loader.
+        model = build_model("char_cnn", SMALL_C, seed=14)
+        meta = {**model.metadata(), "config.embed_dim": "0"}
+        with pytest.raises(ConfigError, match="embed_dim 0"):
+            model_from_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(), metadata=meta))
