@@ -160,17 +160,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _member_from_path(path):
+def _checkpoint_from_path(path):
+    """(kind, checkpoint) of a saved member, the kind read from its tag."""
     cp = load_checkpoint(path)
     tag = cp.metadata.get("kind", "")
     if tag not in TAG_KINDS:
         raise ValueError(f"{path}: unknown member kind tag {tag!r}")
-    return TAG_KINDS[tag], load_member(TAG_KINDS[tag], cp)
+    return TAG_KINDS[tag], cp
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
-    kind, member = _member_from_path(args.checkpoint)
+    kind, cp = _checkpoint_from_path(args.checkpoint)
+    member = load_member(kind, cp)
     enc = _encoder(cfg, [kind])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
@@ -183,10 +185,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = _load_cfg(args)
-    loaded = [_member_from_path(p) for p in args.members.split(",")]
-    spec = EnsembleSpec(tuple((k, m) for k, m in loaded), mode=args.mode)
+    spec = EnsembleSpec(tuple(_checkpoint_from_path(p) for p in args.members.split(",")),
+                        mode=args.mode)
     members = resolve_members(spec)
-    enc = _encoder(cfg, [m.kind for m in members])(load_dataset(args.test_data))
+    enc = _encoder(cfg, [kind for kind, _ in spec.members])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
     votes = ensemble_vote_batch(members, enc)
@@ -198,7 +200,8 @@ def cmd_ensemble(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
-    kind, member = _member_from_path(args.checkpoint)
+    kind, cp = _checkpoint_from_path(args.checkpoint)
+    member = load_member(kind, cp)
     enc = _encoder(cfg, [kind])(Dataset([Tweet("input0", args.text)]))
     cls, p_pos = member.predict(enc, 0)
     label = "positive" if cls == 1 else "negative"
@@ -244,7 +247,8 @@ def cmd_agreement(args) -> int:
 
 def cmd_prefilter(args) -> int:
     cfg = _load_cfg(args)
-    kind, member = _member_from_path(args.checkpoint)
+    kind, cp = _checkpoint_from_path(args.checkpoint)
+    member = load_member(kind, cp)
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
     ds = load_dataset(args.input)

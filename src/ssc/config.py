@@ -10,7 +10,6 @@ experiment grid.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -18,7 +17,6 @@ from typing import Callable
 from .corpus import ScenarioPlan
 from .ensemble import KINDS
 from .features import MAX_CHARS
-from .metrics import MEASURES
 
 DEFAULT_SCENARIOS = "50:50:3450:690,40:60:2850:570,30:70:2450:490,20:80:2150:430,10:90:1900:380"
 DEFAULT_ROSTER = "char_aux:2,char_cnn:2,word_aux:2,svm:2,rf:2,nb:2"
@@ -46,19 +44,11 @@ class ExperimentConfig:
     # [training]
     epochs: int = 30
     batch_size: int = 32
-    val_fraction: float = 0.1
-    selection_metric: str = "f1_p"
-    lr: float = 1e-3
-    dropout: float = 0.5
     filters: int = 128
     word_kernels: str = "3,4,5"
     char_kernels: str = "3,4,5,7"
-    embedding_dim: int = 400
     char_embed_dim: int = 128
-    max_append: int = 10
     # [baselines]
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 10
     rf_trees: int = 50
     rf_max_depth: int = 16
 
@@ -112,14 +102,13 @@ def parse_kernels(text: str, longest: int | None = None) -> tuple[int, ...]:
     return sizes
 
 
-def _checked(cast, rule: str = "", ok=lambda value: True):
-    """Parser of one key: cast(text), which ok must accept; rule says what ok asks."""
-    def parse(text: str):
+def _integer(rule: str = "", ok=lambda value: True):
+    """Parser of one integer key: int(text), which ok must accept; rule says what ok asks."""
+    def parse(text: str) -> int:
         try:
-            value = cast(text)
+            value = int(text)
         except ValueError:
-            kind = "an integer" if cast is int else "a number"
-            raise ValueError(f"{text!r} is not {kind}") from None
+            raise ValueError(f"{text!r} is not an integer") from None
         if not ok(value):
             raise ValueError(f"{value!r} must be {rule}")
         return value
@@ -127,10 +116,7 @@ def _checked(cast, rule: str = "", ok=lambda value: True):
 
 
 def _at_least(low: int):
-    return _checked(int, f">= {low}", lambda value: value >= low)
-
-
-_POSITIVE = _checked(float, "finite and > 0", lambda value: 0 < value < math.inf)
+    return _integer(f">= {low}", lambda value: value >= low)
 
 
 def _text(check):
@@ -151,25 +137,15 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "scenarios": _text(lambda text: ExperimentConfig(scenarios=text).scenario_plans()),
         "folds": _at_least(1),
         "roster": _text(lambda text: ExperimentConfig(roster=text).roster_members()),
-        "seed": _checked(int),
+        "seed": _integer(),
     },
     "training": {
-        "epochs": _at_least(1), "batch_size": _at_least(1),
-        "val_fraction": _checked(float, "in (0, 0.5)", lambda value: 0 < value < 0.5),
-        "selection_metric": _checked(str, "one of " + ", ".join(MEASURES),
-                                     lambda value: value in MEASURES),
-        "lr": _POSITIVE,
-        "dropout": _checked(float, "in [0, 1)", lambda value: 0 <= value < 1),
-        "filters": _at_least(1),
+        "epochs": _at_least(1), "batch_size": _at_least(1), "filters": _at_least(1),
         "word_kernels": _text(parse_kernels),
         "char_kernels": _text(lambda text: parse_kernels(text, MAX_CHARS)),
-        "embedding_dim": _at_least(1), "char_embed_dim": _at_least(1),
-        "max_append": _at_least(0),
+        "char_embed_dim": _at_least(1),
     },
-    "baselines": {
-        "svm_lambda": _POSITIVE, "svm_epochs": _at_least(1), "rf_trees": _at_least(1),
-        "rf_max_depth": _at_least(1),
-    },
+    "baselines": {"rf_trees": _at_least(1), "rf_max_depth": _at_least(1)},
 }
 
 

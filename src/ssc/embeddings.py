@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import TokenSeq
+from .features import TokenSeq, is_token
 
 MAX_TOKENS = 40
 
@@ -42,32 +42,33 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
+def load_embeddings(path) -> EmbeddingTable:
     """Load a whitespace-separated text embedding file.
 
     An optional header line ``V D`` (two integers) is accepted; data lines are
-    ``word v1 ... vD``. Fails fast with the offending line number on a
-    dimension mismatch, duplicate word, or non-numeric component.
+    ``word v1 ... vD``. The width D is the header's, or else the first data
+    line's. Fails fast with the offending line number on a line of another
+    width or with no components, a duplicate word, or a non-numeric component.
     """
     vectors: dict[str, np.ndarray] = {}
-    declared_count = None
+    declared_count = dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
-                declared_count, header_dim = int(parts[0]), int(parts[1])
-                if header_dim != expected_dim:
-                    raise EmbeddingError(
-                        f"line 1: header declares dimension {header_dim}, expected {expected_dim}"
-                    )
+                declared_count, dim = int(parts[0]), int(parts[1])
+                width_from = "the header"
                 continue
             word, comps = parts[0], parts[1:]
-            if len(comps) != expected_dim:
-                raise EmbeddingError(
-                    f"line {lineno}: {len(comps)} components for {word!r}, expected {expected_dim}"
-                )
+            if not comps:
+                raise EmbeddingError(f"line {lineno}: no components for {word!r}")
+            if dim is None:
+                dim, width_from = len(comps), f"line {lineno}"
+            if len(comps) != dim:
+                raise EmbeddingError(f"line {lineno}: {len(comps)} components for {word!r}, "
+                                     f"expected {dim} as set by {width_from}")
             if word in vectors:
                 raise EmbeddingError(f"line {lineno}: duplicate word {word!r}")
             try:
@@ -79,11 +80,19 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
         raise EmbeddingError(
             f"header declares {declared_count} words but file contains {len(vectors)}"
         )
-    return EmbeddingTable(expected_dim, vectors)
+    return EmbeddingTable(dim, vectors)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Write a table, with its ``V D`` header, in the format load_embeddings reads."""
+    """Write a table, with its ``V D`` header, in the format load_embeddings reads.
+
+    A word is the first whitespace-separated field of its line, so a word
+    that is empty or holds whitespace is refused: it would not read back.
+    """
+    bad = next((w for w in table.vectors if not is_token(w)), None)
+    if bad is not None:
+        raise EmbeddingError(f"refusing to save the word {bad!r}: "
+                             "a word must be one non-empty token without whitespace")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.vectors)} {table.dim}\n")
         for word, vec in table.vectors.items():

@@ -51,7 +51,6 @@ class FeatureContext:
     clusters: ClusterMap
     synonyms: SynonymMap | None = None
     table: EmbeddingTable | None = None
-    max_append: int = 10
 
 
 def encode_dataset(
@@ -84,7 +83,7 @@ def encode_dataset(
         tokens = features.tokenize(tweet.text)
         aux[i] = features.build_aux_vector(tokens, ctx.abuse, ctx.slang, ctx.clusters)
         if ctx.synonyms is not None:
-            tokens = features.expand_synonyms(tokens, ctx.synonyms, ctx.max_append)
+            tokens = features.expand_synonyms(tokens, ctx.synonyms)
         token_seqs.append(tokens)
         if word is not None:
             word[i] = embed_words(tokens, ctx.table, dtype=dtype)

@@ -117,7 +117,7 @@ class BowMember(Member):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """members: (kind, ref) pairs; ref is a Member or a checkpoint path.
+    """members: (kind, ref) pairs; ref is a loaded checkpoint or a checkpoint path.
 
     mode "strict" requires one of the two six-member compositions;
     "free" allows anything non-empty.
@@ -141,9 +141,7 @@ class EnsembleSpec:
 
 
 def load_member(kind: str, ref) -> Member:
-    """Materialize a member from a Member, a loaded checkpoint or a checkpoint path."""
-    if isinstance(ref, Member):
-        return ref
+    """Materialize a member from a loaded checkpoint or a checkpoint path."""
     cp = ref if isinstance(ref, ModelCheckpoint) else load_checkpoint(ref)
     tag = cp.metadata.get("kind", "")
     if TAG_KINDS.get(tag) != kind:
@@ -157,12 +155,9 @@ def resolve_members(spec: EnsembleSpec) -> list[Member]:
     out = []
     for i, (kind, ref) in enumerate(spec.members):
         try:
-            member = load_member(kind, ref)
+            out.append(load_member(kind, ref))
         except Exception as e:
             raise EnsembleError(f"member {i} ({kind}): failed to load: {e}") from e
-        if member.kind != kind:
-            raise EnsembleError(f"member {i}: declared kind {kind!r} but loaded {member.kind!r}")
-        out.append(member)
     return out
 
 

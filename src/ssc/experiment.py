@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import baselines, models
+from . import baselines, ensemble, models
 from .config import ExperimentConfig, parse_kernels
 from .corpus import (
     Dataset,
@@ -43,7 +43,6 @@ from .ensemble import (
     BowMember,
     baseline_checkpoint,
     ensemble_vote_batch,
-    load_member,
 )
 from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
 from .metrics import CSV_HEADER, MEASURES, MetricsReport, compute_metrics, mean_report
@@ -79,37 +78,37 @@ def build_feature_context(cfg: ExperimentConfig, kinds=None) -> FeatureContext:
     clusters = load_cluster_map(cfg.cluster_map) if cfg.cluster_map else ClusterMap({})
     synonyms = load_synonym_map(cfg.synonym_map) if cfg.synonym_map else None
     reads_words = cfg.embeddings and any(KINDS[k].word for k in kinds)
-    table = load_embeddings(cfg.embeddings, cfg.embedding_dim) if reads_words else None
+    table = load_embeddings(cfg.embeddings) if reads_words else None
     return FeatureContext(abuse=abuse, slang=slang, clusters=clusters,
-                          synonyms=synonyms, table=table,
-                          max_append=cfg.max_append)
+                          synonyms=synonyms, table=table)
 
 
 def _unit_seed(base: int, scenario: int, member: int, fold: int, salt: int = 0) -> int:
     return ((base * 1_000_003 + scenario * 10_007 + member * 101 + fold) * 8 + salt) & 0x7FFFFFFF
 
 
-def _cnn_config(cfg: ExperimentConfig, kind: str) -> CnnConfig:
-    """The word or the char fields of cfg, as the kind reads words or chars."""
+def _cnn_config(cfg: ExperimentConfig, kind: str, enc: EncodedSet) -> CnnConfig:
+    """The word or the char fields of cfg, as the kind reads words or chars.
+
+    A word model is as wide as the word matrices of enc.
+    """
     word = KINDS[kind].word
     kernels = cfg.word_kernels if word else cfg.char_kernels
     return CnnConfig(kernel_sizes=parse_kernels(kernels),
                      filters=cfg.filters,
-                     embed_dim=cfg.embedding_dim if word else cfg.char_embed_dim,
-                     dropout=cfg.dropout)
+                     embed_dim=enc.word.shape[2] if word else cfg.char_embed_dim)
 
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
-                       val_fraction=cfg.val_fraction, lr=cfg.lr)
+    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
 
 
 def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
                      init_seed: int, train_seed: int) -> ModelCheckpoint:
     """Train one CNN member; return its best epoch's checkpoint."""
-    model = models.build_model(kind, _cnn_config(cfg, kind), seed=init_seed)
+    model = models.build_model(kind, _cnn_config(cfg, kind, enc_train), seed=init_seed)
     checkpoints = models.train(model, enc_train, _train_config(cfg, train_seed))
-    return models.select_best_epoch(checkpoints, cfg.selection_metric)
+    return models.select_best_epoch(checkpoints)
 
 
 def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
@@ -118,8 +117,7 @@ def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
     """Train one classical member on the fold's shared TF-IDF features; return its checkpoint."""
     labels = enc_train.labels
     if kind == "svm":
-        model = baselines.train_svm(x_train, labels, lam=cfg.svm_lambda,
-                                    epochs=cfg.svm_epochs, seed=seed)
+        model = baselines.train_svm(x_train, labels, seed=seed)
         baselines.calibrate_svm(model, x_train, labels)
         return baseline_checkpoint(BowMember("svm", model, vocab, idf))
     if kind == "rf":
@@ -203,7 +201,8 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
     for i, kind, tag in units:
         with _naming_failures(f"{tag} fold {fold}"):
             save_checkpoint(checkpoints[i], ckpt_dir / f"{tag}.f{fold}.ckpt")
-            members[i] = load_member(kind, checkpoints[i])
+            # Through its module, so that bench/tracing.py's wrapper sees the call.
+            members[i] = ensemble.load_member(kind, checkpoints[i])
             pred, _ = members[i].predict_batch(enc_test)
         rows.append((tag, compute_metrics(pred, enc_test.labels)))
     for name, composition in COMPOSITIONS.items():

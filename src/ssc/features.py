@@ -33,6 +33,8 @@ CHARSET_SIZE = len(CHARSET) + 2
 MAX_CHARS = 280
 _CHAR_INDEX = {c: i + 2 for i, c in enumerate(CHARSET)}
 
+MAX_APPEND = 10  # synonyms appended to one token sequence at most
+
 TokenSeq = list[str]
 
 
@@ -180,18 +182,18 @@ def load_synonym_map(path) -> SynonymMap:
     return SynonymMap.from_entries(entries)
 
 
-def expand_synonyms(tokens: TokenSeq, synonyms: SynonymMap, max_append: int = 10) -> TokenSeq:
+def expand_synonyms(tokens: TokenSeq, synonyms: SynonymMap) -> TokenSeq:
     """Append synonyms of known tokens to the sequence.
 
     Original tokens come first; synonyms follow in first-occurrence order,
     skipping anything already present (original token or earlier synonym),
-    with at most max_append appended.
+    with at most MAX_APPEND appended.
     """
     seen = set(tokens)
     appended: TokenSeq = []
     for tok in tokens:
         for syn in synonyms.get(tok):
-            if len(appended) >= max_append:
+            if len(appended) >= MAX_APPEND:
                 return tokens + appended
             if syn not in seen:
                 seen.add(syn)

@@ -3,7 +3,8 @@
 The member kind selects the architecture: "word_aux" is the word CNN,
 "char_aux" and "char_cnn" are the char CNN with and without the auxiliary
 vector. One CnnConfig holds what a run can change (kernel sizes, filters,
-embedding width, dropout); everything else is one of these constants:
+embedding width) and the dense layers' dropout rate, DROPOUT (0.5) unless
+set; everything else is one of these constants:
 
 - MAX_TOKENS (40) word rows per text and MAX_CHARS (280) character slots,
   fixed by the encoders; CHARSET_SIZE rows in the character embedding;
@@ -39,6 +40,7 @@ DENSE_LAYERS = 2
 AUX_KINDS = ("word_aux", "char_aux")  # kinds whose output layer also reads aux
 PREDICT_ROWS = 256  # rows per inference forward pass
 POOL_SIZE = 2
+DROPOUT = 0.5
 # Two same-padding convs, each followed by a non-overlapping POOL_SIZE max pool.
 WORD_BRANCH_LEN = MAX_TOKENS // POOL_SIZE // POOL_SIZE
 
@@ -54,7 +56,7 @@ class CnnConfig:
     kernel_sizes: tuple[int, ...]
     filters: int
     embed_dim: int
-    dropout: float
+    dropout: float = DROPOUT
 
     def validate(self) -> None:
         if not self.kernel_sizes or self.filters < 1:
@@ -315,12 +317,12 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
     return checkpoints
 
 
-def select_best_epoch(checkpoints, metric: str = "f1_p") -> ModelCheckpoint:
-    """Checkpoint maximizing the validation metric; ties go to the earliest."""
+def select_best_epoch(checkpoints) -> ModelCheckpoint:
+    """Checkpoint maximizing the validation f1_p; ties go to the earliest."""
     checkpoints = list(checkpoints)
     if not checkpoints:
         raise ValueError("no checkpoints to select from")
-    return max(checkpoints, key=lambda cp: cp.metrics[metric])
+    return max(checkpoints, key=lambda cp: cp.metrics["f1_p"])
 
 
 def model_from_checkpoint(cp: ModelCheckpoint) -> Model:

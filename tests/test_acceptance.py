@@ -361,7 +361,6 @@ batch_size = 64
 filters = 64
 word_kernels = 3,4,5
 char_kernels = 3,4,5
-embedding_dim = 100
 char_embed_dim = 64
 """)
     cfg = load_config(tmp_path / "exp.conf")
@@ -428,7 +427,6 @@ batch_size = 32
 filters = 4
 word_kernels = 2,3
 char_kernels = 2,3
-embedding_dim = 12
 char_embed_dim = 8
 
 [baselines]

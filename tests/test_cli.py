@@ -51,7 +51,6 @@ batch_size = 32
 filters = 4
 word_kernels = 2,3
 char_kernels = 2,3
-embedding_dim = 16
 char_embed_dim = 8
 
 [baselines]
@@ -59,6 +58,11 @@ rf_trees = 10
 rf_max_depth = 8
 """)
     return root
+
+
+# Keys of earlier versions that now hold a fixed value or one read from a file.
+REMOVED_KEYS = ("selection_metric", "val_fraction", "lr", "dropout", "embedding_dim",
+                "max_append", "svm_lambda", "svm_epochs")
 
 
 class TestConfig:
@@ -71,10 +75,18 @@ class TestConfig:
         assert cfg.folds == 6 and cfg.epochs == 30
         assert len(cfg.roster_members()) == 12
 
-    def test_unknown_key_named_with_line(self, tmp_path):
+    # learning_rte is a typo; the others are the REMOVED_KEYS at their old defaults.
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "learning_rte", "0.1"), ("training", "selection_metric", "f1_p"),
+        ("training", "val_fraction", "0.1"), ("training", "lr", "0.001"),
+        ("training", "dropout", "0.5"), ("training", "embedding_dim", "400"),
+        ("training", "max_append", "10"), ("baselines", "svm_lambda", "0.0001"),
+        ("baselines", "svm_epochs", "10"),
+    ])
+    def test_unknown_key_named_with_line(self, tmp_path, section, key, value):
         (tmp_path / "bad.conf").write_text(
-            "[paths]\ndataset = x\n[training]\nlearning_rte = 0.1\n")
-        with pytest.raises(ConfigFileError, match="line 4.*learning_rte"):
+            f"[paths]\ndataset = x\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigFileError, match=f"line 4: unknown key '{key}'"):
             load_config(tmp_path / "bad.conf")
 
     def test_malformed_value_named_with_line(self, tmp_path):
@@ -82,11 +94,12 @@ class TestConfig:
         with pytest.raises(ConfigFileError, match="line 2"):
             load_config(tmp_path / "bad.conf")
 
+    # The best epoch is always picked by f1_p, so naming any metric is refused.
     @pytest.mark.parametrize("metric", ["f1", "fit_loss"])
     def test_unknown_selection_metric_named_with_line(self, tmp_path, metric):
         (tmp_path / "bad.conf").write_text(
             f"[paths]\ndataset = x\n[training]\nselection_metric = {metric}\n")
-        with pytest.raises(ConfigFileError, match=f"line 4: selection_metric '{metric}'"):
+        with pytest.raises(ConfigFileError, match="line 4: unknown key 'selection_metric'"):
             load_config(tmp_path / "bad.conf")
 
     @pytest.mark.parametrize("key, value", [
@@ -117,7 +130,9 @@ class TestConfig:
     def test_out_of_range_value_named_with_line(self, tmp_path, section, key, value):
         (tmp_path / "bad.conf").write_text(
             f"[paths]\ndataset = x\n[{section}]\n{key} = {value}\n")
-        with pytest.raises(ConfigFileError, match=f"line 4: {key} "):
+        # A key that left the schema is refused whatever its value.
+        what = f"unknown key '{key}'" if key in REMOVED_KEYS else f"{key} "
+        with pytest.raises(ConfigFileError, match=f"line 4: {what}"):
             load_config(tmp_path / "bad.conf")
 
     def test_missing_dataset_path(self, tmp_path):
@@ -335,9 +350,9 @@ class TestEnsembleSurface:
             assert np.array_equal(a_cls, b_cls)
 
     def test_all_identical_members_match_individual(self, workspace, tmp_path):
-        members, _, enc = self.members_via_checkpoints(workspace, tmp_path)
+        members, paths, enc = self.members_via_checkpoints(workspace, tmp_path)
         nb = members[2]
-        spec = EnsembleSpec(tuple(("nb", nb) for _ in range(5)), mode="free")
+        spec = EnsembleSpec((paths[2],) * 5, mode="free")
         probe = enc.subset(np.arange(40))
         votes = ensemble_vote_batch(resolve_members(spec), probe)
         assert np.array_equal(votes, nb.predict_batch(probe)[0])

@@ -81,6 +81,19 @@ class TestLoadDataset:
         save_dataset(ds, p)
         assert load_dataset(p) == ds
 
+    # Any valid ids, texts and labels: a text may hold tabs, neither may break a line.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1),
+        st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), min_size=1),
+        st.sampled_from([None, 0, 1])), max_size=8, unique_by=lambda item: item[0]))
+    def test_round_trip_property(self, items):
+        ds = Dataset(Tweet(*item) for item in items)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.tsv"
+            save_dataset(ds, path)
+            assert load_dataset(path) == ds
+
 
 class TestTweetInvariants:
     def test_empty_id_rejected(self):

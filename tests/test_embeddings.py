@@ -1,5 +1,11 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssc.embeddings import (
     EmbeddingError,
@@ -9,6 +15,7 @@ from ssc.embeddings import (
     oov_vector,
     save_embeddings,
 )
+from ssc.features import is_token
 
 FIXTURE = "cat 0.1 0.2 0.3 0.4\ndog -1.0 0.0 0.5 2.0\nfish 1 2 3 4\n"
 
@@ -16,29 +23,30 @@ FIXTURE = "cat 0.1 0.2 0.3 0.4\ndog -1.0 0.0 0.5 2.0\nfish 1 2 3 4\n"
 def test_load_fixture(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text(FIXTURE)
-    table = load_embeddings(p, expected_dim=4)
-    assert len(table) == 3
+    table = load_embeddings(p)
+    assert len(table) == 3 and table.dim == 4
     assert np.allclose(table.vectors["dog"], [-1.0, 0.0, 0.5, 2.0])
 
 
 def test_header_accepted(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("3 4\n" + FIXTURE)
-    assert len(load_embeddings(p, expected_dim=4)) == 3
+    assert len(load_embeddings(p)) == 3
 
 
 def test_header_dim_mismatch(tmp_path):
+    # The header sets the width, so the first data line is the one at fault.
     p = tmp_path / "emb.txt"
     p.write_text("3 5\n" + FIXTURE)
-    with pytest.raises(EmbeddingError, match="line 1"):
-        load_embeddings(p, expected_dim=4)
+    with pytest.raises(EmbeddingError, match="line 2: 4 components.*expected 5.*the header"):
+        load_embeddings(p)
 
 
 def test_header_count_mismatch(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("7 4\n" + FIXTURE)
     with pytest.raises(EmbeddingError, match="declares 7"):
-        load_embeddings(p, expected_dim=4)
+        load_embeddings(p)
 
 
 def test_non_ascii_digit_header_names_line_number(tmp_path):
@@ -46,28 +54,37 @@ def test_non_ascii_digit_header_names_line_number(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("3 \u00b2\n" + FIXTURE, encoding="utf-8")
     with pytest.raises(EmbeddingError, match="line 1"):
-        load_embeddings(p, expected_dim=4)
+        load_embeddings(p)
 
 
 def test_short_line_names_line_number(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 0.1 0.2 0.3 0.4\ndog 1 2 3\n")
-    with pytest.raises(EmbeddingError, match="line 2"):
-        load_embeddings(p, expected_dim=4)
+    with pytest.raises(EmbeddingError, match="line 2: 3 components.*expected 4.*line 1"):
+        load_embeddings(p)
+
+
+@pytest.mark.parametrize("text, lineno", [("cat\ndog 1 2\n", 1), ("cat 1 2\n\ndog\n", 3),
+                                          ("2 2\ncat\ndog 1 2\n", 2)])
+def test_word_without_components_names_line_number(tmp_path, text, lineno):
+    p = tmp_path / "emb.txt"
+    p.write_text(text)
+    with pytest.raises(EmbeddingError, match=f"line {lineno}: no components for"):
+        load_embeddings(p)
 
 
 def test_duplicate_word(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1 2 3 4\ncat 5 6 7 8\n")
     with pytest.raises(EmbeddingError, match="duplicate"):
-        load_embeddings(p, expected_dim=4)
+        load_embeddings(p)
 
 
 def test_non_numeric_component(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1 2 x 4\n")
     with pytest.raises(EmbeddingError, match="non-numeric"):
-        load_embeddings(p, expected_dim=4)
+        load_embeddings(p)
 
 
 def test_empty_table_rejected():
@@ -80,9 +97,39 @@ def test_save_load_round_trip(tmp_path):
                                "b": np.array([1e-8, 2.0, -0.125])})
     p = tmp_path / "emb.txt"
     save_embeddings(table, p)
-    loaded = load_embeddings(p, expected_dim=3)
+    loaded = load_embeddings(p)
     for word in table.vectors:
         assert np.array_equal(loaded.vectors[word], table.vectors[word])
+
+
+# Any word save_embeddings accepts, any width, any non-NaN components; the
+# file is read back with its header and, its first line dropped, without.
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 6), header=st.booleans(), data=st.data())
+def test_save_load_round_trip_property(dim, header, data):
+    words = data.draw(st.lists(st.text(st.characters(codec="utf-8"), min_size=1, max_size=6)
+                               .filter(is_token), min_size=1, max_size=6, unique=True))
+    components = st.lists(st.floats(allow_nan=False), min_size=dim, max_size=dim)
+    table = EmbeddingTable(dim, {w: np.array(data.draw(components)) for w in words})
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "emb.txt"
+        save_embeddings(table, p)
+        if not header:
+            lines = p.read_text(encoding="utf-8").split("\n")
+            p.write_text("\n".join(lines[1:]), encoding="utf-8")
+        loaded = load_embeddings(p)
+    assert loaded.dim == dim and list(loaded.vectors) == words
+    for word in words:
+        assert np.array_equal(loaded.vectors[word], table.vectors[word])
+
+
+@pytest.mark.parametrize("word", ["a\xa0b", "a b", "a\tb", "", "\u2028"])
+def test_save_refuses_word_that_would_not_read_back(tmp_path, word):
+    table = EmbeddingTable(2, {"ok": np.array([1.0, 2.0]), word: np.array([3.0, 4.0])})
+    p = tmp_path / "emb.txt"
+    with pytest.raises(EmbeddingError, match=re.escape(f"word {word!r}")):
+        save_embeddings(table, p)
+    assert not p.exists()
 
 
 class TestEmbedWords:

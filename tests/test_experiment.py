@@ -41,7 +41,6 @@ batch_size = 16
 filters = 2
 word_kernels = 2,3
 char_kernels = 2,3
-embedding_dim = 8
 char_embed_dim = 4
 """)
     return load_config(root / "exp.conf"), root

@@ -300,11 +300,6 @@ class TestSelectBestEpoch:
         with pytest.raises(ValueError):
             select_best_epoch([])
 
-    def test_other_metric(self):
-        cps = [ModelCheckpoint(1, {}, {"f1_p": 0.9, "accuracy": 0.1}),
-               ModelCheckpoint(2, {}, {"f1_p": 0.1, "accuracy": 0.9})]
-        assert select_best_epoch(cps, "accuracy").epoch == 2
-
 
 class TestPredict:
     def test_reports_positive_probability(self):
