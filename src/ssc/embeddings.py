@@ -1,8 +1,8 @@
-"""Pretrained word-embedding tables and fixed-shape word-matrix encoding.
+"""Pretrained word-embedding tables and the word ids of encoded texts.
 
-A text becomes a (MAX_TOKENS, dim) matrix: one table row per token, a
-deterministic pseudo-random vector for a token the table lacks, zero rows
-after the last token.
+A text's first MAX_TOKENS tokens become ids of rows in one matrix per set:
+a token's table vector, or a deterministic pseudo-random vector for a
+token the table lacks; row 0 is zeros and pads after the last token.
 """
 
 from __future__ import annotations
@@ -112,17 +112,14 @@ def oov_vector(token: str, dim: int) -> np.ndarray:
     return vec / peak if peak > 0 else vec
 
 
-def embed_words(tokens: TokenSeq, table: EmbeddingTable, dtype=np.float64) -> np.ndarray:
-    """Encode tokens as a (MAX_TOKENS, dim) matrix.
-
-    Row i is the table vector for token i when present, otherwise its
-    deterministic out-of-vocabulary vector. Tokens beyond MAX_TOKENS are
-    dropped; rows beyond the token count stay zero.
-    """
-    out = np.zeros((MAX_TOKENS, table.dim), dtype=dtype)
-    for i, tok in enumerate(tokens[:MAX_TOKENS]):
-        vec = table.vectors.get(tok)
-        if vec is None:
-            vec = oov_vector(tok, table.dim)
-        out[i] = vec
-    return out
+def encode_words(texts: list[TokenSeq], table: EmbeddingTable,
+                 dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(N, MAX_TOKENS) ids of the texts' first tokens, and the (U, dim) rows they index."""
+    ids = np.zeros((len(texts), MAX_TOKENS), dtype=np.int32)
+    rows: dict[str, int] = {}
+    for i, tokens in enumerate(texts):
+        row_ids = [rows.setdefault(tok, len(rows) + 1) for tok in tokens[:MAX_TOKENS]]
+        ids[i, :len(row_ids)] = row_ids
+    vectors = [np.zeros(table.dim)]
+    vectors += [table.vectors[w] if w in table else oov_vector(w, table.dim) for w in rows]
+    return ids, np.array(vectors, dtype=dtype)

@@ -8,22 +8,23 @@ import numpy as np
 
 from . import features
 from .corpus import Dataset
-from .embeddings import MAX_TOKENS, EmbeddingTable, embed_words
+from .embeddings import EmbeddingTable, encode_words
 from .features import ClusterMap, Lexicon, SynonymMap, TokenSeq
 from .nn import default_dtype
 
 
 @dataclass
 class EncodedSet:
-    """Parallel arrays for a dataset: word matrices, char indices, aux, labels.
+    """Parallel arrays for a dataset: word ids, char indices, aux, labels.
 
-    word is (N, 40, dim) or None, char is (N, 280) or None, aux is
-    (N, 154), labels is (N,) or None. tokens keeps the (expanded) token
-    sequences for the bag-of-words baselines.
+    word is (N, 40) ids into vectors, the (U, dim) word rows that a subset
+    shares; char is (N, 280), aux (N, 154), labels (N,); all but aux may be
+    None. tokens keeps the (expanded) token sequences for the baselines.
     """
 
     aux: np.ndarray
     word: np.ndarray | None = None
+    vectors: np.ndarray | None = None
     char: np.ndarray | None = None
     labels: np.ndarray | None = None
     tokens: list[TokenSeq] | None = None
@@ -36,6 +37,7 @@ class EncodedSet:
         return EncodedSet(
             aux=self.aux[idx],
             word=None if self.word is None else self.word[idx],
+            vectors=self.vectors,
             char=None if self.char is None else self.char[idx],
             labels=None if self.labels is None else self.labels[idx],
             tokens=None if self.tokens is None else [self.tokens[i] for i in idx],
@@ -70,11 +72,8 @@ def encode_dataset(
     dtype = default_dtype()
     n = len(dataset)
     aux = np.zeros((n, features.AUX_DIM), dtype=dtype)
-    word = None
-    if with_word:
-        if ctx.table is None:
-            raise ValueError("word encoding requires an embedding table")
-        word = np.zeros((n, MAX_TOKENS, ctx.table.dim), dtype=dtype)
+    if with_word and ctx.table is None:
+        raise ValueError("word encoding requires an embedding table")
     char = np.zeros((n, features.MAX_CHARS), dtype=np.int64) if with_char else None
     labels = np.zeros(n, dtype=np.int64) if dataset.all_labeled else None
     token_seqs: list[TokenSeq] = []
@@ -85,11 +84,11 @@ def encode_dataset(
         if ctx.synonyms is not None:
             tokens = features.expand_synonyms(tokens, ctx.synonyms)
         token_seqs.append(tokens)
-        if word is not None:
-            word[i] = embed_words(tokens, ctx.table, dtype=dtype)
         if char is not None:
             char[i] = features.encode_chars(tweet.text)
         if labels is not None:
             labels[i] = tweet.label
 
-    return EncodedSet(aux=aux, word=word, char=char, labels=labels, tokens=token_seqs)
+    word, vectors = encode_words(token_seqs, ctx.table, dtype) if with_word else (None, None)
+    return EncodedSet(aux=aux, word=word, vectors=vectors, char=char, labels=labels,
+                      tokens=token_seqs)

@@ -31,7 +31,7 @@ class Kind:
 
     ensemble: str       # "ensemble_cnn" | "ensemble_ml"
     tag: str            # the "kind" entry of its checkpoint metadata
-    word: bool = False  # reads the word-embedding matrix
+    word: bool = False  # reads the word ids and vectors
     char: bool = False  # reads the character indices
 
 

@@ -90,13 +90,13 @@ def _unit_seed(base: int, scenario: int, member: int, fold: int, salt: int = 0) 
 def _cnn_config(cfg: ExperimentConfig, kind: str, enc: EncodedSet) -> CnnConfig:
     """The word or the char fields of cfg, as the kind reads words or chars.
 
-    A word model is as wide as the word matrices of enc.
+    A word model is as wide as the word vectors of enc.
     """
     word = KINDS[kind].word
     kernels = cfg.word_kernels if word else cfg.char_kernels
     return CnnConfig(kernel_sizes=parse_kernels(kernels),
                      filters=cfg.filters,
-                     embed_dim=enc.word.shape[2] if word else cfg.char_embed_dim)
+                     embed_dim=enc.vectors.shape[1] if word else cfg.char_embed_dim)
 
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:

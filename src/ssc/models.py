@@ -6,7 +6,7 @@ vector. One CnnConfig holds what a run can change (kernel sizes, filters,
 embedding width) and the dense layers' dropout rate, DROPOUT (0.5) unless
 set; everything else is one of these constants:
 
-- MAX_TOKENS (40) word rows per text and MAX_CHARS (280) character slots,
+- MAX_TOKENS (40) word ids per text and MAX_CHARS (280) character slots,
   fixed by the encoders; CHARSET_SIZE rows in the character embedding;
 - POOL_SIZE (2), the window of the word model's non-overlapping max pools, which
   leave WORD_BRANCH_LEN (10) steps per word branch;
@@ -125,7 +125,11 @@ class Model:
 
 class WordCnn(Model):
     def forward(self, batch, train=False, rng=None):
-        x = Tensor(batch.word)
+        width, dim = batch.vectors.shape[1], self.config.embed_dim
+        if width != dim:
+            raise ValueError(f"{self.kind} has embed_dim {dim}, but its word vectors are "
+                             f"{width} wide: the config's embeddings file sets that width")
+        x = nn.embedding_lookup(Tensor(batch.vectors), batch.word)  # a table without gradient
         p = self.params
         branches = []
         for k in self.config.kernel_sizes:
@@ -344,4 +348,6 @@ def model_from_checkpoint(cp: ModelCheckpoint) -> Model:
     for spec in specs:  # unwritten placeholders: load_state_dict checks and replaces them
         params.add(spec.name, np.empty(spec.shape, dtype=dtype))
     params.load_state_dict(cp.arrays)
+    for _, p in params.items():  # a rebuilt member only predicts: its forward keeps no graph
+        p.requires_grad = False
     return cls(kind, cfg, params, seed)

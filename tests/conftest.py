@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from ssc.embeddings import MAX_TOKENS, oov_vector
+
 
 def conv1d_oracle(x, kernel, bias, padding="valid"):
     """Triple-nested-loop direct summation; x (L, C), kernel (k, C, F)."""
@@ -27,6 +29,18 @@ def conv1d_oracle(x, kernel, bias, padding="valid"):
     return out
 
 
+def embed_words(tokens, table, dtype=np.float64):
+    """A text's (40, dim) word matrix, row by row: the table vector of each of
+    the first 40 tokens, else its out-of-vocabulary vector; zero rows after."""
+    out = np.zeros((MAX_TOKENS, table.dim), dtype=dtype)
+    for i, tok in enumerate(tokens[:MAX_TOKENS]):
+        vec = table.vectors.get(tok)
+        if vec is None:
+            vec = oov_vector(tok, table.dim)
+        out[i] = vec
+    return out
+
+
 def maxpool1d_oracle(x, pool, stride):
     """Window scan; x (L, F)."""
     length, f = x.shape
@@ -38,6 +52,11 @@ def maxpool1d_oracle(x, pool, stride):
     return out
 
 
+# The kink filter keeps a coordinate only when its estimates at h and h/8
+# agree this closely (relative): ten times below the 1e-4 the checks assert.
+KINK_TOLERANCE = 1e-5
+
+
 def central_difference(loss_fn, arrays, step=1e-5, max_coords=None, rng=None,
                        kink_filter=False):
     """Numeric gradient of loss_fn() wrt each array, edited in place.
@@ -47,10 +66,12 @@ def central_difference(loss_fn, arrays, step=1e-5, max_coords=None, rng=None,
     evaluated and the rest are NaN (caller compares on the sampled set).
 
     With kink_filter, each coordinate is measured at two step sizes and
-    dropped (NaN) when the two estimates disagree, which flags coordinates
-    whose finite-difference window straddles an activation kink (relu/selu
-    at 0, pooling argmax ties). The filter depends only on the loss
-    function, so it cannot hide a wrong analytic gradient.
+    dropped (NaN) when the two estimates differ by more than KINK_TOLERANCE
+    relative, which flags coordinates whose finite-difference window
+    straddles an activation kink (relu/selu at 0, pooling argmax switches).
+    A kink between h/8 and h from x leaves the h/8 estimate exact, so the
+    difference is the whole error of the kept h estimate. The filter depends
+    only on the loss function, so it cannot hide a wrong analytic gradient.
     """
     grads = []
     for arr in arrays:
@@ -75,7 +96,7 @@ def central_difference(loss_fn, arrays, step=1e-5, max_coords=None, rng=None,
             if kink_filter:
                 check = fd(i, step / 8)
                 scale = max(abs(estimate), abs(check), 1e-6)
-                if abs(estimate - check) / scale > 1e-3:
+                if abs(estimate - check) / scale > KINK_TOLERANCE:
                     continue
             grad[i] = estimate
         grads.append(grad.reshape(arr.shape))

@@ -136,8 +136,10 @@ def _check_architecture_gradients(rng):
     wcnn = build_model("word_aux", CnnConfig(kernel_sizes=(3, 4, 5), filters=2,
                                              embed_dim=400, dropout=0.0),
                        seed=1, dtype=np.float64)
+    vectors = rng.normal(size=(60, 400))
+    vectors[0] = 0  # the padding row, which these ids do not use
     word_batch = EncodedSet(aux=rng.normal(size=(3, AUX_DIM)),
-                            word=rng.normal(size=(3, 40, 400)))
+                            word=rng.integers(1, 60, size=(3, 40)), vectors=vectors)
     ccnn_full = build_model("char_aux", CnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
                                                   embed_dim=128, dropout=0.0),
                             seed=2, dtype=np.float64)

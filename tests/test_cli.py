@@ -260,6 +260,25 @@ class TestModelCommands:
                      "--test-data", str(workspace / "corpus.tsv")]) == 0
         assert ",word_aux," in capsys.readouterr().out
 
+    def test_word_member_given_vectors_of_another_width_says_so(self, workspace, tmp_path,
+                                                                capsys):
+        # Train on 8-wide word vectors, then evaluate under exp.conf, whose
+        # embeddings file is 16 wide.
+        synth.write_fixture_files(tmp_path / "fix8", embed_dim=8, seed=0)
+        conf8 = tmp_path / "fix8.conf"
+        conf8.write_text((workspace / "exp.conf").read_text().replace(
+            f"{workspace}/fix/embeddings.txt", f"{tmp_path}/fix8/embeddings.txt"))
+        ckpt = tmp_path / "word8.ckpt"
+        assert main(["train", "--config", str(conf8), "--kind", "word_aux",
+                     "--train-data", str(workspace / "corpus.tsv"), "--output", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(workspace / "exp.conf"),
+                     "--checkpoint", str(ckpt),
+                     "--test-data", str(workspace / "corpus.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert "word_aux has embed_dim 8, but its word vectors are 16 wide" in err
+        assert "the config's embeddings file sets that width" in err
+
     def test_train_word_member_without_embeddings_fails(self, workspace, tmp_path, capsys):
         conf = tmp_path / "no_embeddings.conf"
         lines = (workspace / "exp.conf").read_text().splitlines()

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import embed_words
+from ssc import embeddings, nn, synth
 from ssc.embeddings import (
     EmbeddingError,
     EmbeddingTable,
-    embed_words,
+    encode_words,
     load_embeddings,
     oov_vector,
     save_embeddings,
 )
+from ssc.encoding import encode_dataset
 from ssc.features import is_token
 
 FIXTURE = "cat 0.1 0.2 0.3 0.4\ndog -1.0 0.0 0.5 2.0\nfish 1 2 3 4\n"
@@ -133,28 +136,34 @@ def test_save_refuses_word_that_would_not_read_back(tmp_path, word):
 
 
 class TestEmbedWords:
+    """A text's word rows, gathered from the ids and vectors encode_words returns."""
+
     TABLE = EmbeddingTable(4, {"cat": np.array([0.1, 0.2, 0.3, 0.4]),
                                "dog": np.array([-1.0, 0.0, 0.5, 2.0])})
 
+    def embed(self, tokens, dtype=np.float64):
+        ids, vectors = encode_words([tokens], self.TABLE, dtype)
+        return vectors[ids[0]]
+
     def test_empty_tokens_all_zero(self):
-        out = embed_words([], self.TABLE)
+        out = self.embed([])
         assert out.shape == (40, 4) and not out.any()
 
     def test_known_token_exact_lookup(self):
-        out = embed_words(["cat"], self.TABLE)
+        out = self.embed(["cat"])
         assert np.allclose(out[0], [0.1, 0.2, 0.3, 0.4])
         assert not out[1:].any()
 
     def test_truncation_keeps_first_40(self):
         tokens = [f"w{i}" for i in range(50)]
-        out = embed_words(tokens, self.TABLE)
+        out = self.embed(tokens)
         assert out.shape == (40, 4)
         # row 39 is token w39, and w40+ are dropped
         assert np.allclose(out[39], oov_vector("w39", 4))
 
     def test_oov_deterministic(self):
-        a = embed_words(["unseen"], self.TABLE)
-        b = embed_words(["unseen"], self.TABLE)
+        a = self.embed(["unseen"])
+        b = self.embed(["unseen"])
         assert np.array_equal(a, b)
 
     def test_oov_unit_max_norm(self):
@@ -174,5 +183,55 @@ class TestEmbedWords:
         assert np.allclose(oov_vector("token", 6), expect)
 
     def test_output_dtype(self):
-        out = embed_words(["cat"], self.TABLE, dtype=np.float32)
+        out = self.embed(["cat"], dtype=np.float32)
         assert out.dtype == np.float32
+
+
+class TestWordIds:
+    TABLE = TestEmbedWords.TABLE
+    # Table tokens, an OOV token, a repeated token, more than 40 tokens, none.
+    TEXTS = [["cat", "dog"], ["unseen", "cat"], ["dog", "dog", "dog"],
+             [f"w{i % 45}" for i in range(50)], []]
+
+    def test_gathered_batch_equals_oracle(self):
+        dtype = nn.default_dtype()
+        ids, vectors = encode_words(self.TEXTS, self.TABLE, dtype)
+        got = nn.embedding_lookup(vectors, ids).data
+        expected = np.stack([embed_words(t, self.TABLE, dtype) for t in self.TEXTS])
+        assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+    def test_one_row_per_distinct_token_after_the_padding_row(self):
+        ids, vectors = encode_words(self.TEXTS, self.TABLE, np.float64)
+        distinct = {t for text in self.TEXTS for t in text[:40]}
+        assert vectors.shape == (1 + len(distinct), 4) and not vectors[0].any()
+        assert ids.shape == (5, 40) and np.issubdtype(ids.dtype, np.integer)
+        assert len(set(ids[2, :3])) == 1 and not ids[2, 3:].any()
+        assert sorted(np.unique(ids[ids > 0])) == list(range(1, len(vectors)))
+
+    def test_each_distinct_oov_vector_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(token, dim):
+            calls.append(token)
+            return oov_vector(token, dim)
+
+        monkeypatch.setattr(embeddings, "oov_vector", counting)
+        encode_words(self.TEXTS + self.TEXTS, self.TABLE, np.float64)
+        assert sorted(calls) == sorted({"unseen"} | {f"w{i}" for i in range(40)})
+
+    def test_encoded_set_gathers_oracle_rows(self):
+        ds = synth.generate_dataset(15, 15, seed=4)
+        ctx = synth.feature_context(embed_dim=6, seed=0)
+        enc = encode_dataset(ds, ctx, with_char=False)
+        dtype = nn.default_dtype()
+        expected = np.stack([embed_words(t, ctx.table, dtype) for t in enc.tokens])
+        assert enc.vectors.dtype == dtype
+        assert enc.vectors[enc.word].tobytes() == expected.tobytes()
+
+    def test_subset_copies_ids_and_shares_vectors(self):
+        ds = synth.generate_dataset(5, 5, seed=4)
+        enc = encode_dataset(ds, synth.feature_context(embed_dim=6, seed=0), with_char=False)
+        sub = enc.subset([3, 0])
+        assert sub.vectors is enc.vectors
+        assert np.array_equal(sub.word, enc.word[[3, 0]])
+        assert not np.shares_memory(sub.word, enc.word)

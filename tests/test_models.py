@@ -30,10 +30,14 @@ def n_values(model):
 
 
 def word_batch(n, cfg=SMALL_W, seed=0):
+    """n texts of MAX_TOKENS ids into 30 random word vectors (row 0 pads, unused)."""
     local = np.random.default_rng(seed)
+    vectors = local.normal(size=(30, cfg.embed_dim)).astype(np.float32)
+    vectors[0] = 0
     return EncodedSet(
         aux=local.normal(size=(n, AUX_DIM)).astype(np.float32),
-        word=local.normal(size=(n, MAX_TOKENS, cfg.embed_dim)).astype(np.float32),
+        word=local.integers(1, 30, size=(n, MAX_TOKENS)),
+        vectors=vectors,
     )
 
 
@@ -71,7 +75,8 @@ class TestWcnnForward:
     def test_zero_input_valid_probability(self):
         model = build_model("word_aux", SMALL_W, seed=0)
         batch = EncodedSet(aux=np.zeros((1, AUX_DIM), dtype=np.float32),
-                           word=np.zeros((1, 40, 12), dtype=np.float32))
+                           word=np.zeros((1, 40), dtype=np.int32),
+                           vectors=np.zeros((1, 12), dtype=np.float32))
         logits = model.forward(batch)
         p = nn.softmax(logits.data)
         assert p.shape == (1, 2)
@@ -102,7 +107,7 @@ class TestWcnnForward:
         model = build_model("word_aux", SMALL_W, seed=1)
         batch = word_batch(2, seed=1)
         base = model.forward(batch).data
-        scaled = EncodedSet(aux=batch.aux * 3.0, word=batch.word)
+        scaled = EncodedSet(aux=batch.aux * 3.0, word=batch.word, vectors=batch.vectors)
         out = model.forward(scaled).data
         assert out.shape == base.shape
         assert not np.allclose(out, base)
@@ -174,8 +179,9 @@ class TestFullArchitectureGradients:
         model = builder()
         batch = batch_fn(model.config)
         batch = EncodedSet(aux=batch.aux.astype(np.float64),
-                           word=None if batch.word is None else batch.word.astype(np.float64),
-                           char=batch.char)
+                           word=batch.word, char=batch.char,
+                           vectors=None if batch.vectors is None
+                           else batch.vectors.astype(np.float64))
         gold = np.array([0, 1])
 
         def loss_value():
@@ -366,6 +372,16 @@ class TestCheckpointEquivalence:
         b_cls, b_p = predict_batch(reloaded, batch)
         assert np.array_equal(a_cls, b_cls)
         assert np.array_equal(a_p, b_p)
+
+    @pytest.mark.parametrize("kind", ["word_aux", "char_aux"])
+    def test_reloaded_model_forward_keeps_no_graph(self, kind):
+        model = build_model(kind, SMALL_W if kind == "word_aux" else SMALL_C, seed=13)
+        reloaded = model_from_checkpoint(
+            nn.ModelCheckpoint(1, model.params.state_dict(), metadata=model.metadata()))
+        batch = word_batch(3, seed=13) if kind == "word_aux" else char_batch(3, seed=13)
+        out = reloaded.forward(batch)
+        assert not out.requires_grad and out._parents == () and out._bwd is None
+        assert np.array_equal(out.data, model.forward(batch).data)
 
     def test_load_draws_no_initial_values(self, monkeypatch):
         model = build_model("char_aux", SMALL_C, seed=13)

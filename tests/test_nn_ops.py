@@ -343,3 +343,17 @@ def test_gradcheck_dropout_with_frozen_mask():
     loss.backward()
     numeric = central_difference(lambda: float(run(x)[1].data), [x])[0]
     assert max_relative_error(t.grad, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("x_in_steps, kept", [(0.999, False), (0.5, False), (3.0, True)])
+def test_kink_filter_drops_a_kink_inside_the_step(x_in_steps, kept):
+    # relu at x = 0.999 h: the h estimate is 0.9995 against the slope 1, an
+    # error five times the 1e-4 the gradient checks assert.
+    step = 1e-5
+    x = np.array([x_in_steps * step])
+    numeric = central_difference(lambda: float(nn.relu(x).data[0]), [x], step=step,
+                                 kink_filter=True)[0]
+    if kept:
+        assert max_relative_error(np.ones(1), numeric) < 1e-8
+    else:
+        assert np.isnan(numeric[0])
