@@ -1,9 +1,10 @@
 """Experiment orchestration over class-distribution scenarios.
 
 The experiment is one loop. For every scenario, _run_scenario builds and
-saves one fold plan and calls _run_fold on each fold; _run_fold trains
-every roster member on that fold to a checkpoint, saves it, and predicts and
-votes with the members those checkpoints reload as. _run_scenario then
+saves one fold plan and calls _run_fold on each fold. There each roster
+member is one unit: it is trained on the fold, saved, reloaded from its
+checkpoint and predicts the test block once. The ensembles vote from those
+predictions, so no member predicts twice. _run_scenario then
 writes the per-fold CSV and averages each member kind and ensemble over
 the folds. All artifacts (fold plans, best-epoch checkpoints, per-fold
 CSVs, provenance) land under the output directory. Failures abort a
@@ -42,7 +43,7 @@ from .ensemble import (
     KINDS,
     BowMember,
     baseline_checkpoint,
-    ensemble_vote_batch,
+    ensemble_vote_batch,  # unused here; bench/tracing.py wraps it by this module's name
 )
 from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
 from .metrics import CSV_HEADER, MEASURES, MetricsReport, compute_metrics, mean_report
@@ -157,59 +158,52 @@ def _naming_failures(unit: str):
 def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
               cfg: ExperimentConfig, encode: Callable[[Dataset], EncodedSet],
               ckpt_dir: Path, jobs: int) -> list[tuple[str, MetricsReport]]:
-    """Train, save and reload every member of one fold, then predict and vote with the reloads.
+    """Run every member of one fold as a unit, then vote the ensembles from their predictions.
 
-    Returns (row name, report) pairs in per-fold CSV order: every roster
-    member as kind.m<j> (its j-th member of that kind), then each ensemble
-    whose composition the roster holds.
+    A unit trains its member, saves the checkpoint, reloads it and predicts
+    the test block once. Returns (row name, report) pairs in per-fold CSV
+    order: every roster member as kind.m<j> (its j-th member of that kind),
+    then each ensemble whose composition the roster holds.
     """
     roster = cfg.roster_members()
     units = [(i, kind, f"{kind}.m{roster[:i].count(kind)}") for i, kind in enumerate(roster)]
     train_ds, test_ds = fold_datasets(pool, folds, fold)
     enc_train, enc_test = encode(train_ds), encode(test_ds)
 
-    def train_cnn_unit(unit):
+    def run_unit(unit, bow=None):
+        """(classes, probabilities) on the test block; bow is (x_train, vocab, idf)."""
         i, kind, tag = unit
         with _naming_failures(f"{tag} fold {fold}"):
-            return train_cnn_member(
-                kind, enc_train, cfg,
-                init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
-                train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1),
-            )
+            if kind in CNN_KINDS:
+                cp = train_cnn_member(kind, enc_train, cfg,
+                                      init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
+                                      train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1))
+            else:
+                cp = train_bow_member(kind, roster[:i].count(kind), enc_train, *bow, cfg,
+                                      seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2))
+            save_checkpoint(cp, ckpt_dir / f"{tag}.f{fold}.ckpt")
+            # Through its module, so that bench/tracing.py's wrapper sees the call.
+            return ensemble.load_member(kind, cp).predict_batch(enc_test)
 
     cnn_units = [u for u in units if u[1] in CNN_KINDS]
     if jobs > 1 and len(cnn_units) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            trained = list(pool_exec.map(train_cnn_unit, cnn_units))
+            predictions = dict(zip(cnn_units, pool_exec.map(run_unit, cnn_units)))
     else:
-        trained = [train_cnn_unit(u) for u in cnn_units]
-    checkpoints = {i: best for (i, _, _), best in zip(cnn_units, trained)}
-
+        predictions = {u: run_unit(u) for u in cnn_units}
     bow_units = [u for u in units if u[1] not in CNN_KINDS]
     if bow_units:
         vocab, idf = baselines.fit_tfidf(enc_train.tokens)
-        x_train = baselines.bow_features(enc_train, vocab, idf)
-        for i, kind, tag in bow_units:
-            with _naming_failures(f"{tag} fold {fold}"):
-                checkpoints[i] = train_bow_member(
-                    kind, roster[:i].count(kind), enc_train, x_train, vocab, idf, cfg,
-                    seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2),
-                )
+        bow = (baselines.bow_features(enc_train, vocab, idf), vocab, idf)
+        predictions.update((u, run_unit(u, bow)) for u in bow_units)
 
-    members = {}
-    rows = []
-    for i, kind, tag in units:
-        with _naming_failures(f"{tag} fold {fold}"):
-            save_checkpoint(checkpoints[i], ckpt_dir / f"{tag}.f{fold}.ckpt")
-            # Through its module, so that bench/tracing.py's wrapper sees the call.
-            members[i] = ensemble.load_member(kind, checkpoints[i])
-            pred, _ = members[i].predict_batch(enc_test)
-        rows.append((tag, compute_metrics(pred, enc_test.labels)))
+    rows = [(u[2], compute_metrics(predictions[u][0], enc_test.labels)) for u in units]
     for name, composition in COMPOSITIONS.items():
-        mine = [i for i, kind in enumerate(roster) if KINDS[kind].ensemble == name]
-        if Counter(roster[i] for i in mine) == composition:
+        mine = [u for u in units if KINDS[u[1]].ensemble == name]  # roster order
+        if Counter(u[1] for u in mine) == composition:
+            classes, probs = zip(*(predictions[u] for u in mine))
             with _naming_failures(f"{name} fold {fold}"):
-                votes = ensemble_vote_batch([members[i] for i in mine], enc_test)
+                votes = ensemble.vote(np.stack(classes), np.stack(probs))
             rows.append((name, compute_metrics(votes, enc_test.labels)))
     return rows
 

@@ -306,18 +306,14 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
             loss.backward()
             optimizer.step()
             epoch_loss += batch_loss * len(batch)
-        report = compute_metrics(predict_batch(model, val)[0], val.labels)
-        metrics = {m: report.value(m) for m in
-                   ("accuracy", "precision_p", "recall_p", "f1_p")}
-        metrics["fit_loss"] = epoch_loss / n_fit
         meta = model.metadata()
         meta["config_digest"] = digest
-        checkpoints.append(ModelCheckpoint(
-            epoch=epoch,
-            arrays=model.params.state_dict(),
-            metrics=metrics,
-            metadata=meta,
-        ))
+        cp = ModelCheckpoint(epoch=epoch, arrays=model.params.state_dict(), metadata=meta)
+        # The snapshot's rebuilt model shares its arrays and keeps no autodiff graph.
+        report = compute_metrics(predict_batch(model_from_checkpoint(cp), val)[0], val.labels)
+        cp.metrics = {m: report.value(m) for m in ("accuracy", "precision_p", "recall_p", "f1_p")}
+        cp.metrics["fit_loss"] = epoch_loss / n_fit
+        checkpoints.append(cp)
     return checkpoints
 
 

@@ -1,15 +1,17 @@
 """run_experiment end to end on a tiny config: failure naming, fold plans, --jobs
-determinism, and per-fold rows that the saved checkpoints reproduce."""
+determinism, one test-block predict per member, and per-fold rows that the
+saved checkpoints reproduce."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssc import experiment, models, synth
+from ssc import ensemble, models, synth
 from ssc.config import load_config
 from ssc.corpus import Dataset, load_dataset, load_fold_plan, make_folds, save_dataset
-from ssc.ensemble import ML_KINDS, ensemble_vote_batch, load_member
+from ssc.ensemble import ML_KINDS, BowMember, CnnMember, ensemble_vote_batch, load_member
 from ssc.experiment import build_feature_context, roster_encoder, run_experiment
 from ssc.metrics import compute_metrics
 
@@ -54,7 +56,10 @@ def test_report_identical_at_one_and_two_jobs(tiny_config):
         result = run_experiment(replace(cfg, output=str(out)), jobs=jobs, log=lambda msg: None)
         assert not result.failures
         outputs.append(out)
-    for name in ("report.csv", "per_fold/50-50.csv"):
+    # Units save from the jobs pool's threads, so every checkpoint is compared too.
+    saved = sorted(str(p.relative_to(outputs[0])) for p in outputs[0].glob("checkpoints/**/*.ckpt"))
+    assert len(saved) == 8  # four members, two folds
+    for name in ("report.csv", "per_fold/50-50.csv", *saved):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
@@ -133,14 +138,30 @@ def test_predict_failure_names_member_and_fold(tiny_config):
 def test_vote_failure_names_ensemble_and_fold(tiny_config, monkeypatch):
     cfg, root = tiny_config
 
-    def failing_vote(members, enc):
+    def failing_vote(classes, probs):
         raise ValueError("no quorum")
 
-    monkeypatch.setattr(experiment, "ensemble_vote_batch", failing_vote)
+    monkeypatch.setattr(ensemble, "vote", failing_vote)
     result = run_experiment(replace(cfg, roster="svm:2,rf:2,nb:2", rf_trees=2,
                                     output=str(root / "no_vote")),
                             jobs=1, log=lambda msg: None)
     assert result.failures == ["scenario 50:50: ensemble_ml fold 0: no quorum"]
+
+
+def test_each_member_predicts_the_test_block_once_per_fold(tiny_config, monkeypatch):
+    # The classical ensemble votes from its members' row predictions.
+    cfg, root = tiny_config
+    calls = Counter()
+    for cls in (CnnMember, BowMember):
+        def counted(self, enc, real=cls.predict_batch):
+            calls[self.kind] += 1
+            return real(self, enc)
+
+        monkeypatch.setattr(cls, "predict_batch", counted)
+    cfg = replace(cfg, roster="char_cnn:1,svm:2,rf:2,nb:2", rf_trees=2,
+                  output=str(root / "predict_once"))
+    assert not run_experiment(cfg, jobs=1, log=lambda msg: None).failures
+    assert calls == {"char_cnn": 2, "svm": 4, "rf": 4, "nb": 4}  # members x two folds
 
 
 def test_synonym_with_whitespace_fails_before_training(tiny_config):

@@ -269,6 +269,23 @@ class TestTraining:
         with pytest.raises(ValueError, match="single class"):
             train(model, enc.subset(np.flatnonzero(enc.labels == 1)), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("kind", ["word_aux", "char_aux"])
+    def test_validation_forward_keeps_no_graph(self, kind, monkeypatch):
+        # Each epoch validates on its rebuilt snapshot, never on the live parameters.
+        model = build_model(kind, SMALL_W if kind == "word_aux" else SMALL_C, seed=5)
+        cls = type(model)
+        real_forward = cls.forward
+        frozen = []
+
+        def forward(self, batch, train=False, rng=None):
+            if not train:
+                frozen.append(not any(p.requires_grad for _, p in self.params.items()))
+            return real_forward(self, batch, train, rng)
+
+        monkeypatch.setattr(cls, "forward", forward)
+        train(model, toy_training_set(), TrainConfig(epochs=2, batch_size=4, seed=5))
+        assert len(frozen) == 2 and all(frozen)
+
     def test_val_metrics_recompute_identically_after_reload(self, tmp_path):
         enc = toy_training_set()
         model = build_model("char_aux", SMALL_C, seed=4)
