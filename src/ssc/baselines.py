@@ -426,22 +426,17 @@ class PrefilterResult:
     warned: bool  # fewer qualifying items than requested
 
 
-def prefilter(unlabeled: Dataset, model: SvmModel, x: np.ndarray,
+def prefilter(unlabeled: Dataset, classes: np.ndarray, p_pos: np.ndarray,
               threshold: float = 0.8, sample_n: int | None = None,
               seed: int = 0) -> PrefilterResult:
     """Confidently machine-labeled items, uniformly sampled.
 
-    Keeps items whose calibrated probability for the predicted class is
-    strictly above the threshold, then draws a seeded uniform sample of
-    sample_n of them. If fewer qualify, all are returned and the result is
-    flagged. Row i of x is the model's feature vector of item i.
+    classes and p_pos are a calibrated member's predictions for the items, in
+    order. Keeps items whose probability for the predicted class is strictly
+    above the threshold, then draws a seeded uniform sample of sample_n of
+    them. If fewer qualify, all are returned and the result is flagged.
     """
-    if not model.calibrated:
-        raise ValueError("prefilter requires a calibrated model")
-    if len(x) != len(unlabeled):
-        raise ValueError(f"{len(x)} feature rows for {len(unlabeled)} items")
-    cls, p_pos = svm_predict(model, x)
-    p_predicted = np.where(cls == 1, p_pos, 1.0 - p_pos)
+    p_predicted = np.where(classes == 1, p_pos, 1.0 - p_pos)
     qualified = [unlabeled[i] for i in np.flatnonzero(p_predicted > threshold)]
     if sample_n is None or len(qualified) <= sample_n:
         return PrefilterResult(Dataset(qualified), len(qualified),

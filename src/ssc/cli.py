@@ -252,9 +252,8 @@ def cmd_prefilter(args) -> int:
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
     ds = load_dataset(args.input)
-    enc = _encoder(cfg, [kind])(ds)
-    x = baselines.bow_features(enc, member.vocab, member.idf)
-    result = baselines.prefilter(ds, member.model, x, threshold=args.threshold,
+    classes, p_pos = member.predict_batch(_encoder(cfg, [kind])(ds))
+    result = baselines.prefilter(ds, classes, p_pos, threshold=args.threshold,
                                  sample_n=args.sample, seed=args.seed)
     save_dataset(result.sample, args.output)
     print(f"{result.n_qualified} items above threshold, wrote {len(result.sample)}")

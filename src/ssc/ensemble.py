@@ -209,9 +209,6 @@ def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
 
 
 def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
-    if any(a.dtype == np.float32 for a in cp.arrays.values()):
-        raise EnsembleError(f"{kind} checkpoint holds float32 arrays (an ECNN1 file); "
-                            "classical members load only from exact ECNN2 checkpoints")
     terms = cp.metadata.get("vocab", "").split()
     vocab = {t: i for i, t in enumerate(terms)}
     a = cp.arrays

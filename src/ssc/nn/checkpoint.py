@@ -1,36 +1,24 @@
-"""Binary checkpoint container for trained parameters.
+"""Checkpoint files: a parameter snapshot with its epoch, metrics and metadata.
 
-Layout (all integers unsigned 32-bit little-endian):
-
-    magic "ECNN2"
-    n_arrays
-    per array: name_len, name (utf-8), dtype code, rank, extents[rank]
-    payloads: raveled little-endian values of each array's dtype, in table order
-    meta_len, metadata (utf-8 "key=value" lines)
-
-Dtype codes are 1 = float32, 2 = float64, 3 = int64, so every array loads
-back bit for bit with its own dtype. Files with the older magic "ECNN1"
-(no dtype codes, every payload float32) are still read, as float32.
-
-The metadata block carries the epoch index, validation metrics (keys
-prefixed "metric."), and free-form self-describing entries such as the
-model kind and configuration.
+A checkpoint is an uncompressed zip laid out like numpy's .npz (np.load opens
+it): one "<name>.npy" member per array, in dict order, written with
+allow_pickle=False, so every dtype but object round-trips bit for bit; then
+"metadata.txt", utf-8 "key=value" lines: the epoch, the metrics (keys prefixed
+"metric.") and self-describing entries such as the model kind. Members are
+dated 1980-01-01, so equal checkpoints are equal files. Loading checks each
+member's CRC-32 and .npy header size and the archive layout, and refuses older
+ECNN files. A save writes "<path>.tmp" and renames it over the path.
 """
 
 from __future__ import annotations
 
-import struct
+import math
+import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MAGIC = b"ECNN2"
-_MAGIC_FLOAT32_ONLY = b"ECNN1"
-_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
-_CODES = {dtype: code for code, dtype in _DTYPES.items()}
-_U32 = struct.Struct("<I")
-_MAX_NAME = 4096
-_MAX_RANK = 32
+from numpy.lib import format as npy
 
 
 class CheckpointError(ValueError):
@@ -47,111 +35,81 @@ class ModelCheckpoint:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return _U32.unpack(self.take(4, what))[0]
-
-
 def save_checkpoint(cp: ModelCheckpoint, path) -> None:
-    """Serialize a checkpoint; arrays keep their float32, float64 or int64 dtype."""
-    parts = [MAGIC, _U32.pack(len(cp.arrays))]
-    payloads = []
-    for name, arr in cp.arrays.items():
-        dtype = arr.dtype.newbyteorder("<")
-        if dtype not in _CODES:
-            raise CheckpointError(f"cannot store {name!r}: dtype {arr.dtype} is not "
-                                  "float32, float64 or int64")
-        encoded = name.encode("utf-8")
-        parts.append(_U32.pack(len(encoded)))
-        parts.append(encoded)
-        parts.append(_U32.pack(_CODES[dtype]))
-        parts.append(_U32.pack(arr.ndim))
-        for extent in arr.shape:
-            parts.append(_U32.pack(extent))
-        payloads.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    parts.extend(payloads)
-
-    meta_lines = [f"epoch={cp.epoch}"]
-    for key, value in cp.metrics.items():
-        meta_lines.append(f"metric.{key}={value!r}")
+    """Write cp as a zip of .npy members plus metadata.txt, atomically."""
+    meta_lines = [f"epoch={cp.epoch}"] + [f"metric.{k}={v!r}" for k, v in cp.metrics.items()]
     for key, value in cp.metadata.items():
         if ("\n" in key or "\n" in str(value) or "=" in key
                 or key == "epoch" or key.startswith("metric.")):
             raise CheckpointError(f"metadata key/value not encodable: {key!r}")
         meta_lines.append(f"{key}={value}")
-    meta = ("\n".join(meta_lines) + "\n").encode("utf-8")
-    parts.append(_U32.pack(len(meta)))
-    parts.append(meta)
 
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, arr in cp.arrays.items():
+                if "\0" in name:
+                    raise CheckpointError(f"cannot store {name!r}: a zip member name ends at NUL")
+                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                    npy.write_array(fh, arr, allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo("metadata.txt"), "\n".join(meta_lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """Load a checkpoint saved by save_checkpoint; validates the container."""
+    """Load a checkpoint saved by save_checkpoint; anything else raises CheckpointError."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    magic = r.take(len(MAGIC), "magic bytes")
-    if magic not in (MAGIC, _MAGIC_FLOAT32_ONLY):
-        raise CheckpointError("bad magic bytes: not a checkpoint file")
-
-    n_arrays = r.u32("array count")
-    table: list[tuple[str, np.dtype, tuple[int, ...]]] = []
-    for i in range(n_arrays):
-        name_len = r.u32(f"name length of array {i}")
-        if name_len == 0 or name_len > _MAX_NAME:
-            raise CheckpointError(f"corrupt shape table: bad name length {name_len}")
+        magic = fh.read(4)
+        if magic.startswith(b"ECNN"):
+            raise CheckpointError(f"{path}: an older ssc wrote this ECNN checkpoint, which is "
+                                  "no longer read; re-run training to regenerate it")
         try:
-            name = r.take(name_len, f"name of array {i}").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError("corrupt shape table: undecodable name") from None
-        code = 1 if magic == _MAGIC_FLOAT32_ONLY else r.u32(f"dtype code of {name!r}")
-        if code not in _DTYPES:
-            raise CheckpointError(f"corrupt shape table: dtype code {code} for {name!r}")
-        rank = r.u32(f"rank of {name!r}")
-        if rank > _MAX_RANK:
-            raise CheckpointError(f"corrupt shape table: rank {rank} for {name!r}")
-        shape = tuple(r.u32(f"extent of {name!r}") for _ in range(rank))
-        table.append((name, _DTYPES[code], shape))
-    if len({name for name, _, _ in table}) != n_arrays:
-        raise CheckpointError("corrupt shape table: duplicate array name")
+            if magic != b"PK\x03\x04":
+                raise ValueError("bad magic bytes: not a checkpoint file")
+            return _read(fh)
+        except (OSError, EOFError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"truncated or corrupt checkpoint {path}: {exc}") from None
 
-    arrays: dict[str, np.ndarray] = {}
-    for name, dtype, shape in table:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(dtype.itemsize * count, f"payload of {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
-    meta_len = r.u32("metadata length")
-    meta_text = r.take(meta_len, "metadata block").decode("utf-8")
-    if r.pos != len(buf):
-        raise CheckpointError("trailing bytes after metadata block")
+def _read(fh) -> ModelCheckpoint:
+    fh.seek(-22, os.SEEK_END)  # the end-of-archive record, with no comment, ends the file
+    if fh.read(4) != b"PK\x05\x06" or fh.read()[-2:] != b"\0\0":
+        raise ValueError("trailing bytes, or no end-of-archive record, at the end")
+    with zipfile.ZipFile(fh) as zf:
+        *members, meta = zf.infolist()
+        names = [m.filename for m in members]
+        if (meta.filename != "metadata.txt" or len(set(names)) < len(names)
+                or not all(n.endswith(".npy") for n in names)
+                or any(m.compress_type != zipfile.ZIP_STORED for m in zf.infolist())):
+            raise ValueError(f"unexpected members {names + [meta.filename]}")
+        arrays = {m.filename[:-len(".npy")]: _read_array(zf, m) for m in members}
+        text = zf.read(meta).decode("utf-8")
 
-    epoch = 0
-    metrics: dict[str, float] = {}
-    metadata: dict[str, str] = {}
-    for line in meta_text.split("\n"):  # only "\n" ends a line; save rejects it in entries
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CheckpointError(f"malformed metadata line {line!r}")
-        if key == "epoch":
-            epoch = int(value)
-        elif key.startswith("metric."):
-            metrics[key[len("metric."):]] = float(value)
-        else:
-            metadata[key] = value
+    epoch, metrics, metadata = 0, {}, {}
+    for line in filter(None, text.split("\n")):  # only "\n" ends a line; save rejects it in entries
+        try:
+            key, value = line.split("=", 1)
+            if key == "epoch":
+                epoch = int(value)
+            elif key.startswith("metric."):
+                metrics[key[len("metric."):]] = float(value)
+            else:
+                metadata[key] = value
+        except ValueError as exc:
+            raise ValueError(f"malformed metadata line {line!r} ({exc})") from None
     return ModelCheckpoint(epoch, arrays, metrics, metadata)
+
+
+def _read_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    """One .npy member, whose header must declare the size it stores before any allocation."""
+    with zf.open(info) as fh:
+        v1 = npy.read_magic(fh) == (1, 0)  # the 2.0 reader also sizes a utf-8 3.0 header
+        shape, _, dtype = (npy.read_array_header_1_0 if v1 else npy.read_array_header_2_0)(fh)
+        if fh.tell() + math.prod(shape) * dtype.itemsize != info.file_size:
+            raise ValueError(f"{info.filename} header declares {shape} {dtype}, not what it stores")
+        fh.seek(0)
+        return npy.read_array(fh, allow_pickle=False)

@@ -439,51 +439,45 @@ class TestBatchedMatchesPerExampleOracle:
 class TestPrefilter:
     DATASET = Dataset([Tweet(f"t{i}", f"text number {i}") for i in range(40)])
 
-    def features(self):
+    def predictions(self):
+        """A calibrated SVM's (classes, p_pos) for the 40 items."""
         local = np.random.default_rng(15)
-        return np.stack([local.normal(scale=2.0, size=3) for _ in self.DATASET])
+        x = np.stack([local.normal(scale=2.0, size=3) for _ in self.DATASET])
+        return svm_predict(make_calibrated_svm(), x)
 
     def test_threshold_one_empty(self):
-        model = make_calibrated_svm()
-        result = prefilter(self.DATASET, model, self.features(), threshold=1.0,
-                           sample_n=5)
+        result = prefilter(self.DATASET, *self.predictions(), threshold=1.0, sample_n=5)
         assert len(result.sample) == 0 and result.warned
 
     def test_threshold_zero_samples_everything(self):
-        model = make_calibrated_svm()
-        result = prefilter(self.DATASET, model, self.features(), threshold=0.0,
+        result = prefilter(self.DATASET, *self.predictions(), threshold=0.0,
                            sample_n=10, seed=1)
         assert len(result.sample) == 10
         assert result.n_qualified == len(self.DATASET)
 
     def test_every_returned_item_above_threshold(self):
-        model = make_calibrated_svm()
-        x = self.features()
-        result = prefilter(self.DATASET, model, x, threshold=0.8)
+        cls, p_pos = self.predictions()
+        result = prefilter(self.DATASET, cls, p_pos, threshold=0.8)
         assert len(result.sample) == result.n_qualified
         row = {t.id: i for i, t in enumerate(self.DATASET)}
         for tweet in result.sample:
-            cls, p_pos = svm_predict(model, x[row[tweet.id]][None])
-            assert (p_pos[0] if cls[0] == 1 else 1 - p_pos[0]) > 0.8
+            i = row[tweet.id]
+            assert (p_pos[i] if cls[i] == 1 else 1 - p_pos[i]) > 0.8
 
     def test_subset_of_input(self):
-        model = make_calibrated_svm()
-        result = prefilter(self.DATASET, model, self.features(), threshold=0.5,
+        result = prefilter(self.DATASET, *self.predictions(), threshold=0.5,
                            sample_n=7, seed=2)
         ids = {t.id for t in self.DATASET}
         assert all(t.id in ids for t in result.sample)
         assert len(result.sample) <= 7
 
     def test_uncalibrated_model_rejected(self):
-        with pytest.raises(ValueError):
-            prefilter(self.DATASET, SvmModel(weights=np.ones(3)), self.features())
-
-    def test_misaligned_features_rejected(self):
-        with pytest.raises(ValueError, match="feature rows"):
-            prefilter(self.DATASET, make_calibrated_svm(), self.features()[:-1])
+        # The predictions prefilter thresholds are Platt probabilities, which an
+        # uncalibrated model does not give: svm_predict refuses it.
+        with pytest.raises(ValueError, match="not calibrated"):
+            svm_predict(SvmModel(weights=np.ones(3)), np.ones((2, 3)))
 
     def test_deterministic_sampling(self):
-        model = make_calibrated_svm()
-        a = prefilter(self.DATASET, model, self.features(), 0.0, 5, seed=9)
-        b = prefilter(self.DATASET, model, self.features(), 0.0, 5, seed=9)
+        a = prefilter(self.DATASET, *self.predictions(), 0.0, 5, seed=9)
+        b = prefilter(self.DATASET, *self.predictions(), 0.0, 5, seed=9)
         assert [t.id for t in a.sample] == [t.id for t in b.sample]

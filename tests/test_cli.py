@@ -303,8 +303,8 @@ class TestModelCommands:
         enc = encode_dataset(ds, build_feature_context(load_config(conf)),
                              with_word=False, with_char=False)
         x = baselines.bow_features(enc, member.vocab, member.idf)
-        expected = baselines.prefilter(ds, member.model, x, threshold=0.7,
-                                       sample_n=30, seed=4)
+        expected = baselines.prefilter(ds, *baselines.svm_predict(member.model, x),
+                                       threshold=0.7, sample_n=30, seed=4)
         assert [(t.id, t.text) for t in load_dataset(out)] == \
             [(t.id, t.text) for t in expected.sample]
 

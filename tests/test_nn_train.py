@@ -1,5 +1,13 @@
+import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import time
+import tracemalloc
+import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib import format as npy_format
 
 from ssc import nn
 from ssc.nn import Adam, CheckpointError, ModelCheckpoint, ParamSet, ParamSpec
-from ssc.nn.checkpoint import MAGIC
 
 
 def simple_params(values):
@@ -18,6 +26,19 @@ def simple_params(values):
     for name, arr in values.items():
         params.add(name, np.array(arr, dtype=np.float64))
     return params
+
+
+def write_archive(path, *members: tuple[str, bytes]) -> None:
+    """A hand-built checkpoint archive: stored members, dated 1980-01-01, in order."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members:
+            zf.writestr(zipfile.ZipInfo(name), data)
+
+
+def npy_bytes(arr: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    npy_format.write_array(out, arr)
+    return out.getvalue()
 
 
 class TestAdam:
@@ -185,9 +206,33 @@ class TestCheckpoint:
             assert loaded.arrays[name].shape == arr.shape
 
     def test_magic_bytes_on_disk(self, tmp_path):
+        # An uncompressed zip: one .npy member per array, in order, then metadata.txt.
         path = tmp_path / "m.ckpt"
         nn.save_checkpoint(ModelCheckpoint(0, self.arrays()), path)
-        assert path.read_bytes()[:5] == MAGIC
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        with zipfile.ZipFile(path) as zf:
+            assert zf.namelist() == ["conv_w.npy", "bias.npy", "table.npy", "metadata.txt"]
+            assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
+            assert zf.read("metadata.txt") == b"epoch=0\n"
+
+    def test_numpy_load_reads_the_arrays(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        arrays = self.arrays()
+        nn.save_checkpoint(ModelCheckpoint(0, arrays), path)
+        with np.load(path) as npz:
+            for name, arr in arrays.items():
+                assert npz[name].dtype == arr.dtype and npz[name].tobytes() == arr.tobytes()
+
+    def test_same_bytes_at_any_clock_time(self, tmp_path, monkeypatch):
+        cp = ModelCheckpoint(2, self.arrays(), {"f1_p": 0.5}, {"kind": "char_cnn"})
+        saved = []
+        for now in (1.0e9, 1.7e9):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            nn.save_checkpoint(cp, tmp_path / f"{now}.ckpt")
+            saved.append((tmp_path / f"{now}.ckpt").read_bytes())
+        assert saved[0] == saved[1]
+        with zipfile.ZipFile(tmp_path / "1000000000.0.ckpt") as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -207,13 +252,17 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
     def test_corrupt_shape_table_rejected(self, tmp_path):
+        # A .npy header's shape, then the zip central directory's first record.
         path = tmp_path / "m.ckpt"
         nn.save_checkpoint(ModelCheckpoint(0, self.arrays()), path)
-        raw = bytearray(path.read_bytes())
-        raw[5:9] = (0xFFFFFFFF).to_bytes(4, "little")  # array count
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError):
-            nn.load_checkpoint(path)
+        raw = path.read_bytes()
+        assert raw.count(b"(3, 4, 2)") == 1
+        central = raw.index(b"PK\x01\x02")
+        for corrupt in (raw.replace(b"(3, 4, 2)", b"(3, 4, 9)"),
+                        raw[:central] + b"PK\x09\x09" + raw[central + 4:]):
+            path.write_bytes(corrupt)
+            with pytest.raises(CheckpointError, match=f"corrupt checkpoint {path}"):
+                nn.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -235,42 +284,115 @@ class TestCheckpoint:
             assert np.array_equal(loaded.arrays[name], arr)
 
     def test_unsupported_dtype_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError, match="dtype"):
-            nn.save_checkpoint(ModelCheckpoint(0, {"b": np.zeros(2, dtype=bool)}),
-                               tmp_path / "m.ckpt")
-
-    def test_corrupt_dtype_code_rejected(self, tmp_path):
+        # Every dtype but object round-trips; an object array is refused and leaves no file.
         path = tmp_path / "m.ckpt"
-        nn.save_checkpoint(ModelCheckpoint(0, self.arrays()), path)
-        raw = bytearray(path.read_bytes())
-        at = len(MAGIC) + 4 + 4 + len("conv_w")  # magic, count, name length, name
-        assert raw[at:at + 4] == (1).to_bytes(4, "little")  # float32
-        raw[at:at + 4] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="dtype code 99"):
+        nn.save_checkpoint(ModelCheckpoint(0, {"b": np.array([True, False])}), path)
+        loaded = nn.load_checkpoint(path).arrays["b"]
+        assert loaded.dtype == bool and loaded.tolist() == [True, False]
+        path.unlink()
+        with pytest.raises(ValueError, match="Object arrays"):
+            nn.save_checkpoint(ModelCheckpoint(0, {**self.arrays(), "o": np.array([None])}),
+                               path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_bit_flip_refused_or_identical(self, tmp_path):
+        # The zip CRC-32 covers every stored byte; a flip elsewhere either breaks the
+        # archive's layout or changes nothing that is read back.
+        cp = ModelCheckpoint(3, {"w": np.array([[1.5, -2.0]], dtype=np.float32),
+                                 "n": np.array([7], dtype=np.int64)},
+                             {"f1_p": 0.5}, {"kind": "char_cnn"})
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(cp, path)
+        raw = path.read_bytes()
+        for at in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[at] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    loaded = nn.load_checkpoint(path)
+                except CheckpointError:
+                    continue
+                assert (loaded.epoch, loaded.metrics, loaded.metadata) == \
+                    (cp.epoch, cp.metrics, cp.metadata), (at, bit)
+                assert [(k, a.dtype, a.shape, a.tobytes()) for k, a in loaded.arrays.items()] \
+                    == [(k, a.dtype, a.shape, a.tobytes()) for k, a in cp.arrays.items()], (at, bit)
+
+    def test_ecnn_file_refused_with_regenerate_message(self, tmp_path):
+        # The containers of older ssc versions: magic, array count, name, dtype, rank, extent.
+        path = tmp_path / "old.ckpt"
+        for magic in (b"ECNN1", b"ECNN2"):
+            path.write_bytes(magic + bytes([1, 0, 0, 0, 1, 0, 0, 0]) + b"w" + bytes(12))
+            with pytest.raises(CheckpointError, match="older ssc.*re-run training"):
+                nn.load_checkpoint(path)
+
+    def test_oversized_npy_header_refused_before_allocation(self, tmp_path):
+        # A header declaring 10**12 float64 values (8 TB) over 16 stored bytes.
+        header = io.BytesIO()
+        npy_format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+        path = tmp_path / "big.ckpt"
+        write_archive(path, ("w.npy", header.getvalue() + bytes(16)), ("metadata.txt", b""))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="w.npy header declares"):
+                nn.load_checkpoint(path)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("names", [("w.npy", "w.npy", "metadata.txt"), ("w.npy",),
+                                       ("metadata.txt", "w.npy"), ("w.txt", "metadata.txt")],
+                             ids=["duplicate", "no_metadata", "metadata_not_last", "not_npy"])
+    def test_unexpected_members_refused(self, names, tmp_path):
+        path = tmp_path / "m.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zipfile warns of the duplicate name
+            write_archive(path, *[(name, b"epoch=1\n" if name == "metadata.txt"
+                                   else npy_bytes(np.zeros(2))) for name in names])
+        with pytest.raises(CheckpointError, match="unexpected members"):
             nn.load_checkpoint(path)
 
-    def test_float32_only_ecnn1_file_still_loads(self, tmp_path):
-        def u32(n):
-            return n.to_bytes(4, "little")
+    @pytest.mark.parametrize("line", ["epoch=x", "metric.f1_p=abc", "kind"])
+    def test_unparsable_metadata_names_path_and_line(self, line, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_archive(path, ("w.npy", npy_bytes(np.zeros(2))),
+                      ("metadata.txt", f"epoch=1\n{line}\n".encode()))
+        with pytest.raises(CheckpointError, match=f"{path}.*malformed metadata line '{line}'"):
+            nn.load_checkpoint(path)
 
-        values = np.array([[1.5, -2.0, 0.25]], dtype="<f4")
-        meta = b"epoch=3\nmetric.f1_p=0.5\nkind=char_cnn\n"
-        path = tmp_path / "old.ckpt"
-        path.write_bytes(b"ECNN1" + u32(1) + u32(1) + b"w" + u32(2) + u32(1) + u32(3)
-                         + values.tobytes() + u32(len(meta)) + meta)
+    def test_empty_array_name_round_trips(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(ModelCheckpoint(0, {"": np.arange(3), "é": np.ones(1)}), path)
         loaded = nn.load_checkpoint(path)
-        assert loaded.epoch == 3 and loaded.metrics == {"f1_p": 0.5}
-        assert loaded.metadata == {"kind": "char_cnn"}
-        assert loaded.arrays["w"].dtype == np.float32
-        assert np.array_equal(loaded.arrays["w"], values)
-        # The same checkpoint saved today is ECNN2 and loads to the same values.
-        nn.save_checkpoint(loaded, tmp_path / "new.ckpt")
-        assert (tmp_path / "new.ckpt").read_bytes()[:5] == b"ECNN2"
-        again = nn.load_checkpoint(tmp_path / "new.ckpt")
-        assert again.arrays["w"].tobytes() == values.tobytes()
-        assert (again.epoch, again.metrics, again.metadata) == \
-            (loaded.epoch, loaded.metrics, loaded.metadata)
+        assert list(loaded.arrays) == ["", "é"]
+        assert loaded.arrays[""].tolist() == [0, 1, 2]
+
+    def test_nul_in_array_name_refused_and_leaves_no_file(self, tmp_path):
+        # A zip member's name ends at NUL, so the array would load back renamed.
+        with pytest.raises(CheckpointError, match="NUL"):
+            nn.save_checkpoint(ModelCheckpoint(0, {"w": np.ones(2), "a\0b": np.ones(1)}),
+                               tmp_path / "m.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_cut_short_leaves_no_file(self, tmp_path):
+        # The file-size limit makes a write fail midway, as a full disk would. The child
+        # ignores SIGXFSZ, so the failing write raises instead of ending the process.
+        import ssc
+
+        code = ("import resource, signal, sys, numpy as np; from ssc import nn; "
+                "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+                "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+                "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard)); "
+                "nn.save_checkpoint(nn.ModelCheckpoint(0, {'w': np.zeros(10000)}), sys.argv[1])")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ssc.__file__).resolve().parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.ckpt")],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode != 0 and "File too large" in result.stderr, result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_scalar_and_empty_metadata(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -281,8 +403,9 @@ class TestCheckpoint:
         assert float(loaded.arrays["x"]) == 2.5
 
 
+# Array names save_checkpoint accepts: a zip member's name ends at NUL.
 _ARRAYS = st.dictionaries(
-    st.text(min_size=1, max_size=12),
+    st.text(max_size=12).filter(lambda name: "\0" not in name),
     st.sampled_from([np.float32, np.float64, np.int64]).flatmap(
         lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3,
                                                           min_side=0, max_side=4))),
