@@ -153,13 +153,12 @@ def nb_predict(model: NbModel, docs: Sequence[TokenSeq]) -> tuple[np.ndarray, np
 
 @dataclass
 class SvmModel:
-    weights: np.ndarray
-    bias: float = 0.0  # trained without a bias term; kept for the wire format
+    weights: np.ndarray  # trained without a bias term
     platt_a: float | None = None
     platt_b: float | None = None
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.weights + self.bias
+        return np.asarray(x, dtype=np.float64) @ self.weights
 
     @property
     def calibrated(self) -> bool:
@@ -293,7 +292,6 @@ class Tree:
 @dataclass
 class RfModel:
     trees: list[Tree]
-    seed: int
 
 
 def _best_split(x, rows, y, feature_ids):
@@ -376,6 +374,8 @@ def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("need a non-empty (N, D) feature matrix")
+    if trees < 1:
+        raise ValueError(f"a forest needs at least one tree, not {trees}")
     n, d = x.shape
     n_candidates = max(1, int(math.isqrt(d)))
     forest = []
@@ -391,7 +391,7 @@ def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
             right=np.array(nodes["right"], dtype=np.int64),
             counts=np.stack(nodes["counts"]),
         ))
-    return RfModel(forest, seed)
+    return RfModel(forest)
 
 
 def tree_vote(tree: Tree, x: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ from .corpus import (
 from .ensemble import (
     CNN_KINDS,
     KINDS,
-    TAG_KINDS,
     EnsembleSpec,
     ensemble_vote_batch,
     load_member,
@@ -164,9 +163,10 @@ def _checkpoint_from_path(path):
     """(kind, checkpoint) of a saved member, the kind read from its tag."""
     cp = load_checkpoint(path)
     tag = cp.metadata.get("kind", "")
-    if tag not in TAG_KINDS:
-        raise ValueError(f"{path}: unknown member kind tag {tag!r}")
-    return TAG_KINDS[tag], cp
+    if tag not in KINDS:
+        raise ValueError(f"{path}: kind tag {tag!r} names no member kind ({', '.join(KINDS)}); "
+                         "an older ssc wrote it, and re-running training regenerates it")
+    return tag, cp
 
 
 def cmd_evaluate(args) -> int:

@@ -59,6 +59,9 @@ class ExperimentConfig:
                 pos, neg, n_train, n_test = (int(p) for p in entry.split(":"))
             except ValueError:
                 raise ConfigFileError(f"entry {entry!r} must be POS:NEG:N_TRAIN:N_TEST") from None
+            if any(plan.ratio == (pos, neg) for plan in plans):
+                raise ConfigFileError(f"entry {entry!r} repeats the ratio {pos}:{neg}; "
+                                      "a scenario's outputs are named by its ratio")
             plans.append(ScenarioPlan((pos, neg), n_train, n_test, seed=self.seed + i))
         if not plans:
             raise ConfigFileError("holds no scenario")

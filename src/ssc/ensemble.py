@@ -27,28 +27,26 @@ from .nn import ModelCheckpoint, load_checkpoint, save_checkpoint
 
 @dataclass(frozen=True)
 class Kind:
-    """One member kind: its ensemble, checkpoint tag and encoded inputs."""
+    """One member kind: its ensemble and encoded inputs. A checkpoint's "kind" entry is its name."""
 
     ensemble: str       # "ensemble_cnn" | "ensemble_ml"
-    tag: str            # the "kind" entry of its checkpoint metadata
     word: bool = False  # reads the word ids and vectors
     char: bool = False  # reads the character indices
 
 
 KINDS = {
-    "char_aux": Kind("ensemble_cnn", "char_aux", char=True),
-    "char_cnn": Kind("ensemble_cnn", "char_cnn", char=True),
-    "word_aux": Kind("ensemble_cnn", "word_aux", word=True),
-    "svm": Kind("ensemble_ml", "SVM1"),
-    "rf": Kind("ensemble_ml", "RF1"),
-    "nb": Kind("ensemble_ml", "NB1"),
+    "char_aux": Kind("ensemble_cnn", char=True),
+    "char_cnn": Kind("ensemble_cnn", char=True),
+    "word_aux": Kind("ensemble_cnn", word=True),
+    "svm": Kind("ensemble_ml"),
+    "rf": Kind("ensemble_ml"),
+    "nb": Kind("ensemble_ml"),
 }
 CNN_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_cnn")
 ML_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_ml")
 # Each ensemble's strict composition: two members of each of its kinds.
 COMPOSITIONS = {"ensemble_cnn": Counter(dict.fromkeys(CNN_KINDS, 2)),
                 "ensemble_ml": Counter(dict.fromkeys(ML_KINDS, 2))}
-TAG_KINDS = {spec.tag: kind for kind, spec in KINDS.items()}
 
 
 class EnsembleError(RuntimeError):
@@ -144,7 +142,7 @@ def load_member(kind: str, ref) -> Member:
     """Materialize a member from a loaded checkpoint or a checkpoint path."""
     cp = ref if isinstance(ref, ModelCheckpoint) else load_checkpoint(ref)
     tag = cp.metadata.get("kind", "")
-    if TAG_KINDS.get(tag) != kind:
+    if tag != kind:
         raise EnsembleError(f"checkpoint kind tag {tag!r} does not match {kind!r}")
     if kind in CNN_KINDS:
         return CnnMember(models.model_from_checkpoint(cp))
@@ -175,10 +173,11 @@ _TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 
 
 def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
-    """A classical member as a checkpoint with its model-kind tag (NB1/SVM1/RF1).
+    """A classical member as a checkpoint tagged with its kind.
 
     The vocabulary is one space-joined metadata entry, so a term that is
-    empty or holds whitespace is refused: it would not split back.
+    empty or holds whitespace is refused: it would not split back. A forest
+    stores its trees' node counts and, per Tree field, their arrays end to end.
     """
     m = member.model
     terms = m.vocab if member.kind == "nb" else member.vocab
@@ -187,7 +186,7 @@ def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
         raise ValueError(f"refusing to serialize the vocabulary term {bad!r}: "
                          "a term must be one non-empty token without whitespace")
     arrays: dict[str, np.ndarray] = {}
-    metadata = {"kind": KINDS[member.kind].tag, "vocab": " ".join(terms)}
+    metadata = {"kind": member.kind, "vocab": " ".join(terms)}
     if member.kind == "nb":
         arrays["log_prior"] = m.log_prior
         arrays["log_likelihood"] = m.log_likelihood
@@ -197,14 +196,11 @@ def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
             if not m.calibrated:
                 raise ValueError("refusing to serialize an uncalibrated SVM")
             arrays["weights"] = m.weights
-            arrays["bias"] = np.array([m.bias])
             arrays["platt"] = np.array([m.platt_a, m.platt_b])
         else:
-            metadata["n_trees"] = str(len(m.trees))
-            metadata["rf_seed"] = str(m.seed)
-            for t, tree in enumerate(m.trees):
-                for name in _TREE_ARRAYS:
-                    arrays[f"tree{t}_{name}"] = getattr(tree, name)
+            arrays["tree_nodes"] = np.array([len(t.feature) for t in m.trees], dtype=np.int64)
+            for name in _TREE_ARRAYS:
+                arrays[name] = np.concatenate([getattr(t, name) for t in m.trees])
     return ModelCheckpoint(epoch=0, arrays=arrays, metadata=metadata)
 
 
@@ -215,10 +211,12 @@ def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
     if kind == "nb":
         return BowMember(kind, NbModel(vocab, a["log_prior"], a["log_likelihood"]))
     if kind == "svm":
-        model = SvmModel(weights=a["weights"], bias=float(a["bias"][0]),
-                         platt_a=float(a["platt"][0]), platt_b=float(a["platt"][1]))
+        model = SvmModel(a["weights"], platt_a=float(a["platt"][0]), platt_b=float(a["platt"][1]))
         return BowMember(kind, model, vocab, a["idf"])
-    trees = [Tree(**{name: a[f"tree{t}_{name}"] for name in _TREE_ARRAYS})
-             for t in range(int(cp.metadata["n_trees"]))]
-    model = RfModel(trees, seed=int(cp.metadata.get("rf_seed", "0")))
-    return BowMember(kind, model, vocab, a["idf"])
+    nodes = a["tree_nodes"]
+    if nodes.size == 0 or nodes.min() < 1 or any(len(a[n]) != nodes.sum() for n in _TREE_ARRAYS):
+        raise ValueError(f"{kind} checkpoint: tree_nodes must be counts >= 1 that add up to "
+                         "the length of every node field")
+    cuts = np.cumsum(nodes)[:-1]
+    trees = [Tree(*parts) for parts in zip(*(np.split(a[name], cuts) for name in _TREE_ARRAYS))]
+    return BowMember(kind, RfModel(trees), vocab, a["idf"])

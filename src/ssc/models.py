@@ -271,8 +271,9 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
     Each checkpoint snapshots the parameters and carries metrics computed on
     an internal stratified validation split. Dropout is active only while
     fitting. Deterministic given (model seed, data, cfg). A non-finite batch
-    loss raises FloatingPointError naming the kind, the epoch and the batch
-    (both 1-based) before any parameter is updated from it.
+    loss or gradient raises FloatingPointError naming the kind, the epoch and
+    the batch (both 1-based), and for a gradient the parameter, before any
+    parameter is updated from it.
     """
     if data.labels is None or len(data) == 0:
         raise ValueError("training requires a non-empty labeled dataset")
@@ -294,16 +295,18 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
         order = rng.permutation(n_fit)
         epoch_loss = 0.0
         for start in range(0, n_fit, cfg.batch_size):
+            where = f"at epoch {epoch}, batch {start // cfg.batch_size + 1}"
             batch = fit.subset(order[start:start + cfg.batch_size])
             logits = model.forward(batch, train=True, rng=rng)
             loss, _ = nn.softmax_xent(logits, batch.labels)
             batch_loss = float(loss.data)
             if not math.isfinite(batch_loss):
-                raise FloatingPointError(
-                    f"{model.kind}: non-finite loss {batch_loss} at epoch {epoch}, "
-                    f"batch {start // cfg.batch_size + 1}")
+                raise FloatingPointError(f"{model.kind}: non-finite loss {batch_loss} {where}")
             model.params.zero_grad()
             loss.backward()
+            for name, p in model.params.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise FloatingPointError(f"{model.kind}: non-finite gradient of {name} {where}")
             optimizer.step()
             epoch_loss += batch_loss * len(batch)
         meta = model.metadata()

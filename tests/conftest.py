@@ -143,7 +143,7 @@ def platt_oracle(score, a, b):
 
 
 def svm_predict_oracle(model, row):
-    score = float(model.weights @ row + model.bias)
+    score = float(model.weights @ row)
     return int(score > 0), platt_oracle(score, model.platt_a, model.platt_b)
 
 
@@ -179,7 +179,7 @@ def svm_objective(model, x, y, lam):
     hinge = 0.0
     for row, label in zip(x, y):
         sign = 1.0 if label == 1 else -1.0
-        margin = sign * (float(model.weights @ row) + model.bias)
+        margin = sign * float(model.weights @ row)
         hinge += max(0.0, 1.0 - margin)
     return 0.5 * lam * float(model.weights @ model.weights) + hinge / len(y)
 

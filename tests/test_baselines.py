@@ -371,6 +371,11 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             train_rf(np.zeros((0, 3)), [])
 
+    def test_zero_trees_rejected(self):
+        # A forest of no trees has no vote, and its checkpoint would hold no node field.
+        with pytest.raises(ValueError, match="at least one tree"):
+            train_rf(np.zeros((4, 2)), [0, 1, 0, 1], trees=0)
+
 
 def make_calibrated_svm():
     local = np.random.default_rng(14)

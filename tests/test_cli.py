@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("experiment", "scenarios", "50:x:10:5"), ("experiment", "scenarios", "50:50:10"),
-        ("experiment", "scenarios", "50:40:10:10"), ("experiment", "roster", "nb:two"),
+        ("experiment", "scenarios", "50:40:10:10"),
+        ("experiment", "scenarios", "50:50:40:20,50:50:20:10"), ("experiment", "roster", "nb:two"),
         ("experiment", "roster", "nb:0"), ("experiment", "roster", "lstm:2"),
         ("experiment", "folds", "0"), ("training", "epochs", "0"),
         ("training", "batch_size", "0"), ("training", "filters", "0"),
@@ -354,7 +357,7 @@ class TestEnsembleSurface:
             member = BowMember("svm", baselines.SvmModel(np.zeros(2), platt_a=-1.0, platt_b=0.0),
                                vocab, np.ones(2))
         else:
-            member = BowMember("rf", baselines.RfModel([], seed=0), vocab, np.ones(2))
+            member = BowMember("rf", baselines.RfModel([]), vocab, np.ones(2))
         with pytest.raises(ValueError, match="vocabulary term"):
             baseline_checkpoint(member)
 
@@ -421,6 +424,61 @@ class TestEnsembleSurface:
         with pytest.raises(EnsembleError, match=f"'word_aux' does not match '{declared}'"):
             load_member(declared, path)
 
+    @pytest.mark.parametrize("trees", [1, 10])
+    def test_forest_archive_members_do_not_depend_on_tree_count(self, workspace, tmp_path,
+                                                                 trees):
+        members, _, enc = self.members_via_checkpoints(workspace, tmp_path)
+        x = baselines.bow_features(enc, members[1].vocab, members[1].idf)
+        rf = baselines.train_rf(x, enc.labels, trees=trees, max_depth=4, seed=1)
+        path = tmp_path / "forest.ckpt"
+        nn.save_checkpoint(baseline_checkpoint(BowMember("rf", rf, members[1].vocab,
+                                                         members[1].idf)), path)
+        with zipfile.ZipFile(path) as zf:
+            assert zf.namelist() == [f"{name}.npy" for name in (
+                "idf", "tree_nodes", "feature", "threshold", "left", "right", "counts")] \
+                + ["metadata.txt"]
+        loaded = load_member("rf", path)
+        assert len(loaded.model.trees) == trees
+        for before, after in zip(rf.trees, loaded.model.trees):
+            for name, value in vars(before).items():
+                assert np.array_equal(getattr(after, name), value), name
+
+    @pytest.mark.parametrize("kind, old_tag", [("svm", "SVM1"), ("rf", "RF1"), ("nb", "NB1")])
+    def test_checkpoint_with_older_classical_tag_refused(self, workspace, tmp_path, capsys,
+                                                         kind, old_tag):
+        members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+        cp = baseline_checkpoint(next(m for m in members if m.kind == kind))
+        cp.metadata["kind"] = old_tag
+        path = tmp_path / f"old_{kind}.ckpt"
+        nn.save_checkpoint(cp, path)
+        with pytest.raises(EnsembleError, match=f"'{old_tag}' does not match '{kind}'"):
+            load_member(kind, path)
+        assert main(["evaluate", "--config", str(workspace / "exp.conf"),
+                     "--checkpoint", str(path),
+                     "--test-data", str(workspace / "corpus.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert f"kind tag '{old_tag}' names no member kind ({', '.join(KINDS)})" in err
+        assert "re-running training regenerates it" in err
+
+    @pytest.mark.parametrize("tree_nodes", [[], [0, 0, 0], "one_more", "one_less", "zero_first"])
+    def test_forest_whose_node_counts_do_not_add_up_refused(self, workspace, tmp_path,
+                                                           tree_nodes):
+        members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+        cp = baseline_checkpoint(members[1])
+        nodes = cp.arrays["tree_nodes"].copy()
+        if tree_nodes == "one_more":
+            nodes[-1] += 1
+        elif tree_nodes == "one_less":
+            nodes[0] -= 1
+        elif tree_nodes == "zero_first":  # the same total, one empty tree
+            nodes[1] += nodes[0]
+            nodes[0] = 0
+        else:
+            nodes = np.array(tree_nodes, dtype=np.int64)
+        cp.arrays["tree_nodes"] = nodes
+        with pytest.raises(ValueError, match="^rf checkpoint: tree_nodes must be counts >= 1"):
+            load_member("rf", cp)
+
     def test_kind_tag_mismatch_detected(self, workspace, tmp_path):
         members, paths, _ = self.members_via_checkpoints(workspace, tmp_path)
         svm_path = paths[0][1]
@@ -439,7 +497,7 @@ def _member_arrays(member) -> dict[str, np.ndarray]:
     out = {"idf": member.idf}
     if member.kind == "svm":
         out["weights"] = m.weights
-        out["scalars"] = np.array([m.bias, m.platt_a, m.platt_b])
+        out["scalars"] = np.array([m.platt_a, m.platt_b])
     else:
         for t, tree in enumerate(m.trees):
             out.update({f"{t}.{k}": v for k, v in vars(tree).items()})

@@ -255,6 +255,30 @@ class TestTraining:
                            match=f"^char_aux: non-finite loss nan at epoch 1, batch {batch}$"):
             train(model, enc, cfg)
 
+    def test_non_finite_gradient_raises_before_the_update(self, monkeypatch):
+        # A finite loss whose backward leaves inf in one gradient, at the second batch.
+        enc = toy_training_set()
+        model = build_model("char_aux", SMALL_C, seed=6)
+        real_backward, real_step = nn.Tensor.backward, nn.Adam.step
+        calls, steps = [], []
+
+        def backward(self):
+            real_backward(self)
+            calls.append(1)
+            if len(calls) == 2:
+                model.params["out_w"].grad[0, 0] = np.inf
+
+        def step(self):
+            steps.append(1)
+            real_step(self)
+
+        monkeypatch.setattr(nn.Tensor, "backward", backward)
+        monkeypatch.setattr(nn.Adam, "step", step)
+        with pytest.raises(FloatingPointError,
+                           match="^char_aux: non-finite gradient of out_w at epoch 1, batch 2$"):
+            train(model, enc, TrainConfig(epochs=2, batch_size=4, seed=6))
+        assert len(steps) == 1
+
     def test_empty_training_set_rejected(self):
         enc = EncodedSet(aux=np.zeros((0, AUX_DIM)), char=np.zeros((0, 280), dtype=np.int64),
                          labels=np.zeros(0, dtype=np.int64))
