@@ -1,56 +1,98 @@
 """Experiment configuration: a sectioned key=value text format.
 
 Lines are ``key = value`` under ``[section]`` headers; ``#`` starts a
-comment. Unknown keys, and values that do not parse or fall outside their
-key's range, are reported with line numbers. A minimal config needs only
-the dataset path; everything else has defaults matching the standard
-experiment grid.
+comment. Unknown or repeated keys, and values that do not parse or fall
+outside their key's range, are reported with line numbers. A minimal
+config needs only the dataset path; everything else has defaults matching
+the standard experiment grid.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
 from .corpus import ScenarioPlan
-from .ensemble import KINDS
+from .ensemble import COMPOSITIONS, KINDS
 from .features import MAX_CHARS
 
 DEFAULT_SCENARIOS = "50:50:3450:690,40:60:2850:570,30:70:2450:490,20:80:2150:430,10:90:1900:380"
-DEFAULT_ROSTER = "char_aux:2,char_cnn:2,word_aux:2,svm:2,rf:2,nb:2"
+# Each strict ensemble's composition, e.g. "char_aux:2,...,nb:2".
+DEFAULT_ROSTER = ",".join(f"{kind}:{n}" for composition in COMPOSITIONS.values()
+                          for kind, n in composition.items())
 
 
 class ConfigFileError(ValueError):
     """Unreadable experiment config; messages carry line numbers."""
 
 
+def parse_kernels(text: str, longest: int | None = None) -> tuple[int, ...]:
+    """Kernel sizes from "3,4,5": distinct positive integers, each <= longest if given."""
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    sizes = tuple(int(x) for x in items if x.isascii() and x.isdigit())
+    if not sizes or len(sizes) < len(items) or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+        raise ValueError(f"{text!r} is not a list of distinct positive integers")
+    if longest is not None and max(sizes) > longest:
+        raise ValueError(f"{text!r} holds a kernel size above the sequence length {longest}")
+    return sizes
+
+
+def _integer(rule: str = "", ok=lambda value: True):
+    """Parser of one integer key: int(text), which ok must accept; rule says what ok asks."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not an integer") from None
+        if not ok(value):
+            raise ValueError(f"{value!r} must be {rule}")
+        return value
+    return parse
+
+
+def _at_least(low: int):
+    return _integer(f">= {low}", lambda value: value >= low)
+
+
+def _text(check):
+    """Parser of one text key: the text itself, once check(text) has raised nothing."""
+    def parse(text: str) -> str:
+        check(text)
+        return text
+    return parse
+
+
+def _key(section: str, default, parse: Callable[[str], object] = str):
+    """A config key: its [section], default and parser (text -> value, or ValueError)."""
+    return field(default=default, metadata={"section": section, "parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [paths]
-    dataset: str = ""
-    abuse_lexicon: str = ""
-    slang_lexicon: str = ""
-    cluster_map: str = ""
-    synonym_map: str = ""
-    embeddings: str = ""
-    output: str = "out"
-    # [experiment]
-    scenarios: str = DEFAULT_SCENARIOS
-    folds: int = 6
-    roster: str = DEFAULT_ROSTER
-    seed: int = 7
-    # [training]
-    epochs: int = 30
-    batch_size: int = 32
-    filters: int = 128
-    word_kernels: str = "3,4,5"
-    char_kernels: str = "3,4,5,7"
-    char_embed_dim: int = 128
-    # [baselines]
-    rf_trees: int = 50
-    rf_max_depth: int = 16
+    dataset: str = _key("paths", "")
+    abuse_lexicon: str = _key("paths", "")
+    slang_lexicon: str = _key("paths", "")
+    cluster_map: str = _key("paths", "")
+    synonym_map: str = _key("paths", "")
+    embeddings: str = _key("paths", "")
+    output: str = _key("paths", "out")
+    scenarios: str = _key("experiment", DEFAULT_SCENARIOS,
+                          _text(lambda text: ExperimentConfig(scenarios=text).scenario_plans()))
+    folds: int = _key("experiment", 6, _at_least(1))
+    roster: str = _key("experiment", DEFAULT_ROSTER,
+                       _text(lambda text: ExperimentConfig(roster=text).roster_members()))
+    seed: int = _key("experiment", 7, _integer())
+    epochs: int = _key("training", 30, _at_least(1))
+    batch_size: int = _key("training", 32, _at_least(1))
+    filters: int = _key("training", 128, _at_least(1))
+    word_kernels: str = _key("training", "3,4,5", _text(parse_kernels))
+    char_kernels: str = _key("training", "3,4,5,7",
+                             _text(lambda text: parse_kernels(text, MAX_CHARS)))
+    char_embed_dim: int = _key("training", 128, _at_least(1))
+    rf_trees: int = _key("baselines", 50, _at_least(1))
+    rf_max_depth: int = _key("baselines", 16, _at_least(1))
 
     def scenario_plans(self) -> list[ScenarioPlan]:
         plans = []
@@ -90,71 +132,16 @@ class ExperimentConfig:
         return hashlib.sha256(dump_config(self).encode("utf-8")).hexdigest()
 
 
-_OPTIONAL_PATHS = ("abuse_lexicon", "slang_lexicon", "cluster_map",
-                   "synonym_map", "embeddings")
-
-
-def parse_kernels(text: str, longest: int | None = None) -> tuple[int, ...]:
-    """Kernel sizes from "3,4,5": distinct positive integers, each <= longest if given."""
-    items = [x.strip() for x in text.split(",") if x.strip()]
-    sizes = tuple(int(x) for x in items if x.isascii() and x.isdigit())
-    if not sizes or len(sizes) < len(items) or min(sizes) < 1 or len(set(sizes)) < len(sizes):
-        raise ValueError(f"{text!r} is not a list of distinct positive integers")
-    if longest is not None and max(sizes) > longest:
-        raise ValueError(f"{text!r} holds a kernel size above the sequence length {longest}")
-    return sizes
-
-
-def _integer(rule: str = "", ok=lambda value: True):
-    """Parser of one integer key: int(text), which ok must accept; rule says what ok asks."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"{text!r} is not an integer") from None
-        if not ok(value):
-            raise ValueError(f"{value!r} must be {rule}")
-        return value
-    return parse
-
-
-def _at_least(low: int):
-    return _integer(f">= {low}", lambda value: value >= low)
-
-
-def _text(check):
-    """Parser of one text key: the text itself, once check(text) has raised nothing."""
-    def parse(text: str) -> str:
-        check(text)
-        return text
-    return parse
-
-
-# Every key's parser: text -> value, raising ValueError with what is wrong.
-_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "paths": {
-        "dataset": str, "abuse_lexicon": str, "slang_lexicon": str,
-        "cluster_map": str, "synonym_map": str, "embeddings": str, "output": str,
-    },
-    "experiment": {
-        "scenarios": _text(lambda text: ExperimentConfig(scenarios=text).scenario_plans()),
-        "folds": _at_least(1),
-        "roster": _text(lambda text: ExperimentConfig(roster=text).roster_members()),
-        "seed": _integer(),
-    },
-    "training": {
-        "epochs": _at_least(1), "batch_size": _at_least(1), "filters": _at_least(1),
-        "word_kernels": _text(parse_kernels),
-        "char_kernels": _text(lambda text: parse_kernels(text, MAX_CHARS)),
-        "char_embed_dim": _at_least(1),
-    },
-    "baselines": {"rf_trees": _at_least(1), "rf_max_depth": _at_least(1)},
-}
+# Every key's parser by section, in field order (the order dump_config writes).
+_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {}
+for _f in fields(ExperimentConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.name] = _f.metadata["parse"]
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file, filling defaults."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     section = None
     errors: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -178,6 +165,10 @@ def load_config(path) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
                 continue
+            if first_line.setdefault(key, lineno) != lineno:
+                errors.append(f"line {lineno}: {key} is set again (first set on line "
+                              f"{first_line[key]}); set each key once")
+                continue
             try:
                 values[key] = _SCHEMA[section][key](value)
             except ValueError as e:
@@ -188,11 +179,9 @@ def load_config(path) -> ExperimentConfig:
     cfg = replace(ExperimentConfig(), **values)
     if not cfg.dataset:
         raise ConfigFileError("missing required path: dataset")
-    if not Path(cfg.dataset).exists():
-        raise ConfigFileError(f"dataset path does not exist: {cfg.dataset}")
-    for name in _OPTIONAL_PATHS:
+    for name in _SCHEMA["paths"]:  # every input path that is set must exist
         value = getattr(cfg, name)
-        if value and not Path(value).exists():
+        if name != "output" and value and not Path(value).exists():
             raise ConfigFileError(f"{name} path does not exist: {value}")
     return cfg
 

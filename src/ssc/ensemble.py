@@ -170,6 +170,9 @@ def ensemble_vote_batch(members: Sequence[Member], enc: EncodedSet) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 _TREE_ARRAYS = tuple(f.name for f in fields(Tree))
+# The arrays that baseline_checkpoint stores for each classical kind.
+_KIND_ARRAYS = {"svm": ("idf", "weights", "platt"), "rf": ("idf", "tree_nodes", *_TREE_ARRAYS),
+                "nb": ("log_prior", "log_likelihood")}
 
 
 def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
@@ -208,6 +211,9 @@ def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
     terms = cp.metadata.get("vocab", "").split()
     vocab = {t: i for i, t in enumerate(terms)}
     a = cp.arrays
+    missing = [name for name in _KIND_ARRAYS[kind] if name not in a]
+    if missing:
+        raise ValueError(f"{kind} checkpoint: missing arrays: {', '.join(missing)}")
     if kind == "nb":
         return BowMember(kind, NbModel(vocab, a["log_prior"], a["log_likelihood"]))
     if kind == "svm":

@@ -7,7 +7,7 @@ imbalanced folds with no positive predictions stay well-defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ class MetricsReport:
         return f"{scenario},{model},{vals},{counts}"
 
 
-CSV_HEADER = "scenario,model,accuracy,precision_p,recall_p,f1_p,tp,fp,fn,tn"
+CSV_HEADER = ",".join(("scenario", "model", *(f.name for f in fields(MetricsReport))))
 
 
 def compute_metrics(pred: np.ndarray, gold: np.ndarray) -> MetricsReport:
@@ -76,13 +76,5 @@ def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("cannot average zero reports")
     n = len(reports)
-    return MetricsReport(
-        accuracy=sum(r.accuracy for r in reports) / n,
-        precision_p=sum(r.precision_p for r in reports) / n,
-        recall_p=sum(r.recall_p for r in reports) / n,
-        f1_p=sum(r.f1_p for r in reports) / n,
-        tp=sum(r.tp for r in reports) / n,
-        fp=sum(r.fp for r in reports) / n,
-        fn=sum(r.fn for r in reports) / n,
-        tn=sum(r.tn for r in reports) / n,
-    )
+    return MetricsReport(**{f.name: sum(getattr(r, f.name) for r in reports) / n
+                            for f in fields(MetricsReport)})

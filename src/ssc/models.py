@@ -32,7 +32,7 @@ from . import nn
 from .embeddings import MAX_TOKENS
 from .encoding import EncodedSet
 from .features import AUX_DIM, CHARSET_SIZE, MAX_CHARS
-from .metrics import compute_metrics
+from .metrics import MEASURES, compute_metrics
 from .nn import ModelCheckpoint, ParamSet, ParamSpec, Tensor
 
 DENSE_UNITS = 1024
@@ -67,13 +67,6 @@ class CnnConfig:
             raise ConfigError(f"embed_dim {self.embed_dim} must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must be in [0, 1)")
-
-    @classmethod
-    def from_items(cls, items: dict[str, str]) -> "CnnConfig":
-        """Inverse of _config_items; entries that are not fields are ignored."""
-        return cls(kernel_sizes=tuple(int(x) for x in items["kernel_sizes"].split(",")),
-                   filters=int(items["filters"]), embed_dim=int(items["embed_dim"]),
-                   dropout=float(items["dropout"]))
 
 
 def _config_items(cfg) -> list[tuple[str, str]]:
@@ -283,6 +276,11 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
 
     rng = np.random.default_rng(cfg.seed)
     fit_idx, val_idx = _stratified_val_split(labels, cfg.val_fraction, rng)
+    if len(val_idx) == 0:
+        counts = np.bincount(labels, minlength=2)
+        raise ValueError(f"{model.kind}: a {cfg.val_fraction} validation fraction of "
+                         f"{counts[0]} negative and {counts[1]} positive training items "
+                         "leaves the validation split empty")
     fit = data.subset(fit_idx)
     val = data.subset(val_idx)
 
@@ -314,7 +312,7 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
         cp = ModelCheckpoint(epoch=epoch, arrays=model.params.state_dict(), metadata=meta)
         # The snapshot's rebuilt model shares its arrays and keeps no autodiff graph.
         report = compute_metrics(predict_batch(model_from_checkpoint(cp), val)[0], val.labels)
-        cp.metrics = {m: report.value(m) for m in ("accuracy", "precision_p", "recall_p", "f1_p")}
+        cp.metrics = {m: report.value(m) for m in MEASURES}
         cp.metrics["fit_loss"] = epoch_loss / n_fit
         checkpoints.append(cp)
     return checkpoints
@@ -337,11 +335,24 @@ def model_from_checkpoint(cp: ModelCheckpoint) -> Model:
     """
     dtype = next(iter(cp.arrays.values())).dtype if cp.arrays else None
     kind = cp.metadata.get("kind")
-    conf = {k[len("config."):]: v for k, v in cp.metadata.items() if k.startswith("config.")}
-    seed = int(cp.metadata.get("seed", "0"))
-    if kind not in _ARCHITECTURES or any(f.name not in conf for f in fields(CnnConfig)):
+    if kind not in _ARCHITECTURES or any(f"config.{f.name}" not in cp.metadata
+                                         for f in fields(CnnConfig)):
         raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})")
-    cfg = CnnConfig.from_items(conf)
+
+    def entry(name: str, parse):
+        text = cp.metadata.get(name, "0")
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"{kind} checkpoint: metadata entry {name}={text!r} "
+                             "does not parse") from None
+
+    # Inverse of _config_items: each field's "config." entry, an int unless parsed here.
+    parsers = {"kernel_sizes": lambda text: tuple(int(x) for x in text.split(",")),
+               "dropout": float}
+    cfg = CnnConfig(**{f.name: entry(f"config.{f.name}", parsers.get(f.name, int))
+                       for f in fields(CnnConfig)})
+    seed = entry("seed", int)
     cls, specs = _architecture(kind, cfg)
     params = nn.ParamSet()
     for spec in specs:  # unwritten placeholders: load_state_dict checks and replaces them

@@ -1,3 +1,4 @@
+import re
 import zipfile
 
 import numpy as np
@@ -137,6 +138,15 @@ class TestConfig:
         what = f"unknown key '{key}'" if key in REMOVED_KEYS else f"{key} "
         with pytest.raises(ConfigFileError, match=f"line 4: {what}"):
             load_config(tmp_path / "bad.conf")
+
+    def test_repeated_key_refused_with_both_lines(self, tmp_path, capsys):
+        (tmp_path / "bad.conf").write_text(
+            "[paths]\ndataset = x\n[training]\nepochs = 3\n\nepochs = 5\n")
+        expected = "line 6: epochs is set again (first set on line 4)"
+        with pytest.raises(ConfigFileError, match=re.escape(expected)):
+            load_config(tmp_path / "bad.conf")
+        assert main(["config", "--config", str(tmp_path / "bad.conf")]) == 1
+        assert expected in capsys.readouterr().err
 
     def test_missing_dataset_path(self, tmp_path):
         (tmp_path / "bad.conf").write_text("[experiment]\nseed = 1\n")
@@ -478,6 +488,18 @@ class TestEnsembleSurface:
         cp.arrays["tree_nodes"] = nodes
         with pytest.raises(ValueError, match="^rf checkpoint: tree_nodes must be counts >= 1"):
             load_member("rf", cp)
+
+    @pytest.mark.parametrize("kind", ML_KINDS)
+    def test_checkpoint_missing_an_array_refused(self, workspace, tmp_path, kind):
+        members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+        cp = baseline_checkpoint(next(m for m in members if m.kind == kind))
+        for name in cp.arrays:
+            arrays = {k: v for k, v in cp.arrays.items() if k != name}
+            with pytest.raises(ValueError, match=f"^{kind} checkpoint: missing arrays: {name}$"):
+                load_member(kind, nn.ModelCheckpoint(0, arrays, metadata=cp.metadata))
+        with pytest.raises(ValueError, match=f"^{kind} checkpoint: missing arrays: "
+                                             f"{', '.join(cp.arrays)}$"):
+            load_member(kind, nn.ModelCheckpoint(0, {}, metadata=cp.metadata))
 
     def test_kind_tag_mismatch_detected(self, workspace, tmp_path):
         members, paths, _ = self.members_via_checkpoints(workspace, tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,21 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(model, enc, TrainConfig(epochs=1, seed=0))
 
+    def test_empty_validation_split_refused_before_the_first_batch(self, monkeypatch):
+        # 4 + 4 items: a 0.1 fraction of each class rounds to no validation item.
+        model = build_model("char_cnn", SMALL_C, seed=0)
+        monkeypatch.setattr(type(model), "forward", lambda *a, **k: pytest.fail("a batch ran"))
+        with pytest.raises(ValueError, match="^char_cnn: a 0.1 validation fraction of "
+                                             "4 negative and 4 positive training items"):
+            train(model, toy_training_set(4), TrainConfig(epochs=1, seed=0))
+
+    def test_validation_split_without_a_positive_item_trains(self):
+        # The paper's 10:90 scenario can leave no positive in validation; that still runs.
+        enc = encode_dataset(synth.generate_dataset(4, 10, seed=5),
+                             synth.feature_context(embed_dim=12, seed=0))
+        model = build_model("char_cnn", SMALL_C, seed=0)
+        assert len(train(model, enc, TrainConfig(epochs=1, batch_size=8, seed=0))) == 1
+
     def test_single_class_rejected(self):
         enc = toy_training_set()
         single = enc.subset(np.flatnonzero(enc.labels == 1))
@@ -483,4 +500,13 @@ class TestCheckpointEquivalence:
         model = build_model("char_cnn", SMALL_C, seed=14)
         meta = {**model.metadata(), "config.embed_dim": "0"}
         with pytest.raises(ConfigError, match="embed_dim 0"):
+            model_from_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(), metadata=meta))
+
+    @pytest.mark.parametrize("name, text", [("config.kernel_sizes", "3,,4"),
+                                            ("config.filters", "x"), ("seed", "x")])
+    def test_metadata_entry_that_does_not_parse_named(self, name, text):
+        model = build_model("char_cnn", SMALL_C, seed=14)
+        meta = {**model.metadata(), name: text}
+        expected = f"char_cnn checkpoint: metadata entry {name}={text!r} does not parse"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             model_from_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(), metadata=meta))
