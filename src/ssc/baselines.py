@@ -339,7 +339,7 @@ def _grow(x, rows, y, rng, max_depth, n_candidates, nodes, depth):
     nodes["counts"].append(counts)
 
     pure = counts[0] == 0 or counts[1] == 0
-    if pure or len(y) < 2 or (max_depth is not None and depth >= max_depth):
+    if pure or len(y) < 2 or depth >= max_depth:
         return node_id
 
     n_features = x.shape[1]
@@ -362,7 +362,7 @@ def _grow(x, rows, y, rng, max_depth, n_candidates, nodes, depth):
 
 
 def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
-             max_depth: int | None = 16, seed: int = 0) -> RfModel:
+             max_depth: int = 16, seed: int = 0) -> RfModel:
     """Random forest of Gini-split trees.
 
     Per tree: a bootstrap sample, recursive best-Gini

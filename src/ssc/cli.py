@@ -72,6 +72,13 @@ def _encoder(cfg: ExperimentConfig, kinds):
     return roster_encoder(build_feature_context(cfg, kinds), kinds)
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def _parse_ratio(text: str) -> tuple[int, int]:
     pos, _, neg = text.partition(":")
     return int(pos), int(neg)
@@ -145,13 +152,12 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     kind = args.kind
     enc = _encoder(cfg, [kind])(load_dataset(args.train_data))
-    seed = cfg.seed if args.seed is None else args.seed
     if kind in CNN_KINDS:
-        cp = train_cnn_member(kind, enc, cfg, init_seed=seed, train_seed=seed + 1)
+        cp = train_cnn_member(kind, enc, cfg, init_seed=cfg.seed, train_seed=cfg.seed + 1)
     else:
         vocab, idf = baselines.fit_tfidf(enc.tokens)
         x = baselines.bow_features(enc, vocab, idf)
-        cp = train_bow_member(kind, 0, enc, x, vocab, idf, cfg, seed)
+        cp = train_bow_member(kind, 0, enc, x, vocab, idf, cfg, cfg.seed)
     save_checkpoint(cp, args.output)
     best = " ".join(f"{k}={v:.4f}" for k, v in sorted(cp.metrics.items()))
     print(f"trained {kind}, saved to {args.output}"
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--config", required=True)
     ex.add_argument("--output")
     ex.add_argument("--seed", type=int)
-    ex.add_argument("--jobs", type=int, default=1)
+    ex.add_argument("--jobs", type=_jobs, default=1)
     ex.add_argument("--format", choices=["csv", "markdown"], default="csv")
     ex.set_defaults(func=cmd_experiment)
 

@@ -1,4 +1,4 @@
-"""Bridge from datasets to the numeric arrays the models consume."""
+"""Bridge from datasets to the numeric arrays the models consume, and the member kinds."""
 
 from __future__ import annotations
 
@@ -11,6 +11,28 @@ from .corpus import Dataset
 from .embeddings import EmbeddingTable, encode_words
 from .features import ClusterMap, Lexicon, SynonymMap, TokenSeq
 from .nn import default_dtype
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A KINDS entry: its ensemble and encoded inputs. A checkpoint's "kind" entry is its name."""
+
+    ensemble: str       # "ensemble_cnn" | "ensemble_ml"
+    word: bool = False  # reads the word ids and vectors
+    char: bool = False  # reads the character indices
+    aux: bool = False   # a CNN whose output layer also reads the aux vector
+
+
+KINDS = {
+    "char_aux": Kind("ensemble_cnn", char=True, aux=True),
+    "char_cnn": Kind("ensemble_cnn", char=True),
+    "word_aux": Kind("ensemble_cnn", word=True, aux=True),
+    "svm": Kind("ensemble_ml"),
+    "rf": Kind("ensemble_ml"),
+    "nb": Kind("ensemble_ml"),
+}
+CNN_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_cnn")
+ML_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_ml")
 
 
 @dataclass

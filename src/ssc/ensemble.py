@@ -2,11 +2,11 @@
 
 A member has a kind and a batched predict returning (classes, positive
 probabilities), run PREDICT_ROWS rows at a time; predict(enc, i) is that
-predict on a set of one. KINDS below
-is the one registry of member kinds. The two paper-faithful six-member
-rosters are 2x char_aux + 2x char_cnn + 2x word_aux (CNN ensemble) and
-2x svm + 2x rf + 2x nb (classical ensemble); "free" mode allows arbitrary
-compositions.
+predict on a set of one. The member kinds are encoding.KINDS, which this
+module imports with CNN_KINDS and ML_KINDS. COMPOSITIONS holds the two
+paper-faithful six-member rosters: 2x char_aux + 2x char_cnn + 2x word_aux
+(CNN ensemble) and 2x svm + 2x rf + 2x nb (classical ensemble); "free" mode
+allows arbitrary compositions.
 """
 
 from __future__ import annotations
@@ -19,31 +19,11 @@ import numpy as np
 
 from . import baselines, models
 from .baselines import NbModel, RfModel, SvmModel, Tree
-from .encoding import EncodedSet
+from .encoding import CNN_KINDS, KINDS, ML_KINDS, EncodedSet  # noqa: F401 (KINDS re-exported)
 from .features import is_token
 # Nothing here saves; bench/tracing.py still wraps save_checkpoint by this module's name.
 from .nn import ModelCheckpoint, load_checkpoint, save_checkpoint
 
-
-@dataclass(frozen=True)
-class Kind:
-    """One member kind: its ensemble and encoded inputs. A checkpoint's "kind" entry is its name."""
-
-    ensemble: str       # "ensemble_cnn" | "ensemble_ml"
-    word: bool = False  # reads the word ids and vectors
-    char: bool = False  # reads the character indices
-
-
-KINDS = {
-    "char_aux": Kind("ensemble_cnn", char=True),
-    "char_cnn": Kind("ensemble_cnn", char=True),
-    "word_aux": Kind("ensemble_cnn", word=True),
-    "svm": Kind("ensemble_ml"),
-    "rf": Kind("ensemble_ml"),
-    "nb": Kind("ensemble_ml"),
-}
-CNN_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_cnn")
-ML_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_ml")
 # Each ensemble's strict composition: two members of each of its kinds.
 COMPOSITIONS = {"ensemble_cnn": Counter(dict.fromkeys(CNN_KINDS, 2)),
                 "ensemble_ml": Counter(dict.fromkeys(ML_KINDS, 2))}

@@ -161,7 +161,8 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
     """Run every member of one fold as a unit, then vote the ensembles from their predictions.
 
     A unit trains its member, saves the checkpoint, reloads it and predicts
-    the test block once. Returns (row name, report) pairs in per-fold CSV
+    the test block once: the CNN units in a pool of jobs threads, then the
+    classical units in turn. Returns (row name, report) pairs in per-fold CSV
     order: every roster member as kind.m<j> (its j-th member of that kind),
     then each ensemble whose composition the roster holds.
     """
@@ -186,13 +187,10 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
             return ensemble.load_member(kind, cp).predict_batch(enc_test)
 
     cnn_units = [u for u in units if u[1] in CNN_KINDS]
-    if jobs > 1 and len(cnn_units) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            predictions = dict(zip(cnn_units, pool_exec.map(run_unit, cnn_units)))
-    else:
-        predictions = {u: run_unit(u) for u in cnn_units}
+    with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
+        predictions = dict(zip(cnn_units, pool_exec.map(run_unit, cnn_units)))
     bow_units = [u for u in units if u[1] not in CNN_KINDS]
-    if bow_units:
+    if bow_units:  # in turn: two forests in two threads take twice as long (GIL contention)
         vocab, idf = baselines.fit_tfidf(enc_train.tokens)
         bow = (baselines.bow_features(enc_train, vocab, idf), vocab, idf)
         predictions.update((u, run_unit(u, bow)) for u in bow_units)
@@ -245,7 +243,9 @@ def _run_scenario(pool: Dataset, plan: ScenarioPlan, scenario_idx: int,
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1, log=None) -> ExperimentReport:
-    """Train and evaluate the full roster over every configured scenario."""
+    """Train and evaluate the roster over every scenario, up to jobs (>= 1) CNN units at once."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     log = log or (lambda msg: print(msg, file=sys.stderr))
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,19 +1,21 @@
 """Word-level and char-level CNN classifiers with per-epoch checkpointing.
 
-The member kind selects the architecture: "word_aux" is the word CNN,
-"char_aux" and "char_cnn" are the char CNN with and without the auxiliary
-vector. One CnnConfig holds what a run can change (kernel sizes, filters,
-embedding width) and the dense layers' dropout rate, DROPOUT (0.5) unless
-set; everything else is one of these constants:
+The member kind's KINDS entry selects the architecture: "word_aux" reads
+words and is the word CNN, "char_aux" and "char_cnn" the char CNN with and
+without the auxiliary vector. CnnConfig (kernel sizes, filters, embedding
+width) and TrainConfig (epochs, batch size, seed) hold what a run can
+change; everything else is one of these constants:
 
 - MAX_TOKENS (40) word ids per text and MAX_CHARS (280) character slots,
   fixed by the encoders; CHARSET_SIZE rows in the character embedding;
 - POOL_SIZE (2), the window of the word model's non-overlapping max pools, which
   leave WORD_BRANCH_LEN (10) steps per word branch;
 - DENSE_LAYERS (2) dense layers of DENSE_UNITS (1024) units;
+- DROPOUT (0.5) after each dense layer while fitting;
 - AUX_DIM (154) auxiliary entries, concatenated onto the last hidden layer
-  for the kinds in AUX_KINDS;
-- a two-unit softmax output.
+  for the aux kinds;
+- a two-unit softmax output;
+- VAL_FRACTION (0.1) of each class held out for validation; Adam's LR (1e-3).
 
 The word model stacks conv+pool twice per branch with ReLU; the char model
 uses one conv per branch with Tanh and global max pooling over a trainable
@@ -30,17 +32,18 @@ import numpy as np
 
 from . import nn
 from .embeddings import MAX_TOKENS
-from .encoding import EncodedSet
+from .encoding import CNN_KINDS, KINDS, EncodedSet
 from .features import AUX_DIM, CHARSET_SIZE, MAX_CHARS
 from .metrics import MEASURES, compute_metrics
 from .nn import ModelCheckpoint, ParamSet, ParamSpec, Tensor
 
 DENSE_UNITS = 1024
 DENSE_LAYERS = 2
-AUX_KINDS = ("word_aux", "char_aux")  # kinds whose output layer also reads aux
 PREDICT_ROWS = 256  # rows per inference forward pass
 POOL_SIZE = 2
 DROPOUT = 0.5
+VAL_FRACTION = 0.1
+LR = 1e-3
 # Two same-padding convs, each followed by a non-overlapping POOL_SIZE max pool.
 WORD_BRANCH_LEN = MAX_TOKENS // POOL_SIZE // POOL_SIZE
 
@@ -56,7 +59,6 @@ class CnnConfig:
     kernel_sizes: tuple[int, ...]
     filters: int
     embed_dim: int
-    dropout: float = DROPOUT
 
     def validate(self) -> None:
         if not self.kernel_sizes or self.filters < 1:
@@ -65,8 +67,6 @@ class CnnConfig:
             raise ConfigError(f"kernel sizes {self.kernel_sizes} must be distinct and >= 1")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim {self.embed_dim} must be >= 1")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must be in [0, 1)")
 
 
 def _config_items(cfg) -> list[tuple[str, str]]:
@@ -104,8 +104,8 @@ class Model:
         for layer in range(1, DENSE_LAYERS + 1):
             h = act(nn.dense(h, p[f"dense{layer}_w"], p[f"dense{layer}_b"]))
             if train:
-                h = nn.dropout(h, self.config.dropout, rng)
-        if self.kind in AUX_KINDS:
+                h = nn.dropout(h, DROPOUT, rng)
+        if KINDS[self.kind].aux:
             h = nn.concat([h, Tensor(batch.aux)], axis=1)
         return nn.dense(h, p["out_w"], p["out_b"])
 
@@ -178,23 +178,16 @@ def _ccnn_specs(cfg: CnnConfig, with_aux: bool) -> list[ParamSpec]:
     return specs + _head_specs(cfg.filters * len(cfg.kernel_sizes), with_aux)
 
 
-# kind -> (model class, parameter specs of a config)
-_ARCHITECTURES = {
-    "word_aux": (WordCnn, _wcnn_specs),
-    "char_aux": (CharCnn, _ccnn_specs),
-    "char_cnn": (CharCnn, _ccnn_specs),
-}
-
-
 def _architecture(kind: str, cfg: CnnConfig) -> tuple[type[Model], list[ParamSpec]]:
     """(model class, parameter specs) of a member kind under a validated config."""
-    if kind not in _ARCHITECTURES:
+    if kind not in CNN_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     cfg.validate()
-    cls, specs = _ARCHITECTURES[kind]
-    if cls is CharCnn and max(cfg.kernel_sizes) > MAX_CHARS:
+    if KINDS[kind].word:
+        return WordCnn, _wcnn_specs(cfg, KINDS[kind].aux)
+    if max(cfg.kernel_sizes) > MAX_CHARS:
         raise ConfigError("kernel size exceeds sequence length")
-    return cls, specs(cfg, kind in AUX_KINDS)
+    return CharCnn, _ccnn_specs(cfg, KINDS[kind].aux)
 
 
 def build_model(kind: str, cfg: CnnConfig, seed: int = 0, dtype=None) -> Model:
@@ -212,12 +205,8 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    val_fraction: float = 0.1
-    lr: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.val_fraction < 0.5:
-            raise ConfigError("val_fraction must be in (0, 0.5)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
 
@@ -275,17 +264,17 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
         raise ValueError("training set contains a single class")
 
     rng = np.random.default_rng(cfg.seed)
-    fit_idx, val_idx = _stratified_val_split(labels, cfg.val_fraction, rng)
+    fit_idx, val_idx = _stratified_val_split(labels, VAL_FRACTION, rng)
     if len(val_idx) == 0:
         counts = np.bincount(labels, minlength=2)
-        raise ValueError(f"{model.kind}: a {cfg.val_fraction} validation fraction of "
+        raise ValueError(f"{model.kind}: a {VAL_FRACTION} validation fraction of "
                          f"{counts[0]} negative and {counts[1]} positive training items "
                          "leaves the validation split empty")
     fit = data.subset(fit_idx)
     val = data.subset(val_idx)
 
     digest = config_digest(model.config, cfg)
-    optimizer = nn.Adam(model.params, lr=cfg.lr)
+    optimizer = nn.Adam(model.params, lr=LR)
     checkpoints: list[ModelCheckpoint] = []
     n_fit = len(fit)
 
@@ -335,8 +324,8 @@ def model_from_checkpoint(cp: ModelCheckpoint) -> Model:
     """
     dtype = next(iter(cp.arrays.values())).dtype if cp.arrays else None
     kind = cp.metadata.get("kind")
-    if kind not in _ARCHITECTURES or any(f"config.{f.name}" not in cp.metadata
-                                         for f in fields(CnnConfig)):
+    if kind not in CNN_KINDS or any(f"config.{f.name}" not in cp.metadata
+                                    for f in fields(CnnConfig)):
         raise ValueError(f"checkpoint does not describe a CNN model (kind={kind!r})")
 
     def entry(name: str, parse):
@@ -348,8 +337,7 @@ def model_from_checkpoint(cp: ModelCheckpoint) -> Model:
                              "does not parse") from None
 
     # Inverse of _config_items: each field's "config." entry, an int unless parsed here.
-    parsers = {"kernel_sizes": lambda text: tuple(int(x) for x in text.split(",")),
-               "dropout": float}
+    parsers = {"kernel_sizes": lambda text: tuple(int(x) for x in text.split(","))}
     cfg = CnnConfig(**{f.name: entry(f"config.{f.name}", parsers.get(f.name, int))
                        for f in fields(CnnConfig)})
     seed = entry("seed", int)

@@ -247,13 +247,12 @@ def build_embedding_table(dim: int = 50, seed: int = 0) -> EmbeddingTable:
     return EmbeddingTable(dim, vectors)
 
 
-def feature_context(embed_dim: int = 50, seed: int = 0,
-                    with_synonyms: bool = True) -> FeatureContext:
+def feature_context(embed_dim: int = 50, seed: int = 0) -> FeatureContext:
     return FeatureContext(
         abuse=abuse_lexicon(),
         slang=slang_lexicon(),
         clusters=cluster_map(),
-        synonyms=synonym_map() if with_synonyms else None,
+        synonyms=synonym_map(),
         table=build_embedding_table(embed_dim, seed),
     )
 

@@ -134,17 +134,17 @@ def _check_architecture_gradients(rng):
     """Sampled-coordinate FD checks through both full architectures
     (3-sample batches, 64-bit, default input shapes)."""
     wcnn = build_model("word_aux", CnnConfig(kernel_sizes=(3, 4, 5), filters=2,
-                                             embed_dim=400, dropout=0.0),
+                                             embed_dim=400),
                        seed=1, dtype=np.float64)
     vectors = rng.normal(size=(60, 400))
     vectors[0] = 0  # the padding row, which these ids do not use
     word_batch = EncodedSet(aux=rng.normal(size=(3, AUX_DIM)),
                             word=rng.integers(1, 60, size=(3, 40)), vectors=vectors)
     ccnn_full = build_model("char_aux", CnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
-                                                  embed_dim=128, dropout=0.0),
+                                                  embed_dim=128),
                             seed=2, dtype=np.float64)
     ccnn_plain = build_model("char_cnn", CnnConfig(kernel_sizes=(3, 4, 5, 7), filters=2,
-                                                   embed_dim=128, dropout=0.0),
+                                                   embed_dim=128),
                              seed=3, dtype=np.float64)
     char_batch = EncodedSet(aux=rng.normal(size=(3, AUX_DIM)),
                             char=rng.integers(0, 71, size=(3, 280)))
@@ -448,8 +448,8 @@ rf_max_depth = 8
     # Checkpoint persistence: bit-exact round trip and exact predictions.
     ctx = synth.feature_context(embed_dim=12, seed=0)
     enc = encode_dataset(ds, ctx, with_word=False)
-    model = build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8,
-                                              dropout=0.5), seed=5)
+    model = build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8),
+                        seed=5)
     cps = models.train(model, enc, TrainConfig(epochs=2, batch_size=16, seed=5))
     best = models.select_best_epoch(cps)
     nn.save_checkpoint(best, tmp_path / "best.ckpt")

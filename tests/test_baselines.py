@@ -306,11 +306,13 @@ class TestRandomForest:
         assert f == 3  # the tie keeps the earlier candidate
 
     def test_memorizes_consistent_data(self):
-        # An unlimited-depth tree classifies every row of its own bootstrap draw.
+        # A tree whose depth limit it cannot reach classifies every row of its
+        # own bootstrap draw: each split of n rows leaves both sides at least
+        # one, so no path from n rows is n splits deep.
         local = np.random.default_rng(10)
         x = local.normal(size=(40, 6))
         y = (x[:, 2] * x[:, 4] > 0).astype(int)
-        model = train_rf(x, y, trees=1, max_depth=None, seed=0)
+        model = train_rf(x, y, trees=1, max_depth=len(x), seed=0)
         pick = np.unique(np.random.default_rng([0, 0]).integers(0, 40, size=40))
         pred = [rf_predict(model, row[None])[0][0] for row in x[pick]]
         assert (np.array(pred) == y[pick]).all()

@@ -403,7 +403,7 @@ class TestEnsembleSurface:
             nn.save_checkpoint(baseline_checkpoint(member), path)
         else:
             cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=4,
-                                   embed_dim=16 if kind == "word_aux" else 8, dropout=0.5)
+                                   embed_dim=16 if kind == "word_aux" else 8)
             model = models.build_model(kind, cfg, seed=3, dtype=np.float64)
             member = CnnMember(model)
             nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
@@ -426,7 +426,7 @@ class TestEnsembleSurface:
 
     @pytest.mark.parametrize("declared", ["char_cnn", "char_aux", "svm"])
     def test_cnn_checkpoint_kind_tag_checked(self, tmp_path, declared):
-        cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=2, embed_dim=8, dropout=0.0)
+        cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=2, embed_dim=8)
         model = models.build_model("word_aux", cfg, seed=0)
         path = tmp_path / "word.ckpt"
         nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
@@ -631,6 +631,15 @@ class TestExperimentCommand:
         lines = (tmp_path / "solo_out" / "report.csv").read_text().strip().splitlines()
         models = {line.split(",")[1] for line in lines[1:]}
         assert models == {"nb"}
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused_by_the_parser(self, workspace, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--config", str(workspace / "exp.conf"),
+                  "--output", str(tmp_path / "out"), "--jobs", jobs])
+        assert exit_info.value.code != 0
+        assert f"--jobs: must be at least 1, not {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_provenance(self, workspace, tmp_path, capsys):
         conf = (workspace / "exp.conf").read_text().replace(

@@ -1,9 +1,15 @@
 """run_experiment end to end on a tiny config: failure naming, fold plans, --jobs
-determinism, one test-block predict per member, and per-fold rows that the
-saved checkpoints reproduce."""
+determinism and its refusal below 1, one test-block predict per member,
+per-fold rows that the saved checkpoints reproduce, and the checked-in golden
+run (tests/golden)."""
 
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +56,7 @@ char_embed_dim = 4
 
 def test_report_identical_at_one_and_two_jobs(tiny_config):
     cfg, root = tiny_config
+    cfg = replace(cfg, roster=cfg.roster + ",svm:1,rf:1")
     outputs = []
     for jobs in (1, 2):
         out = root / f"jobs{jobs}"
@@ -58,9 +65,18 @@ def test_report_identical_at_one_and_two_jobs(tiny_config):
         outputs.append(out)
     # Units save from the jobs pool's threads, so every checkpoint is compared too.
     saved = sorted(str(p.relative_to(outputs[0])) for p in outputs[0].glob("checkpoints/**/*.ckpt"))
-    assert len(saved) == 8  # four members, two folds
+    assert len(saved) == 12  # six members, two folds
     for name in ("report.csv", "per_fold/50-50.csv", *saved):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_refused_before_any_output(tiny_config, jobs):
+    cfg, root = tiny_config
+    out = root / f"jobs_{jobs}"
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, not {jobs}$"):
+        run_experiment(replace(cfg, output=str(out)), jobs=jobs, log=lambda msg: None)
+    assert not out.exists()
 
 
 def test_training_failure_names_member_and_fold(tiny_config, monkeypatch):
@@ -211,3 +227,40 @@ def test_roster_encoder_encodes_what_the_kinds_read(kinds, word, char):
     enc = roster_encoder(synth.feature_context(embed_dim=8, seed=0), kinds)(ds)
     assert (enc.word is not None, enc.char is not None) == (word, char)
     assert len(enc) == 6 and enc.labels.tolist() == [t.label for t in ds]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_run_reproduces_checked_in_outputs(tmp_path):
+    # tests/golden/run.py reruns the golden experiment in a fresh interpreter
+    # at SSC_PRECISION=64 and PYTHONHASHSEED=0, with the directory holding the
+    # ssc under test first on PYTHONPATH. Reports, per-fold CSVs and fold plans
+    # must match byte for byte; checkpoint arrays match by their summaries.
+    import ssc
+
+    env = dict(os.environ, SSC_PRECISION="64", PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ssc.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, str(GOLDEN / "run.py"), str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+    def files(root):
+        return sorted(p.relative_to(root).as_posix()
+                      for pattern in ("report.csv", "per_fold/*", "fold_plans/*")
+                      for p in root.glob(pattern))
+
+    assert files(tmp_path) == files(GOLDEN)
+    for name in files(GOLDEN):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def summaries(root):
+        return [line.split() for line in (root / "checkpoints.txt").read_text().splitlines()]
+
+    got, want = summaries(tmp_path), summaries(GOLDEN)
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    for g, w in zip(got, want):
+        for a, b in zip(g[2:], w[2:]):
+            assert math.isclose(float(a), float(b), rel_tol=1e-12), (g, w)

@@ -6,12 +6,14 @@ import pytest
 from conftest import central_difference, max_relative_error
 from ssc import models, nn, synth
 from ssc.embeddings import MAX_TOKENS
-from ssc.encoding import EncodedSet, encode_dataset
+from ssc.encoding import CNN_KINDS, KINDS, EncodedSet, encode_dataset
 from ssc.features import AUX_DIM, CHARSET_SIZE, MAX_CHARS, encode_chars
 from ssc.models import (
+    DENSE_UNITS,
     CnnConfig,
     ConfigError,
     TrainConfig,
+    WordCnn,
     build_model,
     model_from_checkpoint,
     predict_batch,
@@ -22,8 +24,8 @@ from ssc.nn import ModelCheckpoint
 
 rng = np.random.default_rng(99)
 
-SMALL_W = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=12, dropout=0.5)
-SMALL_C = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8, dropout=0.5)
+SMALL_W = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=12)
+SMALL_C = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8)
 
 
 def n_values(model):
@@ -56,19 +58,34 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             build_model("lstm", SMALL_C)
 
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_registry_entry_selects_the_architecture(self, kind):
+        spec = KINDS[kind]
+        if kind not in CNN_KINDS:
+            with pytest.raises(ConfigError, match=f"^unknown model kind '{kind}'$"):
+                build_model(kind, SMALL_C)
+            meta = {**build_model("char_cnn", SMALL_C).metadata(), "kind": kind}
+            with pytest.raises(ValueError, match=re.escape(
+                    f"checkpoint does not describe a CNN model (kind='{kind}')")):
+                model_from_checkpoint(ModelCheckpoint(1, {}, metadata=meta))
+            return
+        model = build_model(kind, SMALL_W if spec.word else SMALL_C)
+        assert isinstance(model, WordCnn) == spec.word
+        assert model.params["out_w"].data.shape[0] == DENSE_UNITS + (AUX_DIM if spec.aux else 0)
+
     @pytest.mark.parametrize("kernels", [(0, 3), (-1,), (3, 3)])
     def test_bad_kernel_sizes_rejected(self, kernels):
         with pytest.raises(ConfigError, match="distinct and >= 1"):
-            CnnConfig(kernels, filters=1, embed_dim=2, dropout=0.0).validate()
+            CnnConfig(kernels, filters=1, embed_dim=2).validate()
 
     @pytest.mark.parametrize("kind", ["char_aux", "char_cnn", "word_aux"])
     def test_empty_embedding_rejected(self, kind):
         with pytest.raises(ConfigError, match="embed_dim 0 must be >= 1"):
-            build_model(kind, CnnConfig((2, 3), filters=1, embed_dim=0, dropout=0.0))
+            build_model(kind, CnnConfig((2, 3), filters=1, embed_dim=0))
 
     @pytest.mark.parametrize("kind", ["char_aux", "char_cnn"])
     def test_char_kernel_longer_than_text_rejected(self, kind):
-        cfg = CnnConfig(kernel_sizes=(2, MAX_CHARS + 1), filters=1, embed_dim=2, dropout=0.0)
+        cfg = CnnConfig(kernel_sizes=(2, MAX_CHARS + 1), filters=1, embed_dim=2)
         with pytest.raises(ConfigError, match="exceeds sequence length"):
             build_model(kind, cfg)
 
@@ -102,7 +119,7 @@ class TestWcnnForward:
         expected += 1024 * 1024 + 1024
         expected += (1024 + AUX_DIM) * 2 + 2
         model = build_model("word_aux", CnnConfig(kernel_sizes=(3, 4, 5), filters=128,
-                                                  embed_dim=400, dropout=0.5), seed=0)
+                                                  embed_dim=400), seed=0)
         assert n_values(model) == expected == 5796918
 
     def test_aux_scaling_changes_logits_not_shape(self):
@@ -117,7 +134,7 @@ class TestWcnnForward:
 
 class TestCcnnForward:
     def test_aux_mode_weight_difference(self):
-        cfg = CnnConfig(kernel_sizes=(3, 4, 5, 7), filters=128, embed_dim=128, dropout=0.5)
+        cfg = CnnConfig(kernel_sizes=(3, 4, 5, 7), filters=128, embed_dim=128)
         full = build_model("char_aux", cfg, seed=0)
         none = build_model("char_cnn", cfg, seed=0)
         diff = n_values(full) - n_values(none)
@@ -125,7 +142,7 @@ class TestCcnnForward:
 
     def test_aux_mode_none_ignores_aux_contents(self):
         model = build_model("char_cnn", CnnConfig(kernel_sizes=(2, 3), filters=4,
-                                                  embed_dim=8, dropout=0.5), seed=2)
+                                                  embed_dim=8), seed=2)
         batch = char_batch(3, seed=2)
         out1 = model.forward(batch).data
         noisy = EncodedSet(aux=batch.aux + 100.0, char=batch.char)
@@ -135,7 +152,7 @@ class TestCcnnForward:
     def test_pad_region_permutation_invariance(self):
         # Padding indices beyond the text are uniform, so shuffling them
         # changes nothing as long as conv windows cannot straddle real text.
-        cfg = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8, dropout=0.5)
+        cfg = CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8)
         model = build_model("char_aux", cfg, seed=3)
         text = "short message"
         encoded = encode_chars(text)
@@ -169,11 +186,11 @@ class TestCcnnForward:
 class TestFullArchitectureGradients:
     @pytest.mark.parametrize("builder,batch_fn", [
         (lambda: build_model("word_aux", CnnConfig(kernel_sizes=(2, 3), filters=2,
-                                                   embed_dim=6, dropout=0.0),
+                                                   embed_dim=6),
                              seed=7, dtype=np.float64),
          lambda cfg: word_batch(2, cfg, seed=7)),
         (lambda: build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=2,
-                                                   embed_dim=4, dropout=0.0),
+                                                   embed_dim=4),
                              seed=8, dtype=np.float64),
          lambda cfg: char_batch(2, seed=8, length=20)),
     ], ids=["wcnn", "ccnn"])
@@ -216,12 +233,15 @@ class TestTraining:
         cps = train(model, enc, TrainConfig(epochs=3, batch_size=4, seed=0))
         assert [cp.epoch for cp in cps] == [1, 2, 3]
 
-    def test_overfits_separable_toy_set(self):
-        # Overfitting sanity oracle: 20 samples, 30 epochs, train acc 1.0.
+    def test_overfits_separable_toy_set(self, monkeypatch):
+        # Overfitting sanity oracle: 20 samples, 30 epochs, train acc 1.0,
+        # without dropout and at a learning rate above the fixed LR.
+        monkeypatch.setattr(models, "DROPOUT", 0.0)
+        monkeypatch.setattr(models, "LR", 3e-3)
         enc = toy_training_set(10)
         model = build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=8,
-                                                  embed_dim=16, dropout=0.0), seed=1)
-        cps = train(model, enc, TrainConfig(epochs=30, batch_size=4, seed=1, lr=3e-3))
+                                                  embed_dim=16), seed=1)
+        cps = train(model, enc, TrainConfig(epochs=30, batch_size=4, seed=1))
         model.params.load_state_dict(cps[-1].arrays)
         classes, _ = predict_batch(model, enc)
         assert (classes == enc.labels).mean() == 1.0
@@ -247,7 +267,7 @@ class TestTraining:
         # Reproduce train()'s split and first epoch order to place the row.
         from ssc.models import _stratified_val_split
         split_rng = np.random.default_rng(cfg.seed)
-        fit_idx, _ = _stratified_val_split(enc.labels, cfg.val_fraction, split_rng)
+        fit_idx, _ = _stratified_val_split(enc.labels, models.VAL_FRACTION, split_rng)
         order = split_rng.permutation(len(fit_idx))
         poisoned = 3
         enc.aux[fit_idx[order[poisoned]], 0] = np.nan
@@ -336,7 +356,7 @@ class TestTraining:
         from ssc.metrics import compute_metrics
         from ssc.models import _stratified_val_split
         split_rng = np.random.default_rng(cfg.seed)
-        _, val_idx = _stratified_val_split(enc.labels, cfg.val_fraction, split_rng)
+        _, val_idx = _stratified_val_split(enc.labels, models.VAL_FRACTION, split_rng)
         val = enc.subset(val_idx)
         for cp in cps:
             nn.save_checkpoint(cp, tmp_path / "cp.ckpt")
