@@ -2,7 +2,8 @@
 scaling, random forest, TF-IDF vectorization, and the annotation pre-filter.
 
 All trainers are deterministic under their seeds. SVM and random forest
-read the dense float64 rows of bow_features, Naive Bayes the token lists.
+read the dense float64 rows of bow_features (tfidf_features also fits the
+vectorizer), Naive Bayes the token lists; train_svm fits Platt scaling too.
 Each predict takes N rows and returns, like the CNN models, (int64 classes,
 float64 positive-class probabilities).
 """
@@ -80,6 +81,12 @@ def bow_features(enc: EncodedSet, vocab: dict[str, int], idf: np.ndarray) -> np.
     return dense_matrix(parts, enc.aux, len(vocab))
 
 
+def tfidf_features(enc: EncodedSet) -> tuple[np.ndarray, dict[str, int], np.ndarray]:
+    """(feature rows, vocab, idf) of a training set, the vectorizer fitted on its tokens."""
+    vocab, idf = fit_tfidf(enc.tokens)
+    return bow_features(enc, vocab, idf), vocab, idf
+
+
 # ---------------------------------------------------------------------------
 # Multinomial Naive Bayes
 # ---------------------------------------------------------------------------
@@ -154,15 +161,11 @@ def nb_predict(model: NbModel, docs: Sequence[TokenSeq]) -> tuple[np.ndarray, np
 @dataclass
 class SvmModel:
     weights: np.ndarray  # trained without a bias term
-    platt_a: float | None = None
-    platt_b: float | None = None
+    platt_a: float
+    platt_b: float
 
     def score(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.weights
-
-    @property
-    def calibrated(self) -> bool:
-        return self.platt_a is not None
 
 
 def train_svm(x: np.ndarray, y: Sequence[int], lam: float = 1e-4,
@@ -190,21 +193,18 @@ def train_svm(x: np.ndarray, y: Sequence[int], lam: float = 1e-4,
             w *= 1.0 - eta * lam
             if sign[i] * (w @ x[i]) < 1.0:
                 w += eta * sign[i] * x[i]
-    return SvmModel(weights=w)
+    return calibrate_svm(w, x, y)
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classes from the score signs; probabilities from the fitted Platt sigmoid."""
-    if not model.calibrated:
-        raise ValueError("SVM model is not calibrated (fit Platt scaling first)")
     s = model.score(x)
     return (s > 0).astype(np.int64), platt_probability(s, model.platt_a, model.platt_b)
 
 
-def calibrate_svm(model: SvmModel, x: np.ndarray, y: Sequence[int]) -> SvmModel:
-    """Fit Platt parameters on (x, y) scores in place; returns the model."""
-    model.platt_a, model.platt_b = platt_fit(model.score(x), y)
-    return model
+def calibrate_svm(weights: np.ndarray, x: np.ndarray, y: Sequence[int]) -> SvmModel:
+    """The SVM of these weights, its Platt parameters fitted on the (x, y) scores."""
+    return SvmModel(weights, *platt_fit(np.asarray(x, dtype=np.float64) @ weights, y))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def prefilter(unlabeled: Dataset, classes: np.ndarray, p_pos: np.ndarray,
               seed: int = 0) -> PrefilterResult:
     """Confidently machine-labeled items, uniformly sampled.
 
-    classes and p_pos are a calibrated member's predictions for the items, in
+    classes and p_pos are a Platt-scaled member's predictions for the items, in
     order. Keeps items whose probability for the predicted class is strictly
     above the threshold, then draws a seeded uniform sample of sample_n of
     them. If fewer qualify, all are returned and the result is flagged.

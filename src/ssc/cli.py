@@ -79,8 +79,10 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _parse_ratio(text: str) -> tuple[int, int]:
+def _ratio(text: str) -> tuple[int, int]:
     pos, _, neg = text.partition(":")
+    if not (pos.isdecimal() and neg.isdecimal()):
+        raise argparse.ArgumentTypeError(f"must be POS:NEG, e.g. 50:50, not {text!r}")
     return int(pos), int(neg)
 
 
@@ -118,7 +120,7 @@ def cmd_dataset(args) -> int:
         return 0
     if args.action == "resample":
         ds = load_dataset(args.input)
-        plan = ScenarioPlan(_parse_ratio(args.ratio), args.train, args.test, args.seed)
+        plan = ScenarioPlan(args.ratio, args.train, args.test, args.seed)
         train, test = make_scenario(ds, plan)
         save_dataset(train, args.output_train)
         save_dataset(test, args.output_test)
@@ -126,7 +128,7 @@ def cmd_dataset(args) -> int:
         return 0
     if args.action == "folds":
         ds = load_dataset(args.input)
-        plan = ScenarioPlan(_parse_ratio(args.ratio), args.train, args.test, args.seed)
+        plan = ScenarioPlan(args.ratio, args.train, args.test, args.seed)
         folds = make_folds(ds, plan, args.k)
         save_fold_plan(folds, args.output)
         print(f"{folds.k} folds written to {args.output}")
@@ -155,9 +157,8 @@ def cmd_train(args) -> int:
     if kind in CNN_KINDS:
         cp = train_cnn_member(kind, enc, cfg, init_seed=cfg.seed, train_seed=cfg.seed + 1)
     else:
-        vocab, idf = baselines.fit_tfidf(enc.tokens)
-        x = baselines.bow_features(enc, vocab, idf)
-        cp = train_bow_member(kind, 0, enc, x, vocab, idf, cfg, cfg.seed)
+        tfidf = baselines.tfidf_features(enc) if KINDS[kind].tfidf else None
+        cp = train_bow_member(kind, 0, enc, cfg, cfg.seed, tfidf)
     save_checkpoint(cp, args.output)
     best = " ".join(f"{k}={v:.4f}" for k, v in sorted(cp.metrics.items()))
     print(f"trained {kind}, saved to {args.output}"
@@ -254,9 +255,9 @@ def cmd_agreement(args) -> int:
 def cmd_prefilter(args) -> int:
     cfg = _load_cfg(args)
     kind, cp = _checkpoint_from_path(args.checkpoint)
-    member = load_member(kind, cp)
     if kind != "svm":
         return _err("prefilter requires an SVM checkpoint")
+    member = load_member(kind, cp)
     ds = load_dataset(args.input)
     classes, p_pos = member.predict_batch(_encoder(cfg, [kind])(ds))
     result = baselines.prefilter(ds, classes, p_pos, threshold=args.threshold,
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p = ds_sub.add_parser("resample")
     p.add_argument("--input", required=True)
-    p.add_argument("--ratio", required=True, help="e.g. 50:50")
+    p.add_argument("--ratio", type=_ratio, required=True, help="POS:NEG, e.g. 50:50")
     p.add_argument("--train", type=int, required=True)
     p.add_argument("--test", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-test", required=True)
     p = ds_sub.add_parser("folds")
     p.add_argument("--input", required=True)
-    p.add_argument("--ratio", required=True)
+    p.add_argument("--ratio", type=_ratio, required=True, help="POS:NEG, e.g. 50:50")
     p.add_argument("--train", type=int, required=True)
     p.add_argument("--test", type=int, required=True)
     p.add_argument("--k", type=int, default=6)
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("prefilter", help="confidently machine-labeled sample")
     pf.add_argument("--config", required=True)
-    pf.add_argument("--checkpoint", required=True, help="calibrated SVM checkpoint")
+    pf.add_argument("--checkpoint", required=True, help="SVM checkpoint")
     pf.add_argument("--input", required=True)
     pf.add_argument("--threshold", type=float, default=0.8)
     pf.add_argument("--sample", type=int)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .corpus import ScenarioPlan
-from .ensemble import COMPOSITIONS, KINDS
+from .encoding import COMPOSITIONS, KINDS
 from .features import MAX_CHARS
 
 DEFAULT_SCENARIOS = "50:50:3450:690,40:60:2850:570,30:70:2450:490,20:80:2150:430,10:90:1900:380"

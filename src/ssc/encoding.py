@@ -1,7 +1,8 @@
-"""Bridge from datasets to the numeric arrays the models consume, and the member kinds."""
+"""Bridge from datasets to the numeric arrays the models consume; the member kinds and rosters."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +22,22 @@ class Kind:
     word: bool = False  # reads the word ids and vectors
     char: bool = False  # reads the character indices
     aux: bool = False   # a CNN whose output layer also reads the aux vector
+    tfidf: bool = False  # a classical kind that reads the TF-IDF rows; without it, the tokens
 
 
 KINDS = {
     "char_aux": Kind("ensemble_cnn", char=True, aux=True),
     "char_cnn": Kind("ensemble_cnn", char=True),
     "word_aux": Kind("ensemble_cnn", word=True, aux=True),
-    "svm": Kind("ensemble_ml"),
-    "rf": Kind("ensemble_ml"),
+    "svm": Kind("ensemble_ml", tfidf=True),
+    "rf": Kind("ensemble_ml", tfidf=True),
     "nb": Kind("ensemble_ml"),
 }
 CNN_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_cnn")
 ML_KINDS = tuple(k for k, spec in KINDS.items() if spec.ensemble == "ensemble_ml")
+# Each ensemble's strict composition: two members of each of its kinds.
+COMPOSITIONS = {"ensemble_cnn": Counter(dict.fromkeys(CNN_KINDS, 2)),
+                "ensemble_ml": Counter(dict.fromkeys(ML_KINDS, 2))}
 
 
 @dataclass

@@ -2,11 +2,10 @@
 
 A member has a kind and a batched predict returning (classes, positive
 probabilities), run PREDICT_ROWS rows at a time; predict(enc, i) is that
-predict on a set of one. The member kinds are encoding.KINDS, which this
-module imports with CNN_KINDS and ML_KINDS. COMPOSITIONS holds the two
-paper-faithful six-member rosters: 2x char_aux + 2x char_cnn + 2x word_aux
-(CNN ensemble) and 2x svm + 2x rf + 2x nb (classical ensemble); "free" mode
-allows arbitrary compositions.
+predict on a set of one. This module imports the member kinds (KINDS) and
+COMPOSITIONS, the two paper-faithful six-member rosters, from encoding:
+2x char_aux + 2x char_cnn + 2x word_aux (CNN ensemble) and 2x svm + 2x rf
++ 2x nb (classical ensemble); "free" mode allows arbitrary compositions.
 """
 
 from __future__ import annotations
@@ -19,14 +18,10 @@ import numpy as np
 
 from . import baselines, models
 from .baselines import NbModel, RfModel, SvmModel, Tree
-from .encoding import CNN_KINDS, KINDS, ML_KINDS, EncodedSet  # noqa: F401 (KINDS re-exported)
+from .encoding import CNN_KINDS, COMPOSITIONS, KINDS, ML_KINDS, EncodedSet
 from .features import is_token
 # Nothing here saves; bench/tracing.py still wraps save_checkpoint by this module's name.
 from .nn import ModelCheckpoint, load_checkpoint, save_checkpoint
-
-# Each ensemble's strict composition: two members of each of its kinds.
-COMPOSITIONS = {"ensemble_cnn": Counter(dict.fromkeys(CNN_KINDS, 2)),
-                "ensemble_ml": Counter(dict.fromkeys(ML_KINDS, 2))}
 
 
 class EnsembleError(RuntimeError):
@@ -75,7 +70,7 @@ class CnnMember(Member):
 
 @dataclass
 class BowMember(Member):
-    """Wraps a classical model plus the TF-IDF vectorizer it was fit with."""
+    """Wraps a classical model, and the TF-IDF vectorizer it was fit with if its kind reads one."""
 
     kind: str  # "svm" | "rf" | "nb"
     model: NbModel | SvmModel | RfModel
@@ -85,7 +80,7 @@ class BowMember(Member):
     def predict_batch(self, enc: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
         """Features are built per block of rows, so their size is bounded."""
         def predict(rows: EncodedSet):
-            if self.kind == "nb":
+            if not KINDS[self.kind].tfidf:
                 return baselines.nb_predict(self.model, rows.tokens)
             predict_x = {"svm": baselines.svm_predict, "rf": baselines.rf_predict}[self.kind]
             return predict_x(self.model, baselines.bow_features(rows, self.vocab, self.idf))
@@ -163,28 +158,23 @@ def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
     stores its trees' node counts and, per Tree field, their arrays end to end.
     """
     m = member.model
-    terms = m.vocab if member.kind == "nb" else member.vocab
+    tfidf = KINDS[member.kind].tfidf
+    terms = member.vocab if tfidf else m.vocab
     bad = next((t for t in terms if not is_token(t)), None)
     if bad is not None:
         raise ValueError(f"refusing to serialize the vocabulary term {bad!r}: "
                          "a term must be one non-empty token without whitespace")
-    arrays: dict[str, np.ndarray] = {}
-    metadata = {"kind": member.kind, "vocab": " ".join(terms)}
-    if member.kind == "nb":
-        arrays["log_prior"] = m.log_prior
-        arrays["log_likelihood"] = m.log_likelihood
+    if not tfidf:
+        arrays = {"log_prior": m.log_prior, "log_likelihood": m.log_likelihood}
+    elif member.kind == "svm":
+        arrays = {"idf": member.idf, "weights": m.weights,
+                  "platt": np.array([m.platt_a, m.platt_b])}
     else:
-        arrays["idf"] = member.idf
-        if member.kind == "svm":
-            if not m.calibrated:
-                raise ValueError("refusing to serialize an uncalibrated SVM")
-            arrays["weights"] = m.weights
-            arrays["platt"] = np.array([m.platt_a, m.platt_b])
-        else:
-            arrays["tree_nodes"] = np.array([len(t.feature) for t in m.trees], dtype=np.int64)
-            for name in _TREE_ARRAYS:
-                arrays[name] = np.concatenate([getattr(t, name) for t in m.trees])
-    return ModelCheckpoint(epoch=0, arrays=arrays, metadata=metadata)
+        arrays = {"idf": member.idf,
+                  "tree_nodes": np.array([len(t.feature) for t in m.trees], dtype=np.int64),
+                  **{name: np.concatenate([getattr(t, name) for t in m.trees])
+                     for name in _TREE_ARRAYS}}
+    return ModelCheckpoint(0, arrays, metadata={"kind": member.kind, "vocab": " ".join(terms)})
 
 
 def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
@@ -194,7 +184,7 @@ def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
     missing = [name for name in _KIND_ARRAYS[kind] if name not in a]
     if missing:
         raise ValueError(f"{kind} checkpoint: missing arrays: {', '.join(missing)}")
-    if kind == "nb":
+    if not KINDS[kind].tfidf:
         return BowMember(kind, NbModel(vocab, a["log_prior"], a["log_likelihood"]))
     if kind == "svm":
         model = SvmModel(a["weights"], platt_a=float(a["platt"][0]), platt_b=float(a["platt"][1]))

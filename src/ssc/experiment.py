@@ -113,24 +113,20 @@ def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
 
 
 def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
-                     x_train: np.ndarray, vocab: dict, idf: np.ndarray,
-                     cfg: ExperimentConfig, seed: int) -> ModelCheckpoint:
-    """Train one classical member on the fold's shared TF-IDF features; return its checkpoint."""
+                     cfg: ExperimentConfig, seed: int, tfidf=None) -> ModelCheckpoint:
+    """One classical member's checkpoint, trained on tfidf (tfidf_features) or the tokens."""
     labels = enc_train.labels
+    if not KINDS[kind].tfidf:
+        bootstrap = None if member_idx_of_kind == 0 else seed
+        model = baselines.train_nb(enc_train.tokens, labels.tolist(), bootstrap_seed=bootstrap)
+        return baseline_checkpoint(BowMember(kind, model))
+    x_train, vocab, idf = tfidf
     if kind == "svm":
         model = baselines.train_svm(x_train, labels, seed=seed)
-        baselines.calibrate_svm(model, x_train, labels)
-        return baseline_checkpoint(BowMember("svm", model, vocab, idf))
-    if kind == "rf":
+    else:
         model = baselines.train_rf(x_train, labels, trees=cfg.rf_trees,
                                    max_depth=cfg.rf_max_depth, seed=seed)
-        return baseline_checkpoint(BowMember("rf", model, vocab, idf))
-    if kind == "nb":
-        bootstrap = None if member_idx_of_kind == 0 else seed
-        model = baselines.train_nb(enc_train.tokens, labels.tolist(),
-                                   bootstrap_seed=bootstrap)
-        return baseline_checkpoint(BowMember("nb", model))
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    return baseline_checkpoint(BowMember(kind, model, vocab, idf))
 
 
 def roster_encoder(ctx: FeatureContext, kinds) -> Callable[[Dataset], EncodedSet]:
@@ -162,17 +158,18 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
 
     A unit trains its member, saves the checkpoint, reloads it and predicts
     the test block once: the CNN units in a pool of jobs threads, then the
-    classical units in turn. Returns (row name, report) pairs in per-fold CSV
-    order: every roster member as kind.m<j> (its j-th member of that kind),
-    then each ensemble whose composition the roster holds.
+    classical units in turn, on one TF-IDF fit if any of them reads it.
+    Returns (row name, report) pairs in per-fold CSV order: every roster
+    member as kind.m<j> (its j-th member of that kind), then each ensemble
+    whose composition the roster holds.
     """
     roster = cfg.roster_members()
     units = [(i, kind, f"{kind}.m{roster[:i].count(kind)}") for i, kind in enumerate(roster)]
     train_ds, test_ds = fold_datasets(pool, folds, fold)
     enc_train, enc_test = encode(train_ds), encode(test_ds)
 
-    def run_unit(unit, bow=None):
-        """(classes, probabilities) on the test block; bow is (x_train, vocab, idf)."""
+    def run_unit(unit, tfidf=None):
+        """(classes, probabilities) on the test block; tfidf is the fold's tfidf_features."""
         i, kind, tag = unit
         with _naming_failures(f"{tag} fold {fold}"):
             if kind in CNN_KINDS:
@@ -180,8 +177,8 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
                                       init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
                                       train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1))
             else:
-                cp = train_bow_member(kind, roster[:i].count(kind), enc_train, *bow, cfg,
-                                      seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 2))
+                cp = train_bow_member(kind, roster[:i].count(kind), enc_train, cfg,
+                                      _unit_seed(cfg.seed, scenario_idx, i, fold, 2), tfidf)
             save_checkpoint(cp, ckpt_dir / f"{tag}.f{fold}.ckpt")
             # Through its module, so that bench/tracing.py's wrapper sees the call.
             return ensemble.load_member(kind, cp).predict_batch(enc_test)
@@ -189,11 +186,9 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
     cnn_units = [u for u in units if u[1] in CNN_KINDS]
     with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
         predictions = dict(zip(cnn_units, pool_exec.map(run_unit, cnn_units)))
-    bow_units = [u for u in units if u[1] not in CNN_KINDS]
-    if bow_units:  # in turn: two forests in two threads take twice as long (GIL contention)
-        vocab, idf = baselines.fit_tfidf(enc_train.tokens)
-        bow = (baselines.bow_features(enc_train, vocab, idf), vocab, idf)
-        predictions.update((u, run_unit(u, bow)) for u in bow_units)
+    # In turn, after the CNN units: two forests in two threads take twice as long (GIL contention).
+    tfidf = baselines.tfidf_features(enc_train) if any(KINDS[u[1]].tfidf for u in units) else None
+    predictions.update((u, run_unit(u, tfidf)) for u in units if u[1] not in CNN_KINDS)
 
     rows = [(u[2], compute_metrics(predictions[u][0], enc_test.labels)) for u in units]
     for name, composition in COMPOSITIONS.items():

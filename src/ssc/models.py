@@ -250,8 +250,9 @@ def predict_batch(model: Model, batch: EncodedSet) -> tuple[np.ndarray, np.ndarr
 def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpoint]:
     """Mini-batch training; returns one checkpoint per epoch (1-based).
 
-    Each checkpoint snapshots the parameters and carries metrics computed on
-    an internal stratified validation split. Dropout is active only while
+    Each checkpoint carries its epoch's fit_loss and validation metrics (an
+    internal stratified split); only select_best_epoch's pick keeps its
+    parameters, the others' arrays are empty. Dropout is active only while
     fitting. Deterministic given (model seed, data, cfg). A non-finite batch
     loss or gradient raises FloatingPointError naming the kind, the epoch and
     the batch (both 1-based), and for a gradient the parameter, before any
@@ -304,6 +305,10 @@ def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpo
         cp.metrics = {m: report.value(m) for m in MEASURES}
         cp.metrics["fit_loss"] = epoch_loss / n_fit
         checkpoints.append(cp)
+        best = select_best_epoch(checkpoints)
+        for other in checkpoints:  # only the best epoch so far keeps its snapshot
+            if other is not best:
+                other.arrays = {}
     return checkpoints
 
 

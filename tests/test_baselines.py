@@ -18,7 +18,6 @@ from ssc.baselines import (
     SvmModel,
     _best_split,
     bow_features,
-    calibrate_svm,
     dense_matrix,
     fit_tfidf,
     nb_predict,
@@ -180,7 +179,7 @@ class TestSvm:
                        local.normal(-1.0, 1.0, size=(40, 5))])
         y = [1] * 40 + [0] * 40
         lam = 1e-3
-        initial = svm_objective(SvmModel(weights=np.zeros(5)), x, y, lam)
+        initial = svm_objective(SvmModel(np.zeros(5), 0.0, 0.0), x, y, lam)
         model = train_svm(x, y, lam=lam, epochs=5, seed=0)
         assert svm_objective(model, x, y, lam) <= initial
 
@@ -209,10 +208,13 @@ class TestSvm:
         with pytest.raises(ValueError):
             train_svm(np.ones((3, 2)), [1, 1, 1])
 
-    def test_predict_requires_calibration(self):
-        model = SvmModel(weights=np.ones(2))
-        with pytest.raises(ValueError, match="calibrat"):
-            svm_predict(model, np.ones((1, 2)))
+    def test_platt_parameters_fitted_on_the_training_scores(self):
+        local = np.random.default_rng(8)
+        x = local.normal(size=(40, 4))
+        y = (x[:, 1] + local.normal(scale=0.5, size=40) > 0).astype(int)
+        model = train_svm(x, y, epochs=3, seed=2)
+        a, b = platt_fit(x @ model.weights, y)
+        assert (model.platt_a, model.platt_b) == (a, b)
 
 
 class TestPlatt:
@@ -384,8 +386,7 @@ def make_calibrated_svm():
     x = np.vstack([local.normal(2.0, 0.7, size=(60, 3)),
                    local.normal(-2.0, 0.7, size=(60, 3))])
     y = [1] * 60 + [0] * 60
-    model = train_svm(x, y, lam=1e-3, epochs=20, seed=0)
-    return calibrate_svm(model, x, y)
+    return train_svm(x, y, lam=1e-3, epochs=20, seed=0)
 
 
 class TestBatchedMatchesPerExampleOracle:
@@ -404,8 +405,7 @@ class TestBatchedMatchesPerExampleOracle:
         vocab, idf = fit_tfidf(train.tokens)
         x, y = bow_features(train, vocab, idf), train.labels
         members = {
-            "svm": BowMember("svm", calibrate_svm(train_svm(x, y, epochs=3, seed=1), x, y),
-                             vocab, idf),
+            "svm": BowMember("svm", train_svm(x, y, epochs=3, seed=1), vocab, idf),
             "rf": BowMember("rf", train_rf(x, y, trees=7, max_depth=8, seed=2), vocab, idf),
             "nb": BowMember("nb", train_nb(train.tokens, y.tolist(), bootstrap_seed=3)),
         }
@@ -477,12 +477,6 @@ class TestPrefilter:
         ids = {t.id for t in self.DATASET}
         assert all(t.id in ids for t in result.sample)
         assert len(result.sample) <= 7
-
-    def test_uncalibrated_model_rejected(self):
-        # The predictions prefilter thresholds are Platt probabilities, which an
-        # uncalibrated model does not give: svm_predict refuses it.
-        with pytest.raises(ValueError, match="not calibrated"):
-            svm_predict(SvmModel(weights=np.ones(3)), np.ones((2, 3)))
 
     def test_deterministic_sampling(self):
         a = prefilter(self.DATASET, *self.predictions(), 0.0, 5, seed=9)

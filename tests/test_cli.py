@@ -227,6 +227,21 @@ class TestDatasetCommands:
                      "--output", str(tmp_path / "plan.folds")]) == 0
         assert (tmp_path / "plan.folds").exists()
 
+    @pytest.mark.parametrize("action", ["resample", "folds"])
+    @pytest.mark.parametrize("ratio", ["50", "50:x", "50:50:10"])
+    def test_ratio_not_pos_neg_refused_by_the_parser(self, workspace, tmp_path, capsys,
+                                                     action, ratio):
+        outputs = (["--output-train", str(tmp_path / "tr.tsv"), "--output-test",
+                    str(tmp_path / "te.tsv")] if action == "resample"
+                   else ["--output", str(tmp_path / "plan.folds")])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dataset", action, "--input", str(workspace / "corpus.tsv"), "--ratio", ratio,
+                  "--train", "100", "--test", "20", *outputs])
+        assert exit_info.value.code != 0
+        assert (f"--ratio: must be POS:NEG, e.g. 50:50, not {ratio!r}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth(self, tmp_path):
         assert main(["dataset", "synth", "--positives", "8", "--negatives", "6",
                      "--seed", "1", "--output", str(tmp_path / "s.tsv")]) == 0
@@ -250,6 +265,22 @@ class TestModelCommands:
                      "--text", "just got zooted on oxy with my bro lol"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(("positive", "negative")) and "p_positive=" in out
+
+    def test_train_naive_bayes_fits_no_tfidf(self, workspace, tmp_path, capsys, monkeypatch):
+        def fit_tfidf(docs):
+            raise AssertionError("fit_tfidf called for a kind that reads the tokens")
+
+        monkeypatch.setattr(baselines, "fit_tfidf", fit_tfidf)
+        assert main(["train", "--config", str(workspace / "exp.conf"), "--kind", "nb",
+                     "--train-data", str(workspace / "corpus.tsv"),
+                     "--output", str(tmp_path / "nb.ckpt")]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ML_KINDS)
+    def test_checkpoint_holds_idf_iff_the_kind_reads_tfidf(self, workspace, tmp_path, kind):
+        ckpt = tmp_path / f"{kind}.ckpt"
+        assert main(["train", "--config", str(workspace / "exp.conf"), "--kind", kind,
+                     "--train-data", str(workspace / "corpus.tsv"), "--output", str(ckpt)]) == 0
+        assert ("idf" in nn.load_checkpoint(ckpt).arrays) == KINDS[kind].tfidf
 
     def test_train_cnn_member(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "char.ckpt"
@@ -321,6 +352,19 @@ class TestModelCommands:
         assert [(t.id, t.text) for t in load_dataset(out)] == \
             [(t.id, t.text) for t in expected.sample]
 
+    def test_prefilter_refuses_another_kind_before_building_it(self, workspace, tmp_path,
+                                                                capsys):
+        # A forest checkpoint that would not even load: the kind alone refuses it.
+        nn.save_checkpoint(nn.ModelCheckpoint(0, {"idf": np.ones(2)},
+                                              metadata={"kind": "rf", "vocab": "a b"}),
+                           tmp_path / "rf.ckpt")
+        assert main(["prefilter", "--config", str(workspace / "exp.conf"),
+                     "--checkpoint", str(tmp_path / "rf.ckpt"),
+                     "--input", str(workspace / "corpus.tsv"),
+                     "--output", str(tmp_path / "sample.tsv")]) == 1
+        assert capsys.readouterr().err == "error: prefilter requires an SVM checkpoint\n"
+        assert not (tmp_path / "sample.tsv").exists()
+
     def test_agreement(self, tmp_path, capsys):
         (tmp_path / "ann.tsv").write_text(
             "t1\ta\t1\nt1\tb\t1\nt2\ta\t0\nt2\tb\t0\nt3\ta\t1\nt3\tb\t0\n")
@@ -342,8 +386,7 @@ class TestEnsembleSurface:
         vocab, idf = baselines.fit_tfidf(enc.tokens)
         x = baselines.bow_features(enc, vocab, idf)
         y = enc.labels
-        svm = baselines.calibrate_svm(
-            baselines.train_svm(x, y, lam=1e-4, epochs=5, seed=0), x, y)
+        svm = baselines.train_svm(x, y, lam=1e-4, epochs=5, seed=0)
         rf = baselines.train_rf(x, y, trees=5, max_depth=6, seed=0)
         nb = baselines.train_nb(enc.tokens, y.tolist())
         members = [BowMember("svm", svm, vocab, idf),

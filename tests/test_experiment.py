@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssc import ensemble, models, synth
+from ssc import baselines, ensemble, models, synth
 from ssc.config import load_config
 from ssc.corpus import Dataset, load_dataset, load_fold_plan, make_folds, save_dataset
 from ssc.ensemble import ML_KINDS, BowMember, CnnMember, ensemble_vote_batch, load_member
@@ -52,6 +52,20 @@ char_kernels = 2,3
 char_embed_dim = 4
 """)
     return load_config(root / "exp.conf"), root
+
+
+def test_naive_bayes_roster_fits_no_tfidf(tiny_config, monkeypatch):
+    cfg, root = tiny_config
+
+    def fit_tfidf(docs):
+        raise AssertionError("fit_tfidf called for a roster that reads no TF-IDF")
+
+    monkeypatch.setattr(baselines, "fit_tfidf", fit_tfidf)
+    out = root / "nb_only"
+    result = run_experiment(replace(cfg, roster="nb:2", output=str(out)), jobs=1,
+                            log=lambda msg: None)
+    assert not result.failures
+    assert {row.model for row in result.rows} == {"nb"}
 
 
 def test_report_identical_at_one_and_two_jobs(tiny_config):

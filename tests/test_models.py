@@ -241,8 +241,7 @@ class TestTraining:
         enc = toy_training_set(10)
         model = build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=8,
                                                   embed_dim=16), seed=1)
-        cps = train(model, enc, TrainConfig(epochs=30, batch_size=4, seed=1))
-        model.params.load_state_dict(cps[-1].arrays)
+        train(model, enc, TrainConfig(epochs=30, batch_size=4, seed=1))
         classes, _ = predict_batch(model, enc)
         assert (classes == enc.labels).mean() == 1.0
 
@@ -348,23 +347,35 @@ class TestTraining:
         assert len(frozen) == 2 and all(frozen)
 
     def test_val_metrics_recompute_identically_after_reload(self, tmp_path):
-        enc = toy_training_set()
-        model = build_model("char_aux", SMALL_C, seed=4)
-        cfg = TrainConfig(epochs=2, batch_size=4, seed=4)
-        cps = train(model, enc, cfg)
-        # Reconstruct the validation split exactly as train() does.
+        # Epoch k's metrics, recomputed from the live parameters after k epochs
+        # of a fresh model with the same seed, saved and rebuilt without a graph.
         from ssc.metrics import compute_metrics
         from ssc.models import _stratified_val_split
-        split_rng = np.random.default_rng(cfg.seed)
-        _, val_idx = _stratified_val_split(enc.labels, models.VAL_FRACTION, split_rng)
-        val = enc.subset(val_idx)
-        for cp in cps:
-            nn.save_checkpoint(cp, tmp_path / "cp.ckpt")
+        enc = toy_training_set()
+        for epochs in (1, 2):
+            model = build_model("char_aux", SMALL_C, seed=4)
+            cfg = TrainConfig(epochs=epochs, batch_size=4, seed=4)
+            cps = train(model, enc, cfg)
+            # Reconstruct the validation split exactly as train() does.
+            split_rng = np.random.default_rng(cfg.seed)
+            _, val_idx = _stratified_val_split(enc.labels, models.VAL_FRACTION, split_rng)
+            val = enc.subset(val_idx)
+            live = ModelCheckpoint(epochs, model.params.state_dict(), metadata=model.metadata())
+            nn.save_checkpoint(live, tmp_path / "cp.ckpt")
             reloaded = model_from_checkpoint(nn.load_checkpoint(tmp_path / "cp.ckpt"))
             classes, _ = predict_batch(reloaded, val)
             report = compute_metrics(classes, val.labels)
             for m in ("accuracy", "precision_p", "recall_p", "f1_p"):
-                assert report.value(m) == cp.metrics[m]
+                assert report.value(m) == cps[-1].metrics[m]
+
+    def test_only_the_best_epoch_keeps_its_parameters(self):
+        enc = toy_training_set()
+        model = build_model("char_aux", SMALL_C, seed=4)
+        cps = train(model, enc, TrainConfig(epochs=4, batch_size=4, seed=4))
+        kept = [cp for cp in cps if cp.arrays]
+        assert len(kept) == 1 and kept[0] is select_best_epoch(cps)
+        assert set(kept[0].arrays) == {name for name, _ in model.params.items()}
+        assert all(np.isfinite(cp.metrics["fit_loss"]) for cp in cps)
 
 
 class TestSelectBestEpoch:
