@@ -19,7 +19,9 @@ change; everything else is one of these constants:
 
 The word model stacks conv+pool twice per branch with ReLU; the char model
 uses one conv per branch with Tanh and global max pooling over a trainable
-character embedding, and SELU dense layers. Both end in the same dense head.
+character embedding, and SELU dense layers. Each char branch (lookup, conv,
+Tanh, global max) is one fused op, nn.char_branch, whose backward reaches
+only each filter's argmax step. Both end in the same dense head.
 """
 
 from __future__ import annotations
@@ -139,12 +141,8 @@ class WordCnn(Model):
 class CharCnn(Model):
     def forward(self, batch, train=False, rng=None):
         p = self.params
-        emb = nn.embedding_lookup(p["char_embed"], batch.char)
-        branches = []
-        for k in self.config.kernel_sizes:
-            h = nn.conv1d(emb, p[f"conv{k}_w"], p[f"conv{k}_b"], padding="valid")
-            h = nn.tanh(h)
-            branches.append(nn.global_maxpool(h))
+        branches = [nn.char_branch(p["char_embed"], batch.char, p[f"conv{k}_w"], p[f"conv{k}_b"])
+                    for k in self.config.kernel_sizes]
         return self.head(nn.concat(branches, axis=1), nn.selu, batch, train, rng)
 
 

@@ -2,6 +2,7 @@
 
 from .tensor import Tensor, astensor, default_dtype
 from .ops import (
+    char_branch,
     concat,
     conv1d,
     dense,
@@ -29,7 +30,7 @@ from .checkpoint import (
 
 __all__ = [
     "Tensor", "astensor", "default_dtype",
-    "concat", "conv1d", "dense", "dropout", "embedding_lookup",
+    "char_branch", "concat", "conv1d", "dense", "dropout", "embedding_lookup",
     "global_maxpool", "maxpool1d", "relu", "reshape", "selu", "softmax",
     "softmax_xent", "tanh", "SELU_ALPHA", "SELU_LAMBDA",
     "ParamSet", "ParamSpec", "glorot_bound", "init_params",

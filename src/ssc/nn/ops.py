@@ -1,9 +1,13 @@
 """Differentiable operations: conv1d, pooling, dense, activations, losses.
 
-conv1d, maxpool1d, global_maxpool, dense and softmax_xent take batches only:
-the leading dimension is the batch ((B, L, C) sequences, (B, N) rows,
-(B, K) logits), and an input of another rank raises ValueError. maxpool1d
-pools non-overlapping windows. Plain numpy arrays are wrapped automatically.
+conv1d, maxpool1d, global_maxpool, char_branch, dense and softmax_xent take
+batches only: the leading dimension is the batch ((B, L, C) sequences,
+(B, L) character ids, (B, N) rows, (B, K) logits), and an input of another
+rank raises ValueError. maxpool1d pools non-overlapping windows.
+char_branch is the char CNN's lookup, "valid" conv1d, tanh and global max
+fused into one op; tanh, global_maxpool and conv1d's "valid" padding are
+its unfused composition, which the tests compare it with. Plain numpy
+arrays are wrapped automatically.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 
-def _batch_of(x: Tensor, rank: int, shape: str) -> np.ndarray:
-    """x.data, checked to have the rank of a batch of the given shape, e.g. 3 and "(B, L, C)"."""
-    if x.data.ndim != rank:
-        raise ValueError(f"expected a batch of rank {rank} {shape}, got shape {x.data.shape}")
-    return x.data
+def _batch_of(a: np.ndarray, rank: int, shape: str) -> np.ndarray:
+    """a, checked to have the rank of a batch of the given shape, e.g. 3 and "(B, L, C)"."""
+    if a.ndim != rank:
+        raise ValueError(f"expected a batch of rank {rank} {shape}, got shape {a.shape}")
+    return a
 
 
 def reshape(x, shape) -> Tensor:
@@ -95,7 +99,7 @@ def conv1d(x, kernel, bias, padding: str = "valid") -> Tensor:
     k, c_in, f = kernel.data.shape
     if bias.data.shape != (f,):
         raise ValueError("bias must have shape (F,)")
-    xd = _batch_of(x, 3, "(B, L, C)")
+    xd = _batch_of(x.data, 3, "(B, L, C)")
     if xd.shape[2] != c_in:
         raise ValueError(f"input channels {xd.shape[2]} do not match kernel ({c_in})")
     length = xd.shape[1]
@@ -136,7 +140,7 @@ def maxpool1d(x, pool: int) -> Tensor:
     Output length is L // pool; trailing steps that fill no window are dropped.
     """
     x = astensor(x)
-    xd = _batch_of(x, 3, "(B, L, F)")
+    xd = _batch_of(x.data, 3, "(B, L, F)")
     b, length, f = xd.shape
     if not 0 < pool <= length:
         raise ValueError(f"pool size {pool} must be in [1, {length}] (the input length)")
@@ -157,7 +161,7 @@ def maxpool1d(x, pool: int) -> Tensor:
 def global_maxpool(x) -> Tensor:
     """Channel-wise maximum over the whole sequence of x (B, L, F)."""
     x = astensor(x)
-    xd = _batch_of(x, 3, "(B, L, F)")
+    xd = _batch_of(x.data, 3, "(B, L, F)")
     b, length, f = xd.shape
     if length == 0:
         raise ValueError("global_maxpool requires a non-empty input")
@@ -173,6 +177,63 @@ def global_maxpool(x) -> Tensor:
     return node(out_data, (x,), bwd)
 
 
+def char_branch(table, idx, kernel, bias) -> Tensor:
+    """One char-CNN branch as a single op: global max over t of tanh(z[b, t]).
+
+    z[b, t] = bias + sum_i table[idx[b, t+i]] @ kernel[i], which is
+    global_maxpool(tanh(conv1d(embedding_lookup(table, idx), kernel, bias,
+    "valid"))). table is (V, C), idx is (B, L) row ids, kernel is (k, C, F)
+    and bias is (F,); the output is (B, F). The forward gathers rows of one
+    (V, F) product table per tap, T_i = table @ kernel[i], and keeps only h,
+    the argmax t* (ties to the first step, as in global_maxpool) and idx.
+    The backward reaches only t*: per tap, the gradient at t* summed by row
+    id into a (V, F) table S_i gives d kernel[i] = table^T S_i, and
+    d table = sum_i S_i kernel[i]^T.
+    """
+    table, kernel, bias = astensor(table), astensor(kernel), astensor(bias)
+    idx = _batch_of(np.asarray(idx), 2, "(B, L)")
+    if table.data.ndim != 2:
+        raise ValueError("table must have shape (V, C)")
+    if kernel.data.ndim != 3:
+        raise ValueError("kernel must have shape (k, C, F)")
+    k, c_in, f = kernel.data.shape
+    if bias.data.shape != (f,):
+        raise ValueError("bias must have shape (F,)")
+    v, width = table.data.shape
+    if width != c_in:
+        raise ValueError(f"table width {width} does not match kernel ({c_in})")
+    b, length = idx.shape
+    if k > length:
+        raise ValueError(f"kernel size {k} exceeds input length {length}")
+    out_len = length - k + 1
+
+    taps = table.data @ kernel.data  # (k, V, F): T_i = E @ K[i]
+    z = np.take(taps[0], idx[:, :out_len], axis=0)  # (B, L', F)
+    for i in range(1, k):
+        z += np.take(taps[i], idx[:, i:i + out_len], axis=0)
+    z += bias.data
+    np.tanh(z, out=z)
+    t_star = z.argmax(axis=1)  # (B, F)
+    out_data = np.take_along_axis(z, t_star[:, None, :], axis=1)[:, 0, :]
+
+    def bwd(g):
+        gz = g * (1 - out_data * out_data)  # (B, F)
+        bias.accumulate_grad(gz.sum(axis=0))
+        # rows[i, b, f] = idx[b, t*[b, f] + i]; key = (i, row, f) in a (k, V, F) table.
+        steps = t_star[None] + np.arange(k)[:, None, None]
+        rows = idx[np.arange(b)[None, :, None], steps]
+        keys = (np.arange(k)[:, None, None] * v + rows) * f + np.arange(f)
+        weights = np.broadcast_to(gz, keys.shape)
+        s = np.bincount(keys.ravel(), weights.ravel(), minlength=k * v * f)
+        s = s.reshape(k, v, f).astype(table.data.dtype, copy=False)
+        if kernel.requires_grad:
+            kernel.accumulate_grad(table.data.T @ s)
+        if table.requires_grad:
+            table.accumulate_grad(np.einsum("kvf,kcf->vc", s, kernel.data))
+
+    return node(out_data, (table, kernel, bias), bwd)
+
+
 def dense(x, w, b) -> Tensor:
     """Affine map x @ w + b; x is (B, N), w is (N, M), b is (M,)."""
     x, w, b = astensor(x), astensor(w), astensor(b)
@@ -181,7 +242,7 @@ def dense(x, w, b) -> Tensor:
     n, m = w.data.shape
     if b.data.shape != (m,):
         raise ValueError("bias must have shape (M,)")
-    xd = _batch_of(x, 2, "(B, N)")
+    xd = _batch_of(x.data, 2, "(B, N)")
     if xd.shape[1] != n:
         raise ValueError(f"input width {xd.shape[1]} does not match weights ({n})")
     out_data = xd @ w.data + b.data
@@ -244,7 +305,7 @@ def softmax_xent(logits, gold) -> tuple[Tensor, np.ndarray]:
     minus the gold logit, finite even where p(gold) underflows to 0.
     """
     logits = astensor(logits)
-    ld = _batch_of(logits, 2, "(B, K)")
+    ld = _batch_of(logits.data, 2, "(B, K)")
     y = np.asarray(gold, dtype=np.int64)
     if y.shape != (ld.shape[0],):
         raise ValueError("gold labels do not match the batch size")

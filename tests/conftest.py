@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from ssc import nn
 from ssc.embeddings import MAX_TOKENS, oov_vector
 
 
@@ -27,6 +28,13 @@ def conv1d_oracle(x, kernel, bias, padding="valid"):
                     acc += x[t + i, cc] * kernel[i, cc, j]
             out[t, j] = acc
     return out
+
+
+def char_branch_composition(table, idx, kernel, bias):
+    """nn.char_branch as the unfused engine ops it replaces, each checked on its own
+    by the suite: global_maxpool(tanh(conv1d(embedding_lookup(...), "valid")))."""
+    emb = nn.embedding_lookup(table, idx)
+    return nn.global_maxpool(nn.tanh(nn.conv1d(emb, kernel, bias, padding="valid")))
 
 
 def embed_words(tokens, table, dtype=np.float64):

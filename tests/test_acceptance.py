@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import central_difference, conv1d_oracle, max_relative_error, maxpool1d_oracle
+from conftest import (char_branch_composition, central_difference, conv1d_oracle,
+                      max_relative_error, maxpool1d_oracle)
 from ssc import baselines, models, nn, synth
 from ssc.agreement import cohen_kappa, krippendorff_alpha
 from ssc.corpus import AnnotationSet, ScenarioPlan, make_folds, make_scenario, save_dataset
@@ -90,6 +91,26 @@ def _check_op_gradients(rng):
                           {"x": rng.normal(size=(batch, length, 3))})
         project_and_check(lambda d: nn.global_maxpool(d["x"]),
                           {"x": rng.normal(size=(batch, length, 2))})
+    # The fused char branch against the composition the checks above cover, so
+    # no finite difference has to straddle its max.
+    for length, k in ((6, 1), (6, 6), (int(rng.integers(5, 10)), 3)):
+        batch, v, c, f = 3, 4, int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        arrays = {"table": rng.normal(size=(v, c)), "k": rng.normal(size=(k, c, f)),
+                  "b": rng.normal(size=(f,))}
+        idx = rng.integers(0, v, size=(batch, length))
+        readout = rng.normal(size=batch * f)
+        grads = []
+        for op in (nn.char_branch, char_branch_composition):
+            tensors = {key: nn.Tensor(arr.copy(), requires_grad=True)
+                       for key, arr in arrays.items()}
+            out = op(tensors["table"], idx, tensors["k"], tensors["b"])
+            flat = nn.reshape(out, (1, -1))
+            nn.reshape(nn.dense(flat, nn.Tensor(readout[:, None]), nn.Tensor(np.zeros(1))),
+                       ()).backward()
+            grads.append([out.data] + [tensors[key].grad for key in arrays])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        configs += 1
     for _ in range(2):
         batch, n, m = int(rng.integers(2, 4)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
         project_and_check(lambda d: nn.dense(d["x"], d["w"], d["b"]),
@@ -178,11 +199,12 @@ def test_criterion_1_gradient_correctness():
     assert op_configs + arch_configs >= 20
     assert elapsed < 120.0, f"gradient checks took {elapsed:.1f}s"
     report(1, f"{op_configs + arch_configs} configurations pass 64-bit "
-              f"finite-difference checks (< 1e-4) in {elapsed:.1f}s")
+              f"finite-difference checks (< 1e-4), the fused char branch matching its "
+              f"composition, in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
-# Criterion 2: oracle equivalence for conv/pooling and Naive Bayes
+# Criterion 2: oracle equivalence for conv/pooling, the char branch and Naive Bayes
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_oracle_equivalence():
@@ -212,6 +234,14 @@ def test_criterion_2_oracle_equivalence():
         got = nn.global_maxpool(x).data
         for row in range(batch):
             assert np.array_equal(got[row], x[row].max(axis=0))
+    for _ in range(100):
+        batch, length = int(rng.integers(2, 5)), int(rng.integers(1, 14))
+        v, c, f = (int(n) for n in rng.integers(1, [8, 5, 5]))
+        k = int(rng.integers(1, length + 1))
+        args = (rng.normal(size=(v, c)), rng.integers(0, v, size=(batch, length)),
+                rng.normal(size=(k, c, f)), rng.normal(size=(f,)))
+        got, want = nn.char_branch(*args).data, char_branch_composition(*args).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     vocab = ["a", "b", "c", "d", "e"]
     checked = 0
@@ -240,8 +270,9 @@ def test_criterion_2_oracle_equivalence():
         expected = float(post[1] / (post[0] + post[1]))
         assert abs(p - expected) <= 1e-12
         checked += 1
-    report(2, "conv/pool match brute-force oracles on 100 cases each; "
-              "NB posteriors match exact enumeration within 1e-12")
+    report(2, "conv/pool match brute-force oracles on 100 cases each; the fused char "
+              "branch matches conv/tanh/global max on 100 cases; NB posteriors match "
+              "exact enumeration within 1e-12")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +487,7 @@ rf_max_depth = 8
     loaded = nn.load_checkpoint(tmp_path / "best.ckpt")
     for name, arr in best.arrays.items():
         assert loaded.arrays[name].tobytes() == np.ascontiguousarray(
-            arr, dtype="<f4").tobytes()
+            arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
     reloaded = models.model_from_checkpoint(loaded)
     model.params.load_state_dict(best.arrays)
     rng = np.random.default_rng(77)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import central_difference, conv1d_oracle, max_relative_error, maxpool1d_oracle
+from conftest import (char_branch_composition, central_difference, conv1d_oracle,
+                      max_relative_error, maxpool1d_oracle)
 from ssc import nn
 from ssc.nn import Tensor
 
@@ -129,6 +130,68 @@ class TestPooling:
             nn.global_maxpool(np.zeros((2, 0, 3)))
 
 
+def _char_branch_grads(op, table, idx, kernel, bias, readout, train_table=True):
+    """(h, d table, d kernel, d bias) of readout . vec(op(...)) at float64."""
+    t, k, b = Tensor(table.copy()), Tensor(kernel.copy()), Tensor(bias.copy())
+    t.requires_grad, k.requires_grad, b.requires_grad = train_table, True, True
+    out = op(t, idx, k, b)
+    project(out, readout).backward()
+    return out.data, t.grad, k.grad, b.grad
+
+
+def _relative(got, want):
+    """Largest difference relative to the largest entry of want."""
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+class TestCharBranch:
+    @pytest.mark.parametrize("train_table", [True, False], ids=["trained", "frozen"])
+    def test_matches_composition(self, train_table):
+        local = np.random.default_rng(18)
+        for case in range(60):
+            batch, length = int(local.integers(1, 5)), int(local.integers(1, 13))
+            k = (1, length)[case] if case < 2 else int(local.integers(1, length + 1))
+            v = int(local.integers(1, 7))  # few rows: ids repeat within and across rows
+            c, f = int(local.integers(1, 5)), int(local.integers(1, 5))
+            args = (local.normal(size=(v, c)), local.integers(0, v, size=(batch, length)),
+                    local.normal(size=(k, c, f)), local.normal(size=(f,)))
+            readout = local.normal(size=batch * f)
+            got = _char_branch_grads(nn.char_branch, *args, readout, train_table)
+            want = _char_branch_grads(char_branch_composition, *args, readout, train_table)
+            assert got[0].shape == (batch, f)
+            if not train_table:
+                assert got[1] is None and want[1] is None
+            for name, g, w in zip(("h", "dE", "dK", "dbias"), got, want):
+                if w is not None:
+                    assert _relative(g, w) <= 1e-12, (case, name)
+
+    def test_tied_steps_send_the_gradient_to_the_first(self):
+        # Rows 0 and 1 hold the same value, so steps 1 and 3 give the same z;
+        # only step 1, and with it row 0, may receive the gradient.
+        table = np.array([[1.0], [1.0], [0.0]])
+        idx = np.array([[2, 0, 2, 1]])
+        kernel, bias = np.array([[[0.5]]]), np.array([0.1])
+        h, d_table, d_kernel, _ = _char_branch_grads(nn.char_branch, table, idx, kernel,
+                                                     bias, np.ones(1))
+        gz = 1 - np.tanh(0.6) ** 2
+        assert h[0, 0] == np.tanh(0.6)
+        assert d_table.tolist() == [[0.5 * gz], [0.0], [0.0]]
+        assert d_kernel.ravel().tolist() == [gz]
+        want = _char_branch_grads(char_branch_composition, table, idx, kernel, bias,
+                                  np.ones(1))
+        assert np.array_equal(d_table, want[1])
+
+    @pytest.mark.parametrize("table,idx,kernel,bias", [
+        (np.zeros((4, 2)), np.zeros((2, 3), dtype=int), np.zeros((4, 2, 1)), np.zeros(1)),
+        (np.zeros((4, 3)), np.zeros((2, 5), dtype=int), np.zeros((2, 2, 1)), np.zeros(1)),
+        (np.zeros((4, 2)), np.zeros((2, 5), dtype=int), np.zeros((2, 2, 3)), np.zeros(2)),
+        (np.zeros((4, 2)), np.zeros((2, 5), dtype=int), np.zeros((2, 2, 3)), np.zeros((1, 3))),
+    ], ids=["kernel_longer_than_L", "table_width", "bias_length", "bias_rank"])
+    def test_bad_shapes_rejected(self, table, idx, kernel, bias):
+        with pytest.raises(ValueError):
+            nn.char_branch(table, idx, kernel, bias)
+
+
 class TestActivations:
     def test_relu_values(self):
         out = nn.relu(np.array([-1.0, 2.0])).data
@@ -228,6 +291,8 @@ UNBATCHED = [
     ("global_maxpool", lambda: nn.global_maxpool(np.zeros((4, 2)))),
     ("dense", lambda: nn.dense(np.zeros(3), np.zeros((3, 2)), np.zeros(2))),
     ("softmax_xent", lambda: nn.softmax_xent(np.zeros(2), 0)),
+    ("char_branch", lambda: nn.char_branch(np.zeros((4, 2)), np.zeros(5, dtype=int),
+                                           np.zeros((3, 2, 1)), np.zeros(1))),
 ]
 
 
