@@ -4,6 +4,8 @@ scaling, random forest, TF-IDF vectorization, and the annotation pre-filter.
 All trainers are deterministic under their seeds. SVM and random forest
 read the dense float64 rows of bow_features (tfidf_features also fits the
 vectorizer), Naive Bayes the token lists; train_svm fits Platt scaling too.
+A forest node scores all its candidate columns as one block, in a few numpy
+calls, rather than one column at a time (_best_split).
 Each predict takes N rows and returns, like the CNN models, (int64 classes,
 float64 positive-class probabilities).
 """
@@ -154,6 +156,18 @@ def nb_predict(model: NbModel, docs: Sequence[TokenSeq]) -> tuple[np.ndarray, np
     return np.argmax(post, axis=1), post[:, 1]
 
 
+def _labels(x: np.ndarray, y: Sequence[int]) -> np.ndarray:
+    """y as int64, refused unless it is one 0/1 label per row of x."""
+    y = np.asarray(y)
+    if y.shape != (len(x),):
+        raise ValueError(f"need one label per feature row: {len(x)} rows, "
+                         f"{y.size} labels of shape {y.shape}")
+    bad = y[(y != 0) & (y != 1)]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, not {bad[0]}")
+    return y.astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Linear SVM (stochastic subgradient on the hinge objective)
 # ---------------------------------------------------------------------------
@@ -177,9 +191,9 @@ def train_svm(x: np.ndarray, y: Sequence[int], lam: float = 1e-4,
     leaves every decision sign unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("need a non-empty (N, D) feature matrix")
+    y = _labels(x, y)
     if len(set(y.tolist())) < 2:
         raise ValueError("training set contains a single class")
     sign = np.where(y == 1, 1.0, -1.0)
@@ -294,38 +308,41 @@ class RfModel:
     trees: list[Tree]
 
 
-def _best_split(x, rows, y, feature_ids):
-    """(feature, threshold, weighted impurity) of the best split, or None.
+def _best_split(x, rows, y, feature_ids, best=None):
+    """(feature, threshold, weighted impurity) of the best split, else `best`.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    impurities come from vectorized prefix class counts. Ties keep the
-    earliest candidate feature.
+    Scores the candidate columns as one (n, k) block: constant columns
+    dropped, one stable sort down the rows, prefix class counts by cumsum,
+    and only the boundaries between consecutive distinct sorted values
+    scored, each with its midpoint as threshold. Then, in candidate order, a
+    column's first best boundary replaces `best` (None, or an earlier
+    block's split at this node) only when lower by more than 1e-15.
     """
+    block = x[np.ix_(rows, feature_ids)]
+    varies = (block[1:] != block[0]).any(axis=0)
+    if not varies.any():
+        return best
+    ids, block = np.asarray(feature_ids)[varies], block[:, varies]
+    order = np.argsort(block, axis=0, kind="stable")
+    sv = np.take_along_axis(block, order, axis=0)
+    ones = np.cumsum(y[order], axis=0)
+    col, pos = np.nonzero((sv[:-1] != sv[1:]).T)  # boundaries, column by column
     n = len(y)
-    best = None
-    for f in feature_ids:
-        values = x[rows, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundaries.size == 0:
-            continue
-        ones = np.cumsum(sy)
-        total_ones = ones[-1]
-        n_left = boundaries + 1.0
-        l1 = ones[boundaries].astype(np.float64)
-        l0 = n_left - l1
-        n_right = n - n_left
-        r1 = total_ones - l1
-        r0 = n_right - r1
-        gini_left = 1.0 - (l0 / n_left) ** 2 - (l1 / n_left) ** 2
-        gini_right = 1.0 - (r0 / n_right) ** 2 - (r1 / n_right) ** 2
-        score = (n_left * gini_left + n_right * gini_right) / n
-        j = int(np.argmin(score))
-        if best is None or score[j] < best[2] - 1e-15:
-            b = boundaries[j]
-            best = (f, (sv[b] + sv[b + 1]) / 2.0, float(score[j]))
+    n_left = pos + 1.0
+    l1 = ones[pos, col].astype(np.float64)
+    l0 = n_left - l1
+    n_right = n - n_left
+    r1 = ones[-1, col] - l1
+    r0 = n_right - r1
+    gini_left = 1.0 - (l0 / n_left) ** 2 - (l1 / n_left) ** 2
+    gini_right = 1.0 - (r0 / n_right) ** 2 - (r1 / n_right) ** 2
+    score = (n_left * gini_left + n_right * gini_right) / n
+    by_col = np.lexsort((score, col))  # stable: equal scores stay in position order
+    firsts = by_col[np.r_[True, col[by_col[1:]] != col[by_col[:-1]]]]  # each column's best
+    for i in firsts.tolist():
+        c, b, s = col[i], pos[i], float(score[i])
+        if best is None or s < best[2] - 1e-15:
+            best = (ids[c], (sv[b, c] + sv[b + 1, c]) / 2.0, s)
     return best
 
 
@@ -345,8 +362,9 @@ def _grow(x, rows, y, rng, max_depth, n_candidates, nodes, depth):
     n_features = x.shape[1]
     cand = rng.permutation(n_features)
     split = _best_split(x, rows, y, cand[:n_candidates])
-    if split is None and n_candidates < n_features:
-        split = _best_split(x, rows, y, cand[n_candidates:])  # fall back to the rest
+    if split is None:  # fall back to the rest, n_candidates columns at a time
+        for start in range(n_candidates, n_features, n_candidates):
+            split = _best_split(x, rows, y, cand[start:start + n_candidates], split)
     if split is None:
         return node_id
 
@@ -371,9 +389,9 @@ def train_rf(x: np.ndarray, y: Sequence[int], trees: int = 50,
     than 2 samples.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("need a non-empty (N, D) feature matrix")
+    y = _labels(x, y)
     if trees < 1:
         raise ValueError(f"a forest needs at least one tree, not {trees}")
     n, d = x.shape

@@ -171,6 +171,43 @@ def rf_predict_oracle(model, row):
     return int(p_pos > 0.5), p_pos
 
 
+def best_split_oracle(x, rows, y, feature_ids, best=None):
+    """The forest's split search one candidate column at a time: (feature,
+    threshold, weighted impurity) of the best split, else `best`.
+
+    Thresholds are midpoints between consecutive distinct sorted values;
+    impurities come from vectorized prefix class counts. Ties keep the
+    earliest candidate feature. `best` starts the search with the split of
+    earlier candidates, so a search over consecutive slices of the
+    candidates carries one split through them.
+    """
+    n = len(y)
+    for f in feature_ids:
+        values = x[rows, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sy = y[order]
+        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
+        if boundaries.size == 0:
+            continue
+        ones = np.cumsum(sy)
+        total_ones = ones[-1]
+        n_left = boundaries + 1.0
+        l1 = ones[boundaries].astype(np.float64)
+        l0 = n_left - l1
+        n_right = n - n_left
+        r1 = total_ones - l1
+        r0 = n_right - r1
+        gini_left = 1.0 - (l0 / n_left) ** 2 - (l1 / n_left) ** 2
+        gini_right = 1.0 - (r0 / n_right) ** 2 - (r1 / n_right) ** 2
+        score = (n_left * gini_left + n_right * gini_right) / n
+        j = int(np.argmin(score))
+        if best is None or score[j] < best[2] - 1e-15:
+            b = boundaries[j]
+            best = (f, (sv[b] + sv[b + 1]) / 2.0, float(score[j]))
+    return best
+
+
 def nb_predict_oracle(model, tokens):
     """Log posterior summed token by token from the prior; unknown tokens skipped."""
     log_post = model.log_prior.copy()

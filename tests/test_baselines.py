@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    best_split_oracle,
     gini,
     nb_predict_oracle,
     rf_predict_oracle,
@@ -13,7 +14,7 @@ from conftest import (
     tfidf_row_oracle,
     tree_vote_oracle,
 )
-from ssc import synth
+from ssc import baselines, synth
 from ssc.baselines import (
     SvmModel,
     _best_split,
@@ -379,6 +380,135 @@ class TestRandomForest:
         # A forest of no trees has no vote, and its checkpoint would hold no node field.
         with pytest.raises(ValueError, match="at least one tree"):
             train_rf(np.zeros((4, 2)), [0, 1, 0, 1], trees=0)
+
+
+def split_in_blocks(x, rows, y, ids, size):
+    """_best_split over consecutive slices of ids, carrying the best split."""
+    best = None
+    for start in range(0, len(ids), size):
+        best = _best_split(x, rows, y, ids[start:start + size], best)
+    return best
+
+
+class TestBlockSplitSearch:
+    """_best_split scores its candidate columns as one block; each result must
+    equal, bit for bit, the one-column-at-a-time oracle's."""
+
+    def assert_matches_oracle(self, x, rows, y, ids, size=None):
+        got = split_in_blocks(x, rows, y, ids, size or len(ids))
+        assert got == best_split_oracle(x, rows, y, ids)
+        return got
+
+    def test_integer_columns_with_ties(self):
+        local = np.random.default_rng(20)
+        for _ in range(30):
+            x = local.integers(0, 4, size=(30, 12)).astype(np.float64)
+            rows = local.integers(0, 30, size=25)
+            y = local.integers(0, 2, size=25)
+            ids = local.permutation(12)[:local.integers(1, 13)]
+            self.assert_matches_oracle(x, rows, y, ids)
+
+    def test_tie_inside_a_column_keeps_its_first_boundary(self):
+        # Both boundaries of column 0 leave one pure side and score exactly 1/3.
+        x = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
+        y = np.array([0, 0, 1, 1, 0, 0])
+        assert self.assert_matches_oracle(x, np.arange(6), y, [0]) == (0, 0.5, 1 / 3)
+
+    def test_candidates_constant_at_the_node(self):
+        x = np.zeros((6, 4))
+        x[:, 2] = 7.0
+        x[4:, 1] = 1.0  # varies, but not on the node's rows
+        rows, y = np.array([0, 1, 2, 3, 1]), np.array([0, 1, 0, 1, 1])
+        assert self.assert_matches_oracle(x, rows, y, [0, 1, 2, 3]) is None
+        carried = (5, 0.5, 0.25)
+        assert _best_split(x, rows, y, [0, 1, 2, 3], carried) is carried
+
+    @pytest.mark.parametrize("values,labels", [
+        ((0.0, 1.0), (0, 1)), ((1.0, 0.0), (0, 1)), ((0.0, 1.0), (1, 1)),
+        ((0.5, 0.5), (0, 1)),
+    ])
+    def test_two_rows(self, values, labels):
+        x = np.array([[values[0], 3.0], [values[1], 3.0]])
+        self.assert_matches_oracle(x, np.arange(2), np.array(labels), [1, 0])
+
+    def test_duplicated_columns_keep_the_earlier(self):
+        local = np.random.default_rng(21)
+        x = local.normal(size=(20, 5))
+        x[:, 4] = x[:, 1]
+        y = (x[:, 1] > 0.3).astype(np.int64)
+        assert self.assert_matches_oracle(x, np.arange(20), y, [4, 0, 1])[0] == 4
+        assert self.assert_matches_oracle(x, np.arange(20), y, [1, 4, 0])[0] == 1
+
+    def test_scores_within_1e_15_keep_the_earlier(self):
+        # On 4 rows with 2 positives, column 0 splits off one positive and
+        # column 1 one negative: both weighted Ginis are 1/3 exactly, but the
+        # float scores differ by one ulp (column 1's is the lower).
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        y = np.array([1, 1, 0, 0])
+        s0 = best_split_oracle(x, np.arange(4), y, [0])[2]
+        s1 = best_split_oracle(x, np.arange(4), y, [1])[2]
+        assert 0 < s0 - s1 < 1e-15
+        assert self.assert_matches_oracle(x, np.arange(4), y, [0, 1])[0] == 0
+        assert self.assert_matches_oracle(x, np.arange(4), y, [1, 0])[0] == 1
+
+    def test_scores_apart_by_more_than_1e_15_take_the_lower(self):
+        # Column 2 separates the classes (impurity 0); column 0 does not.
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        y = np.array([1, 1, 0, 0])
+        f, _, impurity = self.assert_matches_oracle(x, np.arange(4), y, [0, 1, 2])
+        assert (f, impurity) == (2, 0.0)
+
+    def test_best_split_in_a_later_block(self):
+        local = np.random.default_rng(22)
+        x = local.normal(size=(40, 30))
+        labels = (x[:, 17] > 0.1).astype(np.int64)  # column 17 alone splits the classes
+        ids = local.permutation(30)
+        rows = local.integers(0, 40, size=40)
+        got = self.assert_matches_oracle(x, rows, labels[rows], ids, size=7)
+        assert got[0] == 17 and got[2] == 0.0 and list(ids).index(17) >= 7
+
+    def test_forest_equals_oracle_forest_on_sparse_rows(self, monkeypatch):
+        # TF-IDF-like rows: 0.5 % nonzero, so nodes often see only constant
+        # candidates and search the other columns block by block.
+        local = np.random.default_rng(23)
+        x = local.random((80, 600)) * (local.random((80, 600)) < 0.005)
+        x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+        y = ((x[:, :40].sum(axis=1) > 0) ^ (local.random(80) < 0.1)).astype(np.int64)
+        block = train_rf(x, y, trees=3, max_depth=10, seed=4)
+
+        fallback_calls = []
+
+        def oracle(*args):
+            if len(args) == 5:  # _grow passes the carried split only when falling back
+                fallback_calls.append(len(args[3]))
+            return best_split_oracle(*args)
+
+        monkeypatch.setattr(baselines, "_best_split", oracle)
+        reference = train_rf(x, y, trees=3, max_depth=10, seed=4)
+        assert fallback_calls
+        for got, want in zip(block.trees, reference.trees):
+            for field in ("feature", "threshold", "left", "right", "counts"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLabelChecks:
+    """The forest and SVM trainers refuse labels that are not one 0/1 per row."""
+
+    @pytest.mark.parametrize("train", [train_rf, train_svm])
+    def test_more_labels_than_rows(self, train):
+        with pytest.raises(ValueError, match="4 rows, 6 labels"):
+            train(np.eye(4), [0, 1, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("train", [train_rf, train_svm])
+    def test_fewer_labels_than_rows(self, train):
+        with pytest.raises(ValueError, match="4 rows, 3 labels"):
+            train(np.eye(4), [0, 1, 0])
+
+    @pytest.mark.parametrize("train", [train_rf, train_svm])
+    def test_label_other_than_0_or_1(self, train):
+        with pytest.raises(ValueError, match="must be 0 or 1, not 2"):
+            train(np.eye(4), [0, 1, 2, 1])
 
 
 def make_calibrated_svm():
