@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -109,13 +109,14 @@ def train_nb(docs: Sequence[TokenSeq], labels: Sequence[int],
              bootstrap_seed: int | None = None) -> NbModel:
     """Multinomial NB with add-one smoothing over the training vocabulary.
 
-    bootstrap_seed, when given, resamples the training set with replacement
-    first (used to differentiate otherwise-identical ensemble members).
+    labels must be one 0/1 per document. bootstrap_seed, when given,
+    resamples the training set with replacement first (used to
+    differentiate otherwise-identical ensemble members).
     """
     docs = list(docs)
-    labels = list(labels)
-    if len(docs) != len(labels) or not docs:
-        raise ValueError("need aligned, non-empty docs and labels")
+    labels = _labels(docs, labels).tolist()
+    if not docs:
+        raise ValueError("need at least one document")
     if bootstrap_seed is not None:
         rng = np.random.default_rng(bootstrap_seed)
         pick = rng.integers(0, len(docs), size=len(docs))
@@ -156,8 +157,8 @@ def nb_predict(model: NbModel, docs: Sequence[TokenSeq]) -> tuple[np.ndarray, np
     return np.argmax(post, axis=1), post[:, 1]
 
 
-def _labels(x: np.ndarray, y: Sequence[int]) -> np.ndarray:
-    """y as int64, refused unless it is one 0/1 label per row of x."""
+def _labels(x: Sized, y: Sequence[int]) -> np.ndarray:
+    """y as int64, refused unless it is one 0/1 label per row (or document) of x."""
     y = np.asarray(y)
     if y.shape != (len(x),):
         raise ValueError(f"need one label per feature row: {len(x)} rows, "

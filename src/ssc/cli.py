@@ -3,7 +3,10 @@
 Subcommands are thin wrappers over the library: dataset utilities
 (validate/dedupe/aggregate/resample/folds/synth), single-model train and
 evaluate, ensemble evaluation, the full scenario experiment, agreement
-statistics, the annotation pre-filter, and one-off prediction.
+statistics, the annotation pre-filter, and one-off prediction. ssc train
+trains through experiment.train_member, the path the experiment's fold
+units take. ssc evaluate is ssc ensemble on one checkpoint in free mode:
+a one-member vote returns that member's own classes.
 
 The SSC_PRECISION environment variable (32 or 64) selects the numeric mode
 before any model is built. Exit status is nonzero iff any error was
@@ -32,21 +35,14 @@ from .corpus import (
     save_dataset,
     save_fold_plan,
 )
-from .ensemble import (
-    CNN_KINDS,
-    KINDS,
-    EnsembleSpec,
-    ensemble_vote_batch,
-    load_member,
-    resolve_members,
-)
+from .encoding import KINDS
+from .ensemble import EnsembleSpec, ensemble_vote_batch, load_member, resolve_members
 from .experiment import (
     build_feature_context,
     emit_report,
     roster_encoder,
     run_experiment,
-    train_bow_member,
-    train_cnn_member,
+    train_member,
 )
 from .metrics import CSV_HEADER, compute_metrics
 from .nn import load_checkpoint, save_checkpoint
@@ -154,11 +150,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     kind = args.kind
     enc = _encoder(cfg, [kind])(load_dataset(args.train_data))
-    if kind in CNN_KINDS:
-        cp = train_cnn_member(kind, enc, cfg, init_seed=cfg.seed, train_seed=cfg.seed + 1)
-    else:
-        tfidf = baselines.tfidf_features(enc) if KINDS[kind].tfidf else None
-        cp = train_bow_member(kind, 0, enc, cfg, cfg.seed, tfidf)
+    cp = train_member(kind, 0, enc, cfg, cfg.seed)
     save_checkpoint(cp, args.output)
     best = " ".join(f"{k}={v:.4f}" for k, v in sorted(cp.metrics.items()))
     print(f"trained {kind}, saved to {args.output}"
@@ -176,32 +168,21 @@ def _checkpoint_from_path(path):
     return tag, cp
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
-    kind, cp = _checkpoint_from_path(args.checkpoint)
-    member = load_member(kind, cp)
-    enc = _encoder(cfg, [kind])(load_dataset(args.test_data))
-    if enc.labels is None:
-        return _err("test data must be fully labeled")
-    pred, _ = member.predict_batch(enc)
-    report = compute_metrics(pred, enc.labels)
-    print(CSV_HEADER)
-    print(report.csv_row("-", kind))
-    return 0
-
-
 def cmd_ensemble(args) -> int:
+    """Vote the checkpoints on the test data; print one metrics row.
+
+    ssc evaluate runs this on its one checkpoint in free mode, the row
+    named after the member's kind rather than "ensemble".
+    """
     cfg = _load_cfg(args)
-    spec = EnsembleSpec(tuple(_checkpoint_from_path(p) for p in args.members.split(",")),
-                        mode=args.mode)
+    spec = EnsembleSpec(tuple(_checkpoint_from_path(p) for p in args.members), mode=args.mode)
     members = resolve_members(spec)
     enc = _encoder(cfg, [kind for kind, _ in spec.members])(load_dataset(args.test_data))
     if enc.labels is None:
         return _err("test data must be fully labeled")
-    votes = ensemble_vote_batch(members, enc)
-    report = compute_metrics(votes, enc.labels)
+    report = compute_metrics(ensemble_vote_batch(members, enc), enc.labels)
     print(CSV_HEADER)
-    print(report.csv_row("-", "ensemble"))
+    print(report.csv_row("-", args.row or spec.members[0][0]))
     return 0
 
 
@@ -330,16 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="evaluate a checkpoint on labeled data")
     ev.add_argument("--config", required=True)
-    ev.add_argument("--checkpoint", required=True)
+    ev.add_argument("--checkpoint", required=True, dest="members", metavar="CHECKPOINT",
+                    type=lambda path: [path])
     ev.add_argument("--test-data", required=True)
-    ev.set_defaults(func=cmd_evaluate)
+    ev.set_defaults(func=cmd_ensemble, mode="free", row=None)
 
     en = sub.add_parser("ensemble", help="majority-vote a set of checkpoints")
     en.add_argument("--config", required=True)
-    en.add_argument("--members", required=True, help="comma-separated checkpoint paths")
+    en.add_argument("--members", required=True, help="comma-separated checkpoint paths",
+                    type=lambda paths: paths.split(","))
     en.add_argument("--test-data", required=True)
     en.add_argument("--mode", choices=["strict", "free"], default="strict")
-    en.set_defaults(func=cmd_ensemble)
+    en.set_defaults(func=cmd_ensemble, row="ensemble")
 
     ex = sub.add_parser("experiment", help="full scenario grid experiment")
     ex.add_argument("--config", required=True)

@@ -2,10 +2,13 @@
 
 A member has a kind and a batched predict returning (classes, positive
 probabilities), run PREDICT_ROWS rows at a time; predict(enc, i) is that
-predict on a set of one. This module imports the member kinds (KINDS) and
-COMPOSITIONS, the two paper-faithful six-member rosters, from encoding:
-2x char_aux + 2x char_cnn + 2x word_aux (CNN ensemble) and 2x svm + 2x rf
-+ 2x nb (classical ensemble); "free" mode allows arbitrary compositions.
+predict on a set of one. The member kinds and COMPOSITIONS, the two
+paper-faithful six-member rosters, are declared in encoding: 2x char_aux +
+2x char_cnn + 2x word_aux (CNN ensemble) and 2x svm + 2x rf + 2x nb
+(classical ensemble); "free" mode allows arbitrary compositions. A vote of
+one member returns that member's own classes, so ssc evaluate is a
+one-member ssc ensemble. A classical checkpoint is refused at load unless
+its arrays fit its vocabulary and each other.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import baselines, models
+from . import baselines, encoding, models
 from .baselines import NbModel, RfModel, SvmModel, Tree
-from .encoding import CNN_KINDS, COMPOSITIONS, KINDS, ML_KINDS, EncodedSet
-from .features import is_token
+from .encoding import EncodedSet
+from .features import AUX_DIM, is_token
 # Nothing here saves; bench/tracing.py still wraps save_checkpoint by this module's name.
 from .nn import ModelCheckpoint, load_checkpoint, save_checkpoint
 
@@ -80,7 +83,7 @@ class BowMember(Member):
     def predict_batch(self, enc: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
         """Features are built per block of rows, so their size is bounded."""
         def predict(rows: EncodedSet):
-            if not KINDS[self.kind].tfidf:
+            if not encoding.KINDS[self.kind].tfidf:
                 return baselines.nb_predict(self.model, rows.tokens)
             predict_x = {"svm": baselines.svm_predict, "rf": baselines.rf_predict}[self.kind]
             return predict_x(self.model, baselines.bow_features(rows, self.vocab, self.idf))
@@ -106,10 +109,10 @@ class EnsembleSpec:
             raise ValueError("mode must be 'strict' or 'free'")
         if self.mode == "strict":
             composition = Counter(kind for kind, _ in self.members)
-            if composition not in COMPOSITIONS.values():
+            if composition not in encoding.COMPOSITIONS.values():
                 raise ValueError(
-                    f"strict ensembles need 2x{'/2x'.join(CNN_KINDS)} or "
-                    f"2x{'/2x'.join(ML_KINDS)}; got {dict(composition)}"
+                    f"strict ensembles need 2x{'/2x'.join(encoding.CNN_KINDS)} or "
+                    f"2x{'/2x'.join(encoding.ML_KINDS)}; got {dict(composition)}"
                 )
 
 
@@ -119,7 +122,7 @@ def load_member(kind: str, ref) -> Member:
     tag = cp.metadata.get("kind", "")
     if tag != kind:
         raise EnsembleError(f"checkpoint kind tag {tag!r} does not match {kind!r}")
-    if kind in CNN_KINDS:
+    if kind in encoding.CNN_KINDS:
         return CnnMember(models.model_from_checkpoint(cp))
     return _baseline_from_checkpoint(kind, cp)
 
@@ -158,7 +161,7 @@ def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
     stores its trees' node counts and, per Tree field, their arrays end to end.
     """
     m = member.model
-    tfidf = KINDS[member.kind].tfidf
+    tfidf = encoding.KINDS[member.kind].tfidf
     terms = member.vocab if tfidf else m.vocab
     bad = next((t for t in terms if not is_token(t)), None)
     if bad is not None:
@@ -178,21 +181,70 @@ def baseline_checkpoint(member: BowMember) -> ModelCheckpoint:
 
 
 def _baseline_from_checkpoint(kind: str, cp: ModelCheckpoint) -> BowMember:
+    """The classical member of a checkpoint, refused unless its arrays fit each other.
+
+    Each array must have the shape that the V vocabulary terms imply (the
+    SVM and forest read rows of V + AUX_DIM features), a forest's node
+    counts, features and children must be integers, and every forest node
+    must be a leaf or lead strictly forward inside its tree, so a predict
+    neither indexes out of range nor walks in a circle.
+    """
     terms = cp.metadata.get("vocab", "").split()
     vocab = {t: i for i, t in enumerate(terms)}
     a = cp.arrays
     missing = [name for name in _KIND_ARRAYS[kind] if name not in a]
     if missing:
         raise ValueError(f"{kind} checkpoint: missing arrays: {', '.join(missing)}")
-    if not KINDS[kind].tfidf:
+    v = len(vocab)
+    if v != len(terms):
+        raise ValueError(f"{kind} checkpoint: vocab repeats a term")
+    if not encoding.KINDS[kind].tfidf:
+        _check_shapes(kind, a, {"log_prior": (2,), "log_likelihood": (2, v)}, v)
         return BowMember(kind, NbModel(vocab, a["log_prior"], a["log_likelihood"]))
     if kind == "svm":
+        _check_shapes(kind, a, {"idf": (v,), "weights": (v + AUX_DIM,), "platt": (2,)}, v)
         model = SvmModel(a["weights"], platt_a=float(a["platt"][0]), platt_b=float(a["platt"][1]))
         return BowMember(kind, model, vocab, a["idf"])
+    for name in ("tree_nodes", "feature", "left", "right"):
+        if a[name].dtype.kind not in "iu":
+            raise ValueError(f"{kind} checkpoint: {name} has dtype {a[name].dtype}, "
+                             "not an integer type")
     nodes = a["tree_nodes"]
     if nodes.size == 0 or nodes.min() < 1 or any(len(a[n]) != nodes.sum() for n in _TREE_ARRAYS):
         raise ValueError(f"{kind} checkpoint: tree_nodes must be counts >= 1 that add up to "
                          "the length of every node field")
+    n = int(nodes.sum())
+    _check_shapes(kind, a, {"idf": (v,), "feature": (n,), "threshold": (n,), "left": (n,),
+                            "right": (n,), "counts": (n, 2)}, v)
+    _check_trees(a, nodes, v + AUX_DIM)
     cuts = np.cumsum(nodes)[:-1]
     trees = [Tree(*parts) for parts in zip(*(np.split(a[name], cuts) for name in _TREE_ARRAYS))]
     return BowMember(kind, RfModel(trees), vocab, a["idf"])
+
+
+def _check_shapes(kind: str, arrays, shapes: dict[str, tuple[int, ...]], v: int) -> None:
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{kind} checkpoint: {name} has shape {arrays[name].shape}, "
+                             f"not {shape}, for a vocabulary of {v} terms")
+
+
+def _check_trees(arrays, nodes: np.ndarray, width: int) -> None:
+    """Refuse a forest node that is neither a leaf (both children -1) nor an inner node
+    with both children later in its own tree and a feature below width."""
+    tree = np.repeat(np.arange(len(nodes)), nodes)
+    local = np.arange(len(tree)) - (np.cumsum(nodes) - nodes)[tree]  # node id in its tree
+    size = nodes[tree]
+    left, right, feature = arrays["left"], arrays["right"], arrays["feature"]
+    leaf = (left == -1) & (right == -1)
+    inner = (left > local) & (left < size) & (right > local) & (right < size)
+    bad = ~(leaf | inner)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"rf checkpoint: left/right of tree {tree[i]} node {local[i]} are "
+                         f"{left[i]}/{right[i]}, not both -1 or both later nodes of the tree")
+    bad = inner & ((feature < 0) | (feature >= width))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"rf checkpoint: feature of tree {tree[i]} node {local[i]} is "
+                         f"{feature[i]}, not a column of the {width} features")

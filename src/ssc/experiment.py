@@ -2,9 +2,10 @@
 
 The experiment is one loop. For every scenario, _run_scenario builds and
 saves one fold plan and calls _run_fold on each fold. There each roster
-member is one unit: it is trained on the fold, saved, reloaded from its
-checkpoint and predicts the test block once. The ensembles vote from those
-predictions, so no member predicts twice. _run_scenario then
+member is one unit: it is trained on the fold by train_member, the one
+training path of every kind (ssc train takes it too), saved, reloaded
+from its checkpoint and predicts the test block once. The ensembles vote
+from those predictions, so no member predicts twice. _run_scenario then
 writes the per-fold CSV and averages each member kind and ensemble over
 the folds. All artifacts (fold plans, best-epoch checkpoints, per-fold
 CSVs, provenance) land under the output directory. Failures abort a
@@ -36,11 +37,8 @@ from .corpus import (
     save_fold_plan,
 )
 from .embeddings import load_embeddings
-from .encoding import EncodedSet, FeatureContext, encode_dataset
+from .encoding import CNN_KINDS, COMPOSITIONS, KINDS, EncodedSet, FeatureContext, encode_dataset
 from .ensemble import (
-    CNN_KINDS,
-    COMPOSITIONS,
-    KINDS,
     BowMember,
     baseline_checkpoint,
     ensemble_vote_batch,  # unused here; bench/tracing.py wraps it by this module's name
@@ -100,27 +98,32 @@ def _cnn_config(cfg: ExperimentConfig, kind: str, enc: EncodedSet) -> CnnConfig:
                      embed_dim=enc.vectors.shape[1] if word else cfg.char_embed_dim)
 
 
-def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
-
-
 def train_cnn_member(kind: str, enc_train: EncodedSet, cfg: ExperimentConfig,
-                     init_seed: int, train_seed: int) -> ModelCheckpoint:
-    """Train one CNN member; return its best epoch's checkpoint."""
-    model = models.build_model(kind, _cnn_config(cfg, kind, enc_train), seed=init_seed)
-    checkpoints = models.train(model, enc_train, _train_config(cfg, train_seed))
-    return models.select_best_epoch(checkpoints)
+                     seed: int) -> ModelCheckpoint:
+    """Train one CNN member, built from seed and shuffled from seed + 1; return its best epoch."""
+    model = models.build_model(kind, _cnn_config(cfg, kind, enc_train), seed=seed)
+    train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed + 1)
+    return models.select_best_epoch(models.train(model, enc_train, train_cfg))
 
 
-def train_bow_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
-                     cfg: ExperimentConfig, seed: int, tfidf=None) -> ModelCheckpoint:
-    """One classical member's checkpoint, trained on tfidf (tfidf_features) or the tokens."""
+def train_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
+                 cfg: ExperimentConfig, seed: int, tfidf=None) -> ModelCheckpoint:
+    """Train one member of any kind on enc_train; return its checkpoint.
+
+    The one training path of the fold units and of ssc train. A kind that
+    reads TF-IDF trains on tfidf (a fold's tfidf_features) or, without
+    one, fits its own on enc_train. Naive Bayes bootstraps from seed for
+    every member of its kind but the first.
+    """
+    if kind in CNN_KINDS:
+        # By this module's global name, so that bench/tracing.py's wrapper sees the call.
+        return train_cnn_member(kind, enc_train, cfg, seed)
     labels = enc_train.labels
     if not KINDS[kind].tfidf:
         bootstrap = None if member_idx_of_kind == 0 else seed
         model = baselines.train_nb(enc_train.tokens, labels.tolist(), bootstrap_seed=bootstrap)
         return baseline_checkpoint(BowMember(kind, model))
-    x_train, vocab, idf = tfidf
+    x_train, vocab, idf = tfidf or baselines.tfidf_features(enc_train)
     if kind == "svm":
         model = baselines.train_svm(x_train, labels, seed=seed)
     else:
@@ -156,9 +159,10 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
               ckpt_dir: Path, jobs: int) -> list[tuple[str, MetricsReport]]:
     """Run every member of one fold as a unit, then vote the ensembles from their predictions.
 
-    A unit trains its member, saves the checkpoint, reloads it and predicts
-    the test block once: the CNN units in a pool of jobs threads, then the
-    classical units in turn, on one TF-IDF fit if any of them reads it.
+    A unit trains its member (train_member), saves the checkpoint, reloads
+    it and predicts the test block once: the CNN units in a pool of jobs
+    threads, then the classical units in turn, on one TF-IDF fit if any of
+    them reads it.
     Returns (row name, report) pairs in per-fold CSV order: every roster
     member as kind.m<j> (its j-th member of that kind), then each ensemble
     whose composition the roster holds.
@@ -171,14 +175,10 @@ def _run_fold(pool: Dataset, folds: FoldPlan, fold: int, scenario_idx: int,
     def run_unit(unit, tfidf=None):
         """(classes, probabilities) on the test block; tfidf is the fold's tfidf_features."""
         i, kind, tag = unit
+        # A CNN shuffles from its seed + 1 (salt 1), so a classical member takes salt 2.
+        seed = _unit_seed(cfg.seed, scenario_idx, i, fold, 0 if kind in CNN_KINDS else 2)
         with _naming_failures(f"{tag} fold {fold}"):
-            if kind in CNN_KINDS:
-                cp = train_cnn_member(kind, enc_train, cfg,
-                                      init_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 0),
-                                      train_seed=_unit_seed(cfg.seed, scenario_idx, i, fold, 1))
-            else:
-                cp = train_bow_member(kind, roster[:i].count(kind), enc_train, cfg,
-                                      _unit_seed(cfg.seed, scenario_idx, i, fold, 2), tfidf)
+            cp = train_member(kind, roster[:i].count(kind), enc_train, cfg, seed, tfidf)
             save_checkpoint(cp, ckpt_dir / f"{tag}.f{fold}.ckpt")
             # Through its module, so that bench/tracing.py's wrapper sees the call.
             return ensemble.load_member(kind, cp).predict_batch(enc_test)

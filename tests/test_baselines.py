@@ -493,22 +493,31 @@ class TestBlockSplitSearch:
 
 
 class TestLabelChecks:
-    """The forest and SVM trainers refuse labels that are not one 0/1 per row."""
+    """The forest, SVM and Naive Bayes trainers refuse labels that are not one 0/1 per row.
 
-    @pytest.mark.parametrize("train", [train_rf, train_svm])
+    Naive Bayes takes the rows of np.eye(4) as its four documents.
+    """
+
+    @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_more_labels_than_rows(self, train):
         with pytest.raises(ValueError, match="4 rows, 6 labels"):
             train(np.eye(4), [0, 1, 0, 1, 1, 1])
 
-    @pytest.mark.parametrize("train", [train_rf, train_svm])
+    @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_fewer_labels_than_rows(self, train):
         with pytest.raises(ValueError, match="4 rows, 3 labels"):
             train(np.eye(4), [0, 1, 0])
 
-    @pytest.mark.parametrize("train", [train_rf, train_svm])
+    @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_label_other_than_0_or_1(self, train):
         with pytest.raises(ValueError, match="must be 0 or 1, not 2"):
             train(np.eye(4), [0, 1, 2, 1])
+
+    # Naive Bayes once counted a -1 label as the positive class.
+    @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
+    def test_negative_label(self, train):
+        with pytest.raises(ValueError, match="must be 0 or 1, not -1"):
+            train(np.eye(4), [0, 1, -1, 1])
 
 
 def make_calibrated_svm():

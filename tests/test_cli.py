@@ -8,10 +8,8 @@ from ssc import baselines, models, nn, synth
 from ssc.cli import main
 from ssc.config import ConfigFileError, DEFAULT_SCENARIOS, dump_config, load_config
 from ssc.corpus import Dataset, Tweet, load_dataset, save_dataset
-from ssc.encoding import encode_dataset
+from ssc.encoding import KINDS, ML_KINDS, encode_dataset
 from ssc.ensemble import (
-    KINDS,
-    ML_KINDS,
     BowMember,
     CnnMember,
     EnsembleError,
@@ -22,7 +20,7 @@ from ssc.ensemble import (
     resolve_members,
 )
 from ssc.experiment import build_feature_context
-from ssc.features import MAX_CHARS
+from ssc.features import AUX_DIM, MAX_CHARS
 
 
 @pytest.fixture(scope="module")
@@ -544,12 +542,65 @@ class TestEnsembleSurface:
                                              f"{', '.join(cp.arrays)}$"):
             load_member(kind, nn.ModelCheckpoint(0, {}, metadata=cp.metadata))
 
+    # corrupt(arrays, V) gives the arrays to replace, V the vocabulary size;
+    # the refusal names the first array that does not fit.
+    @pytest.mark.parametrize("kind, corrupt, message", [
+        pytest.param("svm", lambda a, v: {"idf": a["idf"][:-3]}, "idf has shape",
+                     id="svm-idf-3-short"),
+        pytest.param("svm", lambda a, v: {"weights": a["weights"][:v]}, "weights has shape",
+                     id="svm-weights-without-aux"),
+        pytest.param("svm", lambda a, v: {"platt": a["platt"][:1]}, "platt has shape",
+                     id="svm-platt-one-value"),
+        pytest.param("nb", lambda a, v: {"log_prior": np.log([0.25, 0.25, 0.5])},
+                     "log_prior has shape", id="nb-three-priors"),
+        pytest.param("nb", lambda a, v: {"log_likelihood": a["log_likelihood"].T},
+                     "log_likelihood has shape", id="nb-likelihood-transposed"),
+        pytest.param("rf", lambda a, v: {"idf": a["idf"][:-3]}, "idf has shape",
+                     id="rf-idf-3-short"),
+        pytest.param("rf", lambda a, v: {"counts": a["counts"][:, :1]}, "counts has shape",
+                     id="rf-counts-one-column"),
+        pytest.param("rf", lambda a, v: {"left": _set(a["left"], 0, 0),
+                                         "right": _set(a["right"], 0, 0)},
+                     "left/right of tree 0 node 0 are 0/0", id="rf-root-own-child"),
+        pytest.param("rf", lambda a, v: {"left": _set(a["left"], 0, a["tree_nodes"][0])},
+                     "left/right of tree 0 node 0", id="rf-child-in-next-tree"),
+        pytest.param("rf", lambda a, v: {"right": _set(a["right"], 0, -1)},
+                     "left/right of tree 0 node 0", id="rf-one-child-a-leaf"),
+        pytest.param("rf", lambda a, v: {"feature": _set(a["feature"], 0, v + AUX_DIM)},
+                     "feature of tree 0 node 0", id="rf-feature-past-the-row"),
+        pytest.param("rf", lambda a, v: {"feature": a["feature"].astype(np.float64)},
+                     "feature has dtype float64", id="rf-feature-not-integer"),
+    ])
+    def test_inconsistent_classical_checkpoint_refused_naming_the_array(
+            self, workspace, tmp_path, kind, corrupt, message):
+        members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+        cp = baseline_checkpoint(next(m for m in members if m.kind == kind))
+        assert kind != "rf" or cp.arrays["left"][0] != -1  # the first tree's root splits
+        arrays = {**cp.arrays, **corrupt(cp.arrays, len(cp.metadata["vocab"].split()))}
+        with pytest.raises(ValueError, match="^" + re.escape(f"{kind} checkpoint: {message}")):
+            load_member(kind, nn.ModelCheckpoint(0, arrays, metadata=cp.metadata))
+
+    def test_vocabulary_that_repeats_a_term_refused(self, workspace, tmp_path):
+        members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+        cp = baseline_checkpoint(members[2])
+        terms = cp.metadata["vocab"].split()
+        metadata = {**cp.metadata, "vocab": " ".join([terms[0], *terms[:-1]])}
+        with pytest.raises(ValueError, match="^nb checkpoint: vocab repeats a term$"):
+            load_member("nb", nn.ModelCheckpoint(0, cp.arrays, metadata=metadata))
+
     def test_kind_tag_mismatch_detected(self, workspace, tmp_path):
         members, paths, _ = self.members_via_checkpoints(workspace, tmp_path)
         svm_path = paths[0][1]
         spec = EnsembleSpec((("rf", svm_path),), mode="free")
         with pytest.raises(EnsembleError):
             resolve_members(spec)
+
+
+def _set(array: np.ndarray, i: int, value) -> np.ndarray:
+    """A copy of array with entry i set to value."""
+    out = array.copy()
+    out[i] = value
+    return out
 
 
 def _member_arrays(member) -> dict[str, np.ndarray]:

@@ -1,7 +1,8 @@
 """run_experiment end to end on a tiny config: failure naming, fold plans, --jobs
 determinism and its refusal below 1, one test-block predict per member,
-per-fold rows that the saved checkpoints reproduce, and the checked-in golden
-run (tests/golden)."""
+per-fold rows that the saved checkpoints reproduce, ssc train and ssc evaluate
+matching the fold units of every kind, and the checked-in golden run
+(tests/golden)."""
 
 import math
 import os
@@ -15,10 +16,19 @@ import numpy as np
 import pytest
 
 from ssc import baselines, ensemble, models, synth
+from ssc.cli import main
 from ssc.config import load_config
-from ssc.corpus import Dataset, load_dataset, load_fold_plan, make_folds, save_dataset
-from ssc.ensemble import ML_KINDS, BowMember, CnnMember, ensemble_vote_batch, load_member
-from ssc.experiment import build_feature_context, roster_encoder, run_experiment
+from ssc.corpus import (
+    Dataset,
+    fold_datasets,
+    load_dataset,
+    load_fold_plan,
+    make_folds,
+    save_dataset,
+)
+from ssc.encoding import CNN_KINDS, KINDS, ML_KINDS
+from ssc.ensemble import BowMember, CnnMember, ensemble_vote_batch, load_member
+from ssc.experiment import _unit_seed, build_feature_context, roster_encoder, run_experiment
 from ssc.metrics import compute_metrics
 
 
@@ -82,6 +92,50 @@ def test_report_identical_at_one_and_two_jobs(tiny_config):
     assert len(saved) == 12  # six members, two folds
     for name in ("report.csv", "per_fold/50-50.csv", *saved):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def six_kind_fold(tiny_config):
+    """A one-member-per-kind experiment, and its fold 0's training and test texts as files."""
+    cfg, root = tiny_config
+    out = root / "six_kinds"
+    cfg = replace(cfg, roster=",".join(f"{kind}:1" for kind in KINDS), output=str(out))
+    assert not run_experiment(cfg, jobs=1, log=lambda msg: None).failures
+    plan = load_fold_plan(out / "fold_plans" / "scenario_50-50.folds")
+    train, test = fold_datasets(load_dataset(cfg.dataset), plan, 0)
+    save_dataset(train, root / "fold0_train.tsv")
+    save_dataset(test, root / "fold0_test.tsv")
+    return cfg, root, out / "checkpoints" / "50-50"
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_ssc_train_writes_the_checkpoint_of_the_fold_unit(six_kind_fold, tmp_path, capsys, kind):
+    # Both train through one path: ssc train --seed s on the fold's training
+    # texts gives the unit's bytes, where s is the unit seed, plus the salt 2
+    # of a classical unit (a CNN shuffles from its seed + 1).
+    cfg, root, ckpts = six_kind_fold
+    i = list(KINDS).index(kind)
+    seed = _unit_seed(cfg.seed, 0, i, 0) + (0 if kind in CNN_KINDS else 2)
+    assert main(["train", "--config", str(root / "exp.conf"), "--kind", kind,
+                 "--train-data", str(root / "fold0_train.tsv"),
+                 "--output", str(tmp_path / "m.ckpt"), "--seed", str(seed)]) == 0, \
+        capsys.readouterr().err
+    assert (tmp_path / "m.ckpt").read_bytes() == (ckpts / f"{kind}.m0.f0.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_ssc_evaluate_prints_the_one_member_ensemble_row(six_kind_fold, capsys, kind):
+    cfg, root, ckpts = six_kind_fold
+    common = ["--config", str(root / "exp.conf"), "--test-data", str(root / "fold0_test.tsv")]
+    ckpt = str(ckpts / f"{kind}.m0.f0.ckpt")
+    assert main(["evaluate", "--checkpoint", ckpt, *common]) == 0
+    evaluated = capsys.readouterr().out.splitlines()
+    assert main(["ensemble", "--members", ckpt, "--mode", "free", *common]) == 0
+    voted = capsys.readouterr().out.splitlines()
+    assert evaluated[0] == voted[0] and len(evaluated) == len(voted) == 2
+    assert evaluated[1].split(",")[:2] == ["-", kind]
+    assert voted[1].split(",")[:2] == ["-", "ensemble"]
+    assert evaluated[1].split(",")[2:] == voted[1].split(",")[2:]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
