@@ -276,6 +276,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, log=None) -> Experiment
     if failures:
         manifest = ["# failed units"] + failures + ["# completed units"] + completed
         (out / "failures.txt").write_text("".join(f"{line}\n" for line in manifest))
+    else:
+        # An earlier run's manifest would describe failures this run does not have.
+        (out / "failures.txt").unlink(missing_ok=True)
     return report
 
 

@@ -19,6 +19,7 @@ _PLACEHOLDERS = frozenset((URL_TOKEN, USER_TOKEN))
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
+_COMMENT_RE = re.compile(r"#(?:\s|$)")
 _STRIP_CHARS = string.punctuation
 
 N_CLUSTERS = 150
@@ -70,6 +71,22 @@ def is_token(text: str) -> bool:
     return text.split() == [text]
 
 
+def _skipped(line: str) -> bool:
+    """True for a blank line or a comment: ``#`` then whitespace or the line end.
+
+    ``#420`` is a term, not a comment, since tokenize keeps hashtags.
+    """
+    return not line or _COMMENT_RE.match(line) is not None
+
+
+def _one_token(file: str, lineno: int, what: str, text: str) -> str:
+    """text, refused naming its line unless it is one token; no token holds whitespace."""
+    if not is_token(text):
+        raise ValueError(f"{file} file line {lineno}: {what} {text!r} is empty or holds "
+                         f"whitespace; {what}s are single tokens")
+    return text
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """A set of lowercase terms, optionally length-filtered at load time."""
@@ -88,18 +105,17 @@ class Lexicon:
 
 
 def load_lexicon(path, min_length: int = 1) -> Lexicon:
-    """Load a one-term-per-line lexicon; ``#`` lines are comments.
+    """Load a one-term-per-line lexicon; a term is one token, ``# ...`` lines are comments.
 
     min_length drops shorter terms at load time (the drug-slang lexicon is
     loaded with min_length=6, i.e. terms longer than five characters).
     """
     terms = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            terms.append(line)
+            if not _skipped(line):
+                terms.append(_one_token("lexicon", lineno, "term", line))
     return Lexicon.from_terms(terms, min_length=min_length)
 
 
@@ -119,12 +135,12 @@ class ClusterMap:
 
 
 def load_cluster_map(path) -> ClusterMap:
-    """Load ``term<TAB>cluster_id`` lines."""
+    """Load ``term<TAB>cluster_id`` lines; a term is one token, ``# ...`` lines are comments."""
     assignments: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
+            if _skipped(line):
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not re.fullmatch(r"-?[0-9]+", parts[1]):
@@ -132,7 +148,7 @@ def load_cluster_map(path) -> ClusterMap:
             cid = int(parts[1])
             if not 0 <= cid < N_CLUSTERS:
                 raise ValueError(f"cluster file line {lineno}: cluster id {cid} outside [0, {N_CLUSTERS})")
-            assignments[parts[0].lower()] = cid
+            assignments[_one_token("cluster", lineno, "term", parts[0]).lower()] = cid
     return ClusterMap(assignments)
 
 
@@ -163,22 +179,22 @@ class SynonymMap:
 
 
 def load_synonym_map(path) -> SynonymMap:
-    """Load ``term<TAB>syn1,syn2,...`` lines; each synonym is a single token."""
+    """Load ``term<TAB>syn1,syn2,...`` lines; ``# ...`` lines are comments.
+
+    The term and each synonym are single tokens.
+    """
     entries: dict[str, list[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
+            if _skipped(line):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"synonym file line {lineno}: expected term<TAB>syn1,syn2,...")
-            syns = [s for s in parts[1].split(",") if s]
-            bad = next((s for s in syns if not is_token(s)), None)
-            if bad is not None:
-                raise ValueError(f"synonym file line {lineno}: synonym {bad!r} holds "
-                                 "whitespace; synonyms are single tokens")
-            entries[parts[0]] = syns
+            term = _one_token("synonym", lineno, "term", parts[0])
+            entries[term] = [_one_token("synonym", lineno, "synonym", s)
+                             for s in parts[1].split(",") if s]
     return SynonymMap.from_entries(entries)
 
 

@@ -3,9 +3,10 @@
 Positive texts are first-person drug-use messages; negative texts are news,
 research, opinion, third-party mentions, and off-topic chatter. The two
 classes deliberately share vocabulary (drug names appear on both sides) so
-classifiers must use context, not just keyword presence. Fixture lexicons,
-a cluster map, a synonym map, and a random embedding table over the
-template vocabulary are provided to exercise the full feature pipeline.
+classifiers must use context, not just keyword presence. write_fixture_files
+writes the lexicons, cluster map, synonym map and random embedding table (over
+the template vocabulary) that the full feature pipeline reads; they exist only
+as files, which runs and tests load through experiment.build_feature_context.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .corpus import Dataset, Tweet
 from .embeddings import EmbeddingTable, save_embeddings
-from .encoding import FeatureContext
-from .features import ClusterMap, Lexicon, SynonymMap, tokenize
+from .features import N_CLUSTERS, tokenize
 
 # Drug terms appear in both classes.
 DRUGS = ["weed", "coke", "molly", "xanax", "oxy", "heroin", "fentanyl",
@@ -128,6 +128,10 @@ _NEUTRAL_VERBS = ["saw", "hate", "heard about", "read about"]
 _WHEN = ["last night", "this weekend", "for tonight", "after work",
          "again today", "rn"]
 
+_SYNONYMS = {"zooted": ["intoxicated"], "geeked": ["intoxicated", "wired"],
+             "blitzed": ["wasted"], "dope": ["heroin"], "addy": ["adderall"],
+             "percs": ["percocet"]}
+
 _SLOTS = {
     "drug": DRUGS,
     "slang": USE_SLANG,
@@ -208,35 +212,6 @@ def vocabulary() -> list[str]:
     return list(vocab)
 
 
-def abuse_lexicon() -> Lexicon:
-    return Lexicon.from_terms(ABUSE_TERMS + _USE_VERBS)
-
-
-def slang_lexicon() -> Lexicon:
-    return Lexicon.from_terms(USE_SLANG, min_length=6)
-
-
-def cluster_map() -> ClusterMap:
-    """Spread the drug/slang/abuse vocabulary over distinct clusters."""
-    assignments = {}
-    terms = DRUGS + USE_SLANG + ABUSE_TERMS + _USE_VERBS
-    for i, term in enumerate(terms):
-        assignments[term] = (i * 7) % 150
-    return ClusterMap(assignments)
-
-
-def synonym_map() -> SynonymMap:
-    entries = {
-        "zooted": ["intoxicated"],
-        "geeked": ["intoxicated", "wired"],
-        "blitzed": ["wasted"],
-        "dope": ["heroin"],
-        "addy": ["adderall"],
-        "percs": ["percocet"],
-    }
-    return SynonymMap.from_entries(entries)
-
-
 def build_embedding_table(dim: int = 50, seed: int = 0) -> EmbeddingTable:
     """Random unit-max-norm vectors over the template vocabulary."""
     rng = np.random.default_rng(seed)
@@ -245,16 +220,6 @@ def build_embedding_table(dim: int = 50, seed: int = 0) -> EmbeddingTable:
         v = rng.uniform(-1.0, 1.0, dim)
         vectors[word] = v / np.abs(v).max()
     return EmbeddingTable(dim, vectors)
-
-
-def feature_context(embed_dim: int = 50, seed: int = 0) -> FeatureContext:
-    return FeatureContext(
-        abuse=abuse_lexicon(),
-        slang=slang_lexicon(),
-        clusters=cluster_map(),
-        synonyms=synonym_map(),
-        table=build_embedding_table(embed_dim, seed),
-    )
 
 
 def write_fixture_files(directory, embed_dim: int = 50, seed: int = 0) -> dict[str, Path]:
@@ -273,11 +238,11 @@ def write_fixture_files(directory, embed_dim: int = 50, seed: int = 0) -> dict[s
     paths["slang_lexicon"].write_text(
         "# drug slang (short entries are dropped at load)\n"
         + "\n".join(USE_SLANG) + "\n")
-    with open(paths["cluster_map"], "w") as fh:
-        for term, cid in cluster_map().assignments.items():
-            fh.write(f"{term}\t{cid}\n")
-    with open(paths["synonym_map"], "w") as fh:
-        for term, syns in synonym_map().entries.items():
-            fh.write(f"{term}\t{','.join(syns)}\n")
+    # The drug/slang/abuse vocabulary, spread over distinct clusters.
+    terms = DRUGS + USE_SLANG + ABUSE_TERMS + _USE_VERBS
+    paths["cluster_map"].write_text(
+        "".join(f"{term}\t{(i * 7) % N_CLUSTERS}\n" for i, term in enumerate(terms)))
+    paths["synonym_map"].write_text("".join(
+        f"{term}\t{','.join(syns)}\n" for term, syns in _SYNONYMS.items()))
     save_embeddings(build_embedding_table(embed_dim, seed), paths["embeddings"])
     return paths

@@ -1,15 +1,37 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and fixtures for the test suite.
 
 The reference implementations here stay deliberately naive (nested loops,
 exact arithmetic) and independent of the library code paths they check.
+fixture_context loads the synthetic fixture files the way a run does.
 """
 
+import functools
 import math
+import tempfile
 
 import numpy as np
 
-from ssc import nn
+from ssc import nn, synth
+from ssc.config import ExperimentConfig
 from ssc.embeddings import MAX_TOKENS, oov_vector
+from ssc.experiment import build_feature_context
+
+
+@functools.cache
+def _fixture_files(embed_dim):
+    """synth.write_fixture_files at this width and seed 0, once per width: (directory, paths).
+
+    The directory is kept alive here and removed when the interpreter exits.
+    """
+    directory = tempfile.TemporaryDirectory(prefix=f"ssc-fixtures-{embed_dim}-")
+    paths = synth.write_fixture_files(directory.name, embed_dim=embed_dim, seed=0)
+    return directory, {key: str(path) for key, path in paths.items()}
+
+
+def fixture_context(embed_dim):
+    """A fresh FeatureContext, loaded by build_feature_context from the fixture files."""
+    _, paths = _fixture_files(embed_dim)
+    return build_feature_context(ExperimentConfig(**paths))
 
 
 def conv1d_oracle(x, kernel, bias, padding="valid"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (char_branch_composition, central_difference, conv1d_oracle,
-                      max_relative_error, maxpool1d_oracle)
+                      fixture_context, max_relative_error, maxpool1d_oracle)
 from ssc import baselines, models, nn, synth
 from ssc.agreement import cohen_kappa, krippendorff_alpha
 from ssc.corpus import AnnotationSet, ScenarioPlan, make_folds, make_scenario, save_dataset
@@ -477,7 +477,7 @@ rf_max_depth = 8
     assert csvs[0] == csvs[1]
 
     # Checkpoint persistence: bit-exact round trip and exact predictions.
-    ctx = synth.feature_context(embed_dim=12, seed=0)
+    ctx = fixture_context(12)
     enc = encode_dataset(ds, ctx, with_word=False)
     model = build_model("char_aux", CnnConfig(kernel_sizes=(2, 3), filters=4, embed_dim=8),
                         seed=5)

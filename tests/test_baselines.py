@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     best_split_oracle,
+    fixture_context,
     gini,
     nb_predict_oracle,
     rf_predict_oracle,
@@ -537,7 +538,7 @@ class TestBatchedMatchesPerExampleOracle:
 
     @pytest.fixture(scope="class")
     def fitted(self):
-        ctx = synth.feature_context(embed_dim=8, seed=0)
+        ctx = fixture_context(8)
         enc = encode_dataset(synth.generate_dataset(220, 220, seed=5), ctx,
                              with_word=False, with_char=False)
         train, test = enc.subset(np.arange(140)), enc.subset(np.arange(140, len(enc)))

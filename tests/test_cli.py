@@ -1,9 +1,11 @@
+import hashlib
 import re
 import zipfile
 
 import numpy as np
 import pytest
 
+from conftest import fixture_context
 from ssc import baselines, models, nn, synth
 from ssc.cli import main
 from ssc.config import ConfigFileError, DEFAULT_SCENARIOS, dump_config, load_config
@@ -59,6 +61,23 @@ rf_trees = 10
 rf_max_depth = 8
 """)
     return root
+
+
+# SHA-256 of the files synth.write_fixture_files writes. The golden run reads them
+# at embed_dim 8 and the benchmark at 400, so an edit of synth that moves one byte
+# changes those runs' inputs and must show here first.
+FIXTURE_SHA256 = {
+    "abuse_terms.txt": "31ec85510274085fd626415e9a71a6d935e18fb3bb4cefff36ea5758ad1168fa",
+    "drug_slang.txt": "68a626ca8d50028a8faad86fd8958288c3c68481adc19c36c4f1e86d0cdc8ec5",
+    "clusters.tsv": "67d23024388056d14aaaeca3eb1a38d3d929389965d14d9b360f25a0ce018bb9",
+    "synonyms.tsv": "d49da51d4e6499d6eea3db01fadbf1c14816a36baf1bae709ad047ec3d35a5a2",
+}
+EMBEDDINGS_SHA256 = {
+    (8, 0): "caca4579871b2f02dcf10ca3bc1fe4d2ae9df9b7531e0592568c30f019e5eb01",
+    (8, 101): "83d2d077e3c46f8a6d4dc0cc7b005347723465834057b0c51fc6495c37ce62ef",
+    (400, 0): "c54f79c34a1b55ef49e9653f9f35cc6a994e66b3afb53d3c735df0820521c9e7",
+    (400, 101): "eb8f0e836573f40501ee69a940477ac5c3f48b2adf30acb550d551e029d2fc4d",
+}
 
 
 # Keys of earlier versions that now hold a fixed value or one read from a file.
@@ -246,6 +265,12 @@ class TestDatasetCommands:
         ds = load_dataset(tmp_path / "s.tsv")
         assert len(ds) == 14 and sum(t.label for t in ds) == 8
 
+    @pytest.mark.parametrize("embed_dim, seed", sorted(EMBEDDINGS_SHA256))
+    def test_fixture_files_keep_their_bytes(self, tmp_path, embed_dim, seed):
+        paths = synth.write_fixture_files(tmp_path, embed_dim=embed_dim, seed=seed)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
+        assert digests == {**FIXTURE_SHA256, "embeddings.txt": EMBEDDINGS_SHA256[embed_dim, seed]}
+
 
 class TestModelCommands:
     def test_train_evaluate_predict_baseline(self, workspace, tmp_path, capsys):
@@ -379,7 +404,7 @@ class TestModelCommands:
 class TestEnsembleSurface:
     def members_via_checkpoints(self, workspace, tmp_path):
         ds = load_dataset(workspace / "corpus.tsv")
-        ctx = synth.feature_context(embed_dim=16, seed=0)
+        ctx = fixture_context(16)
         enc = encode_dataset(ds, ctx, with_word=False)
         vocab, idf = baselines.fit_tfidf(enc.tokens)
         x = baselines.bow_features(enc, vocab, idf)
@@ -435,7 +460,7 @@ class TestEnsembleSurface:
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_every_kind_round_trips_exactly(self, workspace, tmp_path, kind):
         # CNN members are built in float64, so a float32 container would lose bits.
-        ctx = synth.feature_context(embed_dim=16, seed=0)
+        ctx = fixture_context(16)
         enc = encode_dataset(load_dataset(workspace / "corpus.tsv"), ctx)
         path = tmp_path / f"{kind}.exact.ckpt"
         if kind in ML_KINDS:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_words
+from conftest import embed_words, fixture_context
 from ssc import embeddings, nn, synth
 from ssc.embeddings import (
     EmbeddingError,
@@ -221,7 +221,7 @@ class TestWordIds:
 
     def test_encoded_set_gathers_oracle_rows(self):
         ds = synth.generate_dataset(15, 15, seed=4)
-        ctx = synth.feature_context(embed_dim=6, seed=0)
+        ctx = fixture_context(6)
         enc = encode_dataset(ds, ctx, with_char=False)
         dtype = nn.default_dtype()
         expected = np.stack([embed_words(t, ctx.table, dtype) for t in enc.tokens])
@@ -230,7 +230,7 @@ class TestWordIds:
 
     def test_subset_copies_ids_and_shares_vectors(self):
         ds = synth.generate_dataset(5, 5, seed=4)
-        enc = encode_dataset(ds, synth.feature_context(embed_dim=6, seed=0), with_char=False)
+        enc = encode_dataset(ds, fixture_context(6), with_char=False)
         sub = enc.subset([3, 0])
         assert sub.vectors is enc.vectors
         assert np.array_equal(sub.word, enc.word[[3, 0]])

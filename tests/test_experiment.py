@@ -1,4 +1,5 @@
-"""run_experiment end to end on a tiny config: failure naming, fold plans, --jobs
+"""run_experiment end to end on a tiny config: failure naming (and a clean rerun
+removing an earlier failures.txt), fold plans, --jobs
 determinism and its refusal below 1, one test-block predict per member,
 per-fold rows that the saved checkpoints reproduce, ssc train and ssc evaluate
 matching the fold units of every kind, and the checked-in golden run
@@ -15,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fixture_context
 from ssc import baselines, ensemble, models, synth
 from ssc.cli import main
-from ssc.config import load_config
+from ssc.config import ExperimentConfig, load_config
 from ssc.corpus import (
     Dataset,
     fold_datasets,
@@ -176,6 +178,19 @@ def test_word_roster_without_embeddings_fails_naming_scenario(tiny_config):
     assert expected in (out / "failures.txt").read_text().splitlines()
 
 
+def test_clean_rerun_removes_an_earlier_failures_manifest(tmp_path):
+    save_dataset(synth.generate_dataset(40, 40, seed=5), tmp_path / "corpus.tsv")
+    cfg = ExperimentConfig(dataset=str(tmp_path / "corpus.tsv"), output=str(tmp_path / "out"),
+                           roster="nb:1", folds=1, scenarios="50:50:40:20,10:90:500:20")
+    result = run_experiment(cfg, jobs=1, log=lambda msg: None)
+    assert [f.split(";")[0] for f in result.failures] == [
+        "scenario 10:90: insufficient pool for scenario"]
+    assert (tmp_path / "out" / "failures.txt").exists()
+    rerun = run_experiment(replace(cfg, scenarios="50:50:40:20"), jobs=1, log=lambda msg: None)
+    assert not rerun.failures and rerun.rows
+    assert not (tmp_path / "out" / "failures.txt").exists()
+
+
 def test_every_row_is_what_its_checkpoint_reproduces(tiny_config):
     # One CNN kind, every classical kind and the full classical ensemble.
     cfg, root = tiny_config
@@ -292,7 +307,7 @@ def test_saved_fold_plan_loads_back_as_made(tiny_config):
                                                (["word_aux", "char_aux"], True, True)])
 def test_roster_encoder_encodes_what_the_kinds_read(kinds, word, char):
     ds = synth.generate_dataset(3, 3, seed=2)
-    enc = roster_encoder(synth.feature_context(embed_dim=8, seed=0), kinds)(ds)
+    enc = roster_encoder(fixture_context(8), kinds)(ds)
     assert (enc.word is not None, enc.char is not None) == (word, char)
     assert len(enc) == 6 and enc.labels.tolist() == [t.label for t in ds]
 

@@ -68,6 +68,21 @@ class TestLexicon:
         lex = load_lexicon(p)
         assert "high" in lex and "overdose" in lex and len(lex) == 2
 
+    def test_hashtag_term_is_not_a_comment(self, tmp_path):
+        # tokenize keeps hashtags, so "#420" is a term; "#" then space or nothing is a comment.
+        assert tokenize("smoking #420 today") == ["smoking", "#420", "today"]
+        p = tmp_path / "lex.txt"
+        p.write_text("# header\n#420\n#\n#\tnote\nzooted\n")
+        assert load_lexicon(p).terms == {"#420", "zooted"}
+
+    @pytest.mark.parametrize("term", ["no cap", "no\tcap", "blunt\u00a0wrap"])
+    def test_term_with_whitespace_named_with_line(self, tmp_path, term):
+        # No token holds whitespace, so such a term could never match.
+        p = tmp_path / "lex.txt"
+        p.write_text(f"high\n{term}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="lexicon file line 2: term .* holds whitespace"):
+            load_lexicon(p)
+
     def test_short_slang_excluded_at_load(self, tmp_path):
         # "coke" (4 chars) must not survive the longer-than-five filter.
         p = tmp_path / "slang.txt"
@@ -124,6 +139,18 @@ class TestClusterFeatures:
         cm = load_cluster_map(p)
         assert cm.get("weed") == 3 and cm.get("oxy") == 149
 
+    def test_load_keeps_hashtag_term(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("# term<TAB>cluster\n#420\t3\n")
+        assert load_cluster_map(p).assignments == {"#420": 3}
+
+    @pytest.mark.parametrize("term", ["no cap", " weed", ""])
+    def test_load_rejects_term_that_is_not_one_token(self, tmp_path, term):
+        p = tmp_path / "c.tsv"
+        p.write_text(f"weed\t3\n{term}\t4\n")
+        with pytest.raises(ValueError, match="cluster file line 2: term .* holds whitespace"):
+            load_cluster_map(p)
+
     def test_load_rejects_bad_id(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("weed\t150\n")
@@ -150,6 +177,15 @@ class TestAuxVector:
     def test_cluster_block_offset(self):
         vec = build_aux_vector(["heroin"], ABUSE, SLANG, CLUSTERS)
         assert vec[4 + 12] == 1.0
+
+    def test_hashtag_terms_from_files_count(self, tmp_path):
+        (tmp_path / "lex.txt").write_text("# abuse terms\n#420\n")
+        (tmp_path / "c.tsv").write_text("# clusters\n#420\t9\n")
+        vec = build_aux_vector(tokenize("smoking #420 today #420"),
+                               load_lexicon(tmp_path / "lex.txt"), SLANG,
+                               load_cluster_map(tmp_path / "c.tsv"))
+        assert vec[:4].tolist() == [1.0, 2.0, 0.0, 0.0]
+        assert vec[4 + 9] == 1.0 and vec[4:].sum() == 1.0
 
     @given(st.lists(st.sampled_from(["high", "zooted", "weed", "a", "b"]), max_size=30))
     def test_length_always_154(self, tokens):
@@ -191,6 +227,18 @@ class TestSynonyms:
         p.write_text("happy\tglad,cheerful\n")
         syn = load_synonym_map(p)
         assert syn.get("happy") == ("glad", "cheerful")
+
+    def test_load_keeps_hashtag_term(self, tmp_path):
+        p = tmp_path / "syn.tsv"
+        p.write_text("# term<TAB>synonyms\n#420\tweed\n")
+        assert load_synonym_map(p).entries == {"#420": ("weed",)}
+
+    @pytest.mark.parametrize("term", ["blunt wrap", " weed", ""])
+    def test_term_that_is_not_one_token_named_with_line(self, tmp_path, term):
+        p = tmp_path / "syn.tsv"
+        p.write_text(f"happy\tglad\n{term}\tbud\n")
+        with pytest.raises(ValueError, match="line 2: term .* holds whitespace"):
+            load_synonym_map(p)
 
     @pytest.mark.parametrize("syns", ["mary jane,bud", "bud, herb", " ", "bud,\u00a0"])
     def test_synonym_with_whitespace_named_with_line(self, tmp_path, syns):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, fixture_context, max_relative_error
 from ssc import models, nn, synth
 from ssc.embeddings import MAX_TOKENS
 from ssc.encoding import CNN_KINDS, KINDS, EncodedSet, encode_dataset
@@ -222,7 +222,7 @@ class TestFullArchitectureGradients:
 
 def toy_training_set(n_per_class=10):
     ds = synth.generate_dataset(n_per_class, n_per_class, seed=5)
-    ctx = synth.feature_context(embed_dim=12, seed=0)
+    ctx = fixture_context(12)
     return encode_dataset(ds, ctx)
 
 
@@ -318,7 +318,7 @@ class TestTraining:
     def test_validation_split_without_a_positive_item_trains(self):
         # The paper's 10:90 scenario can leave no positive in validation; that still runs.
         enc = encode_dataset(synth.generate_dataset(4, 10, seed=5),
-                             synth.feature_context(embed_dim=12, seed=0))
+                             fixture_context(12))
         model = build_model("char_cnn", SMALL_C, seed=0)
         assert len(train(model, enc, TrainConfig(epochs=1, batch_size=8, seed=0))) == 1
 
