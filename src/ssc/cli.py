@@ -68,11 +68,17 @@ def _encoder(cfg: ExperimentConfig, kinds):
     return roster_encoder(build_feature_context(cfg, kinds), kinds)
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
-    return jobs
+def _at_least(low: int):
+    """Argparse type of an integer option that must be at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    return parse
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -293,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p = ds_sub.add_parser("synth")
-    p.add_argument("--positives", type=int, required=True)
-    p.add_argument("--negatives", type=int, required=True)
+    p.add_argument("--positives", type=_at_least(0), required=True)
+    p.add_argument("--negatives", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--fixtures", help="also write lexicon/embedding fixtures here")
-    p.add_argument("--embed-dim", type=int, default=50)
+    p.add_argument("--embed-dim", type=_at_least(1), default=50)
     ds.set_defaults(func=cmd_dataset)
 
     tr = sub.add_parser("train", help="train one model and save its best epoch")
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--config", required=True)
     ex.add_argument("--output")
     ex.add_argument("--seed", type=int)
-    ex.add_argument("--jobs", type=_jobs, default=1)
+    ex.add_argument("--jobs", type=_at_least(1), default=1)
     ex.add_argument("--format", choices=["csv", "markdown"], default="csv")
     ex.set_defaults(func=cmd_experiment)
 
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--checkpoint", required=True, help="SVM checkpoint")
     pf.add_argument("--input", required=True)
     pf.add_argument("--threshold", type=float, default=0.8)
-    pf.add_argument("--sample", type=int)
+    pf.add_argument("--sample", type=_at_least(0))
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--output", required=True)
     pf.set_defaults(func=cmd_prefilter)

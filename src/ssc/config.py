@@ -1,20 +1,22 @@
 """Experiment configuration: a sectioned key=value text format.
 
 Lines are ``key = value`` under ``[section]`` headers; ``#`` starts a
-comment. Unknown or repeated keys, and values that do not parse or fall
-outside their key's range, are reported with line numbers. A minimal
-config needs only the dataset path; everything else has defaults matching
-the standard experiment grid.
+comment at the start of a line or after whitespace, so a value may hold
+``#`` (``output = run#1``). Unknown or repeated keys, and values that do
+not parse or fall outside their key's range, are reported with line
+numbers. A minimal config needs only the dataset path; everything else has
+defaults matching the standard experiment grid.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .corpus import ScenarioPlan
+from .corpus import ScenarioPlan, read_lines
 from .encoding import COMPOSITIONS, KINDS
 from .features import MAX_CHARS
 
@@ -143,38 +145,33 @@ def load_config(path) -> ExperimentConfig:
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
     section = None
-    errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if section not in _SCHEMA:
-                    errors.append(f"line {lineno}: unknown section [{section}]")
-                    section = None
-                continue
-            key, sep, value = (p.strip() for p in line.partition("="))
-            if not sep:
-                errors.append(f"line {lineno}: expected key = value")
-                continue
+
+    def parse(raw: str, lineno: int) -> None:
+        nonlocal section
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        if not line:
+            return
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            section = name if name in _SCHEMA else None
             if section is None:
-                errors.append(f"line {lineno}: key {key!r} outside any known section")
-                continue
-            if key not in _SCHEMA[section]:
-                errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
-                continue
-            if first_line.setdefault(key, lineno) != lineno:
-                errors.append(f"line {lineno}: {key} is set again (first set on line "
-                              f"{first_line[key]}); set each key once")
-                continue
-            try:
-                values[key] = _SCHEMA[section][key](value)
-            except ValueError as e:
-                errors.append(f"line {lineno}: {key} {e}")
-    if errors:
-        raise ConfigFileError("bad config file:\n" + "\n".join(errors))
+                raise ValueError(f"unknown section [{name}]")
+            return
+        key, sep, value = (p.strip() for p in line.partition("="))
+        if not sep:
+            raise ValueError("expected key = value")
+        if section is None:
+            raise ValueError(f"key {key!r} outside any known section")
+        if key not in _SCHEMA[section]:
+            raise ValueError(f"unknown key {key!r} in [{section}]")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{key} is set again (first set on line {first_line[key]}); "
+                             "set each key once")
+        try:
+            values[key] = _SCHEMA[section][key](value)
+        except ValueError as e:
+            raise ValueError(f"{key} {e}") from None
+    read_lines(path, "config", parse, ConfigFileError)
 
     cfg = replace(ExperimentConfig(), **values)
     if not cfg.dataset:

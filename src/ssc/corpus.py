@@ -3,12 +3,16 @@
 Text items are immutable records with a string id and an optional binary
 label (1 = positive, 0 = negative). All file formats are line-oriented,
 tab-separated UTF-8 so they diff cleanly and round-trip exactly.
+
+Every line-oriented input file of ssc, the config, lexicons, maps and
+embeddings included, is read by read_lines: a malformed file is refused
+once, naming its path and its first MAX_BAD_LINES bad lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,9 +22,35 @@ POSITIVE = 1
 UNLABELED_TOKEN = "-"
 _LABEL_TOKENS = {"0": NEGATIVE, "1": POSITIVE, UNLABELED_TOKEN: None}
 
+MAX_BAD_LINES = 20  # bad lines a refused file lists; the rest are counted
+
 
 class CorpusError(ValueError):
     """Malformed corpus file or infeasible sampling request."""
+
+
+def read_lines(path, what: str, parse: Callable[[str, int], object],
+               error: type[Exception] = ValueError) -> list:
+    """parse(line, lineno) of each line of a UTF-8 file, line end stripped, None results skipped.
+
+    A ValueError from parse marks its line bad; a file with bad lines raises
+    error after its last line, naming its path and its first MAX_BAD_LINES bad lines.
+    """
+    results, bad = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                result = parse(raw.rstrip("\r\n"), lineno)
+            except ValueError as e:
+                bad.append(f"line {lineno}: {e}")
+                continue
+            if result is not None:
+                results.append(result)
+    if bad:
+        if len(bad) > MAX_BAD_LINES:
+            bad[MAX_BAD_LINES:] = [f"... and {len(bad) - MAX_BAD_LINES} more bad lines"]
+        raise error(f"malformed {what} file {path}:\n" + "\n".join(bad))
+    return results
 
 
 @dataclass(frozen=True)
@@ -90,36 +120,23 @@ class Dataset:
 def load_dataset(path) -> Dataset:
     """Parse a tab-separated dataset file: ``id<TAB>label<TAB>text`` per line.
 
-    Labels are ``1`` (positive), ``0`` (negative) or ``-`` (unlabeled). All
-    malformed lines are collected and reported together with line numbers.
+    Labels are ``1`` (positive), ``0`` (negative) or ``-`` (unlabeled).
     """
-    errors: list[str] = []
-    items: list[Tweet] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                errors.append(f"line {lineno}: expected id<TAB>label<TAB>text")
-                continue
-            item_id, label_tok, text = parts
-            if label_tok not in _LABEL_TOKENS:
-                errors.append(f"line {lineno}: invalid label {label_tok!r}")
-                continue
-            if item_id in seen:
-                errors.append(f"line {lineno}: duplicate id {item_id!r}")
-                continue
-            try:
-                tweet = Tweet(item_id, text, _LABEL_TOKENS[label_tok])
-            except CorpusError as e:
-                errors.append(f"line {lineno}: {e}")
-                continue
-            seen.add(item_id)
-            items.append(tweet)
-    if errors:
-        raise CorpusError("malformed dataset file:\n" + "\n".join(errors))
-    return Dataset(items)
+
+    def parse(line: str, lineno: int) -> Tweet:
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise ValueError("expected id<TAB>label<TAB>text")
+        item_id, label_tok, text = parts
+        if label_tok not in _LABEL_TOKENS:
+            raise ValueError(f"invalid label {label_tok!r}")
+        if item_id in seen:
+            raise ValueError(f"duplicate id {item_id!r}")
+        tweet = Tweet(item_id, text, _LABEL_TOKENS[label_tok])
+        seen.add(item_id)
+        return tweet
+    return Dataset(read_lines(path, "dataset", parse, CorpusError))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -154,24 +171,19 @@ class AnnotationSet:
 
 def load_annotations(path) -> AnnotationSet:
     """Parse ``item_id<TAB>annotator_id<TAB>label`` lines."""
-    errors: list[str] = []
     entries: dict[str, list[tuple[str, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.rstrip("\r\n").split("\t")
-            if len(parts) != 3:
-                errors.append(f"line {lineno}: expected item_id<TAB>annotator_id<TAB>label")
-                continue
-            item_id, annotator, label_tok = parts
-            if label_tok not in ("0", "1"):
-                errors.append(f"line {lineno}: invalid label {label_tok!r}")
-                continue
-            if any(a == annotator for a, _ in entries.get(item_id, [])):
-                errors.append(f"line {lineno}: duplicate annotator {annotator!r} for item {item_id!r}")
-                continue
-            entries.setdefault(item_id, []).append((annotator, int(label_tok)))
-    if errors:
-        raise CorpusError("malformed annotation file:\n" + "\n".join(errors))
+
+    def parse(line: str, lineno: int) -> None:
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError("expected item_id<TAB>annotator_id<TAB>label")
+        item_id, annotator, label_tok = parts
+        if label_tok not in ("0", "1"):
+            raise ValueError(f"invalid label {label_tok!r}")
+        if any(a == annotator for a, _ in entries.get(item_id, [])):
+            raise ValueError(f"duplicate annotator {annotator!r} for item {item_id!r}")
+        entries.setdefault(item_id, []).append((annotator, int(label_tok)))
+    read_lines(path, "annotation", parse, CorpusError)
     return AnnotationSet({k: tuple(v) for k, v in entries.items()})
 
 
@@ -398,24 +410,19 @@ def save_fold_plan(fold_plan: FoldPlan, path) -> None:
 def load_fold_plan(path) -> FoldPlan:
     """Read a fold plan file written by save_fold_plan."""
     by_fold: dict[int, tuple[list[str], list[str]]] = {}
-    errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.rstrip("\r\n").split("\t")
-            if len(parts) != 3:
-                errors.append(f"line {lineno}: expected fold_index<TAB>role<TAB>item_id")
-                continue
-            fold_tok, role, item_id = parts
-            if not (fold_tok.isascii() and fold_tok.isdigit()):
-                errors.append(f"line {lineno}: invalid fold index {fold_tok!r}")
-                continue
-            if role not in ("train", "test"):
-                errors.append(f"line {lineno}: invalid role {role!r}")
-                continue
-            slot = by_fold.setdefault(int(fold_tok), ([], []))
-            slot[0 if role == "train" else 1].append(item_id)
-    if errors:
-        raise CorpusError("malformed fold plan file:\n" + "\n".join(errors))
+
+    def parse(line: str, lineno: int) -> None:
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError("expected fold_index<TAB>role<TAB>item_id")
+        fold_tok, role, item_id = parts
+        if not (fold_tok.isascii() and fold_tok.isdigit()):
+            raise ValueError(f"invalid fold index {fold_tok!r}")
+        if role not in ("train", "test"):
+            raise ValueError(f"invalid role {role!r}")
+        slot = by_fold.setdefault(int(fold_tok), ([], []))
+        slot[0 if role == "train" else 1].append(item_id)
+    read_lines(path, "fold plan", parse, CorpusError)
     if not by_fold or sorted(by_fold) != list(range(len(by_fold))):
         raise CorpusError("fold plan file: fold indices must be 0..k-1")
 

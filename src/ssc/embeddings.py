@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_lines
 from .features import TokenSeq, is_token
 
 MAX_TOKENS = 40
@@ -47,35 +48,36 @@ def load_embeddings(path) -> EmbeddingTable:
 
     An optional header line ``V D`` (two integers) is accepted; data lines are
     ``word v1 ... vD``. The width D is the header's, or else the first data
-    line's. Fails fast with the offending line number on a line of another
-    width or with no components, a duplicate word, or a non-numeric component.
+    line's. A line of another width or with no components, a duplicate word
+    and a non-numeric component are refused with their line numbers.
     """
     vectors: dict[str, np.ndarray] = {}
-    declared_count = dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
-                declared_count, dim = int(parts[0]), int(parts[1])
-                width_from = "the header"
-                continue
-            word, comps = parts[0], parts[1:]
-            if not comps:
-                raise EmbeddingError(f"line {lineno}: no components for {word!r}")
-            if dim is None:
-                dim, width_from = len(comps), f"line {lineno}"
-            if len(comps) != dim:
-                raise EmbeddingError(f"line {lineno}: {len(comps)} components for {word!r}, "
-                                     f"expected {dim} as set by {width_from}")
-            if word in vectors:
-                raise EmbeddingError(f"line {lineno}: duplicate word {word!r}")
-            try:
-                vec = np.array([float(c) for c in comps])
-            except ValueError:
-                raise EmbeddingError(f"line {lineno}: non-numeric component for {word!r}") from None
-            vectors[word] = vec
+    declared_count = dim = width_from = None
+
+    def parse(line: str, lineno: int) -> None:
+        nonlocal declared_count, dim, width_from
+        parts = line.split()
+        if not parts:
+            return
+        if lineno == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+            declared_count, dim = int(parts[0]), int(parts[1])
+            width_from = "the header"
+            return
+        word, comps = parts[0], parts[1:]
+        if not comps:
+            raise ValueError(f"no components for {word!r}")
+        if dim is None:
+            dim, width_from = len(comps), f"line {lineno}"
+        if len(comps) != dim:
+            raise ValueError(f"{len(comps)} components for {word!r}, "
+                             f"expected {dim} as set by {width_from}")
+        if word in vectors:
+            raise ValueError(f"duplicate word {word!r}")
+        try:
+            vectors[word] = np.array([float(c) for c in comps])
+        except ValueError:
+            raise ValueError(f"non-numeric component for {word!r}") from None
+    read_lines(path, "embeddings", parse, EmbeddingError)
     if declared_count is not None and declared_count != len(vectors):
         raise EmbeddingError(
             f"header declares {declared_count} words but file contains {len(vectors)}"

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import read_lines
+
 URL_TOKEN = "<url>"
 USER_TOKEN = "<user>"
 _PLACEHOLDERS = frozenset((URL_TOKEN, USER_TOKEN))
@@ -79,11 +81,12 @@ def _skipped(line: str) -> bool:
     return not line or _COMMENT_RE.match(line) is not None
 
 
-def _one_token(file: str, lineno: int, what: str, text: str) -> str:
-    """text, refused naming its line unless it is one token; no token holds whitespace."""
-    if not is_token(text):
-        raise ValueError(f"{file} file line {lineno}: {what} {text!r} is empty or holds "
-                         f"whitespace; {what}s are single tokens")
+def _term(text: str) -> str:
+    """text, refused unless tokenize gives back just its lowercase: else it could never match."""
+    if tokenize(text) != [text.lower()]:
+        raise ValueError(f"term {text!r} can never match, since tokenize gives {tokenize(text)}; "
+                         "a term that is empty or holds whitespace, edge punctuation, a URL or "
+                         "a mention is not one token")
     return text
 
 
@@ -110,13 +113,10 @@ def load_lexicon(path, min_length: int = 1) -> Lexicon:
     min_length drops shorter terms at load time (the drug-slang lexicon is
     loaded with min_length=6, i.e. terms longer than five characters).
     """
-    terms = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not _skipped(line):
-                terms.append(_one_token("lexicon", lineno, "term", line))
-    return Lexicon.from_terms(terms, min_length=min_length)
+    def parse(line: str, lineno: int) -> str | None:
+        line = line.strip()
+        return None if _skipped(line) else _term(line)
+    return Lexicon.from_terms(read_lines(path, "lexicon", parse), min_length=min_length)
 
 
 @dataclass(frozen=True)
@@ -136,20 +136,17 @@ class ClusterMap:
 
 def load_cluster_map(path) -> ClusterMap:
     """Load ``term<TAB>cluster_id`` lines; a term is one token, ``# ...`` lines are comments."""
-    assignments: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if _skipped(line):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not re.fullmatch(r"-?[0-9]+", parts[1]):
-                raise ValueError(f"cluster file line {lineno}: expected term<TAB>cluster_id")
-            cid = int(parts[1])
-            if not 0 <= cid < N_CLUSTERS:
-                raise ValueError(f"cluster file line {lineno}: cluster id {cid} outside [0, {N_CLUSTERS})")
-            assignments[_one_token("cluster", lineno, "term", parts[0]).lower()] = cid
-    return ClusterMap(assignments)
+    def parse(line: str, lineno: int) -> tuple[str, int] | None:
+        if _skipped(line):
+            return None
+        parts = line.split("\t")
+        if len(parts) != 2 or not re.fullmatch(r"-?[0-9]+", parts[1]):
+            raise ValueError("expected term<TAB>cluster_id")
+        cid = int(parts[1])
+        if not 0 <= cid < N_CLUSTERS:
+            raise ValueError(f"cluster id {cid} outside [0, {N_CLUSTERS})")
+        return _term(parts[0]).lower(), cid
+    return ClusterMap(dict(read_lines(path, "cluster map", parse)))
 
 
 @dataclass(frozen=True)
@@ -183,19 +180,20 @@ def load_synonym_map(path) -> SynonymMap:
 
     The term and each synonym are single tokens.
     """
-    entries: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if _skipped(line):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"synonym file line {lineno}: expected term<TAB>syn1,syn2,...")
-            term = _one_token("synonym", lineno, "term", parts[0])
-            entries[term] = [_one_token("synonym", lineno, "synonym", s)
-                             for s in parts[1].split(",") if s]
-    return SynonymMap.from_entries(entries)
+    def parse(line: str, lineno: int) -> tuple[str, list[str]] | None:
+        if _skipped(line):
+            return None
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected term<TAB>syn1,syn2,...")
+        term = _term(parts[0])
+        syns = [s for s in parts[1].split(",") if s]
+        bad = next((s for s in syns if not is_token(s)), None)
+        if bad is not None:
+            raise ValueError(f"synonym {bad!r} is empty or holds whitespace; "
+                             "synonyms are single tokens")
+        return term, syns
+    return SynonymMap.from_entries(dict(read_lines(path, "synonym map", parse)))
 
 
 def expand_synonyms(tokens: TokenSeq, synonyms: SynonymMap) -> TokenSeq:

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,25 @@ class TestConfig:
         assert again == cfg
         assert again.digest() == cfg.digest()
 
+    def test_value_holding_a_hash_round_trips(self, workspace, tmp_path):
+        # "#" starts a comment only at the start of a line or after whitespace.
+        run_dir = tmp_path / "run#1"
+        run_dir.mkdir()
+        save_dataset(load_dataset(workspace / "corpus.tsv"), run_dir / "corpus.tsv")
+        cfg = replace(load_config(workspace / "exp.conf"), output="out#2",
+                      dataset=str(run_dir / "corpus.tsv"))
+        (tmp_path / "dumped.conf").write_text(dump_config(cfg))
+        again = load_config(tmp_path / "dumped.conf")
+        assert again == cfg
+        assert again.output == "out#2" and again.dataset.endswith("run#1/corpus.tsv")
+
+    def test_trailing_comment_skipped(self, workspace, tmp_path):
+        (tmp_path / "c.conf").write_text(f"[paths]  # inputs\ndataset = {workspace}/corpus.tsv"
+                                         "\n# note\n[training]\nepochs = 3  # short\n"
+                                         "\tbatch_size = 8\t#tabbed\n")
+        cfg = load_config(tmp_path / "c.conf")
+        assert cfg.epochs == 3 and cfg.batch_size == 8
+
     def test_scenario_parsing(self, workspace):
         cfg = load_config(workspace / "exp.conf")
         plans = cfg.scenario_plans()
@@ -264,6 +284,28 @@ class TestDatasetCommands:
                      "--seed", "1", "--output", str(tmp_path / "s.tsv")]) == 0
         ds = load_dataset(tmp_path / "s.tsv")
         assert len(ds) == 14 and sum(t.label for t in ds) == 8
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--positives", "-3", "must be at least 0, not -3"),
+        ("--negatives", "-1", "must be at least 0, not -1"),
+        ("--embed-dim", "0", "must be at least 1, not 0"),
+        ("--embed-dim", "x", "must be an integer, not 'x'"),
+        ("--sample", "-1", "must be at least 0, not -1"),
+    ])
+    def test_count_or_size_below_its_floor_refused_by_the_parser(self, workspace, tmp_path,
+                                                                 capsys, flag, value, message):
+        if flag == "--sample":
+            argv = ["prefilter", "--config", str(workspace / "exp.conf"),
+                    "--checkpoint", str(tmp_path / "svm.ckpt"),
+                    "--input", str(workspace / "corpus.tsv")]
+        else:
+            argv = ["dataset", "synth", "--positives", "3", "--negatives", "3",
+                    "--fixtures", str(tmp_path / "fix")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--output", str(tmp_path / "out.tsv"), flag, value])
+        assert exit_info.value.code != 0
+        assert f"{flag}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("embed_dim, seed", sorted(EMBEDDINGS_SHA256))
     def test_fixture_files_keep_their_bytes(self, tmp_path, embed_dim, seed):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssc.config import ConfigFileError, load_config
 from ssc.corpus import (
+    MAX_BAD_LINES,
     AnnotationSet,
     CorpusError,
     Dataset,
@@ -23,6 +25,8 @@ from ssc.corpus import (
     save_dataset,
     save_fold_plan,
 )
+from ssc.embeddings import EmbeddingError, load_embeddings
+from ssc.features import load_cluster_map, load_lexicon, load_synonym_map
 
 
 def write(tmp_path, name, text):
@@ -317,3 +321,41 @@ class TestMakeFolds:
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(CorpusError):
             FoldPlan(2, ((("a",), ("b",)), (("a",), ("b",))))
+
+
+# Every line-oriented reader: its exception type, a good first line and a bad line.
+READERS = {
+    "dataset": (load_dataset, CorpusError, "a\t1\tfine text", "b\t9\tbad label"),
+    "annotation": (load_annotations, CorpusError, "a\tw1\t1", "a\tw2\t7"),
+    "fold plan": (load_fold_plan, CorpusError, "0\ttrain\ta", "x\ttest\tb"),
+    "config": (load_config, ConfigFileError, "[paths]", "dataset"),
+    "lexicon": (load_lexicon, ValueError, "high", "coke."),
+    "cluster map": (load_cluster_map, ValueError, "weed\t3", "oxy\t150"),
+    "synonym map": (load_synonym_map, ValueError, "happy\tglad", "weed\tmary jane"),
+    "embeddings": (load_embeddings, EmbeddingError, "cat 1 2", "dog"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_bad_line_refused_once_with_the_path(tmp_path, name):
+    load, error, good, bad = READERS[name]
+    p = write(tmp_path, "input.txt", f"{good}\n{bad}\n{bad}\n")
+    with pytest.raises(error) as exc:
+        load(p)
+    assert type(exc.value) is error
+    lines = str(exc.value).splitlines()
+    assert lines[0] == f"malformed {name} file {p}:"
+    assert [line.split(":")[0] for line in lines[1:]] == ["line 2", "line 3"]
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_bad_lines_listed_up_to_the_cap(tmp_path, name):
+    load, error, good, bad = READERS[name]
+    p = write(tmp_path, "input.txt", good + "\n" + (bad + "\n") * (MAX_BAD_LINES + 5))
+    with pytest.raises(error) as exc:
+        load(p)
+    lines = str(exc.value).splitlines()
+    assert lines[0] == f"malformed {name} file {p}:"
+    assert [line.split(":")[0] for line in lines[1:-1]] == \
+        [f"line {n}" for n in range(2, MAX_BAD_LINES + 2)]
+    assert lines[-1] == "... and 5 more bad lines"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -80,7 +82,8 @@ class TestLexicon:
         # No token holds whitespace, so such a term could never match.
         p = tmp_path / "lex.txt"
         p.write_text(f"high\n{term}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="lexicon file line 2: term .* holds whitespace"):
+        with pytest.raises(ValueError,
+                           match=r"lexicon file .*lex\.txt:\nline 2: term .* holds whitespace"):
             load_lexicon(p)
 
     def test_short_slang_excluded_at_load(self, tmp_path):
@@ -93,6 +96,34 @@ class TestLexicon:
     def test_short_slang_contributes_nothing(self):
         feats = lexicon_features(["coke", "zooted"], Lexicon(frozenset()), SLANG)
         assert feats.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+# Each term file's loader, its line with the term at {}, and the terms it loaded.
+TERM_FILES = {
+    "lexicon": (load_lexicon, "{}", lambda lex: lex.terms),
+    "cluster map": (load_cluster_map, "{}\t3", lambda cm: set(cm.assignments)),
+    "synonym map": (load_synonym_map, "{}\tbud", lambda syn: set(syn.entries)),
+}
+
+
+# tokenize gives "coke", "weed", "<user>" and "<url>" for these, so none could match.
+@pytest.mark.parametrize("term", ["coke.", '"weed"', "@plug", "www.x.com"])
+@pytest.mark.parametrize("name", sorted(TERM_FILES))
+def test_term_tokenize_never_gives_refused_with_line(tmp_path, name, term):
+    load, line, _ = TERM_FILES[name]
+    p = tmp_path / "terms.txt"
+    p.write_text(line.format("high") + "\n" + line.format(term) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 2: term {term!r} can never match, since tokenize gives {tokenize(term)}")):
+        load(p)
+
+
+@pytest.mark.parametrize("name", sorted(TERM_FILES))
+def test_hashtag_and_placeholder_terms_load(tmp_path, name):
+    load, line, terms = TERM_FILES[name]
+    p = tmp_path / "terms.txt"
+    p.write_text(line.format("#420") + "\n" + line.format("<url>") + "\n")
+    assert terms(load(p)) == {"#420", "<url>"}
 
 
 class TestLexiconFeatures:
@@ -148,7 +179,8 @@ class TestClusterFeatures:
     def test_load_rejects_term_that_is_not_one_token(self, tmp_path, term):
         p = tmp_path / "c.tsv"
         p.write_text(f"weed\t3\n{term}\t4\n")
-        with pytest.raises(ValueError, match="cluster file line 2: term .* holds whitespace"):
+        with pytest.raises(ValueError,
+                           match=r"cluster map file .*c\.tsv:\nline 2: term .* holds whitespace"):
             load_cluster_map(p)
 
     def test_load_rejects_bad_id(self, tmp_path):
