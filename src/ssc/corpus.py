@@ -11,6 +11,7 @@ once, naming its path and its first MAX_BAD_LINES bad lines.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -23,6 +24,7 @@ UNLABELED_TOKEN = "-"
 _LABEL_TOKENS = {"0": NEGATIVE, "1": POSITIVE, UNLABELED_TOKEN: None}
 
 MAX_BAD_LINES = 20  # bad lines a refused file lists; the rest are counted
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class CorpusError(ValueError):
@@ -33,14 +35,24 @@ def read_lines(path, what: str, parse: Callable[[str, int], object],
                error: type[Exception] = ValueError) -> list:
     """parse(line, lineno) of each line of a UTF-8 file, line end stripped, None results skipped.
 
-    A ValueError from parse marks its line bad; a file with bad lines raises
-    error after its last line, naming its path and its first MAX_BAD_LINES bad lines.
+    A byte-order mark before the first line is dropped. A line that is not
+    valid UTF-8, or whose parse raises ValueError, is bad; a file with bad
+    lines raises error after its last line, naming its path and its first
+    MAX_BAD_LINES bad lines.
     """
     results, bad = [], []
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape decodes each undecodable byte to one lone surrogate, which UTF-8 never yields.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            undecodable = _UNDECODABLE.search(line)
+            if undecodable:
+                byte = ord(undecodable[0]) - 0xDC00
+                bad.append(f"line {lineno}: not valid UTF-8 "
+                           f"(byte 0x{byte:02x} at character {undecodable.start() + 1})")
+                continue
             try:
-                result = parse(raw.rstrip("\r\n"), lineno)
+                result = parse(line, lineno)
             except ValueError as e:
                 bad.append(f"line {lineno}: {e}")
                 continue

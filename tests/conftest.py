@@ -12,6 +12,7 @@ import tempfile
 import numpy as np
 
 from ssc import nn, synth
+from ssc.baselines import Tree
 from ssc.config import ExperimentConfig
 from ssc.embeddings import MAX_TOKENS, oov_vector
 from ssc.experiment import build_feature_context
@@ -228,6 +229,91 @@ def best_split_oracle(x, rows, y, feature_ids, best=None):
             b = boundaries[j]
             best = (f, (sv[b] + sv[b + 1]) / 2.0, float(score[j]))
     return best
+
+
+def block_split_oracle(x, rows, y, feature_ids, best=None):
+    """best_split_oracle over a dense x, its candidate columns scored as one block.
+
+    Constant columns dropped, one stable sort down the rows, prefix class
+    counts by cumsum, and only the boundaries between consecutive distinct
+    sorted values scored. Then, in candidate order, a column's first best
+    boundary replaces `best` only when lower by more than 1e-15.
+    """
+    block = x[np.ix_(rows, feature_ids)]
+    varies = (block[1:] != block[0]).any(axis=0)
+    if not varies.any():
+        return best
+    ids, block = np.asarray(feature_ids)[varies], block[:, varies]
+    order = np.argsort(block, axis=0, kind="stable")
+    sv = np.take_along_axis(block, order, axis=0)
+    ones = np.cumsum(y[order], axis=0)
+    col, pos = np.nonzero((sv[:-1] != sv[1:]).T)  # boundaries, column by column
+    n = len(y)
+    n_left = pos + 1.0
+    l1 = ones[pos, col].astype(np.float64)
+    l0 = n_left - l1
+    n_right = n - n_left
+    r1 = ones[-1, col] - l1
+    r0 = n_right - r1
+    gini_left = 1.0 - (l0 / n_left) ** 2 - (l1 / n_left) ** 2
+    gini_right = 1.0 - (r0 / n_right) ** 2 - (r1 / n_right) ** 2
+    score = (n_left * gini_left + n_right * gini_right) / n
+    by_col = np.lexsort((score, col))  # stable: equal scores stay in position order
+    firsts = by_col[np.r_[True, col[by_col[1:]] != col[by_col[:-1]]]]  # each column's best
+    for i in firsts.tolist():
+        c, b, s = col[i], pos[i], float(score[i])
+        if best is None or s < best[2] - 1e-15:
+            best = (ids[c], (sv[b, c] + sv[b + 1, c]) / 2.0, s)
+    return best
+
+
+def _grow_oracle(x, rows, y, rng, max_depth, n_candidates, nodes, depth, split):
+    counts = np.bincount(y, minlength=2).astype(np.float64)
+    node_id = len(nodes["feature"])
+    for key, val in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+        nodes[key].append(val)
+    nodes["counts"].append(counts)
+    if counts[0] == 0 or counts[1] == 0 or len(y) < 2 or depth >= max_depth:
+        return node_id
+    n_features = x.shape[1]
+    cand = rng.permutation(n_features)
+    best = split(x, rows, y, cand[:n_candidates])
+    if best is None:  # fall back to the rest, n_candidates columns at a time
+        for start in range(n_candidates, n_features, n_candidates):
+            best = split(x, rows, y, cand[start:start + n_candidates], best)
+    if best is None:
+        return node_id
+    f, thr, _ = best
+    mask = x[rows, f] <= thr
+    nodes["feature"][node_id] = f
+    nodes["threshold"][node_id] = thr
+    nodes["left"][node_id] = _grow_oracle(x, rows[mask], y[mask], rng, max_depth,
+                                          n_candidates, nodes, depth + 1, split)
+    nodes["right"][node_id] = _grow_oracle(x, rows[~mask], y[~mask], rng, max_depth,
+                                           n_candidates, nodes, depth + 1, split)
+    return node_id
+
+
+def forest_oracle(x, y, trees, max_depth, seed, split=block_split_oracle):
+    """train_rf's forest grown on the dense x, split searches by `split`.
+
+    Same bootstrap draws and candidate permutations; a node with no split
+    among its candidates searches the rest n_candidates columns at a time.
+    """
+    n, d = x.shape
+    n_candidates = max(1, math.isqrt(d))
+    forest = []
+    for i in range(trees):
+        rng = np.random.default_rng([seed, i])
+        pick = rng.integers(0, n, size=n)
+        nodes = {"feature": [], "threshold": [], "left": [], "right": [], "counts": []}
+        _grow_oracle(x, pick, y[pick], rng, max_depth, n_candidates, nodes, 0, split)
+        forest.append(Tree(np.array(nodes["feature"], dtype=np.int64),
+                           np.array(nodes["threshold"], dtype=np.float64),
+                           np.array(nodes["left"], dtype=np.int64),
+                           np.array(nodes["right"], dtype=np.int64),
+                           np.stack(nodes["counts"])))
+    return forest
 
 
 def nb_predict_oracle(model, tokens):

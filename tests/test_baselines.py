@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     best_split_oracle,
+    block_split_oracle,
     fixture_context,
+    forest_oracle,
     gini,
     nb_predict_oracle,
     rf_predict_oracle,
@@ -15,8 +20,9 @@ from conftest import (
     tfidf_row_oracle,
     tree_vote_oracle,
 )
-from ssc import baselines, synth
+from ssc import synth
 from ssc.baselines import (
+    SparseRows,
     SvmModel,
     _best_split,
     bow_features,
@@ -35,7 +41,7 @@ from ssc.baselines import (
     vectorize,
 )
 from ssc.corpus import Dataset, Tweet
-from ssc.encoding import encode_dataset
+from ssc.encoding import EncodedSet, encode_dataset
 from ssc.ensemble import BowMember
 from ssc.features import AUX_DIM
 from ssc.models import PREDICT_ROWS
@@ -100,6 +106,76 @@ class TestTfidf:
         aux = np.full(AUX_DIM, 7.0)
         dense = dense_matrix([vectorize(["a"], vocab, idf)], aux[None], len(vocab))[0]
         assert (dense[len(vocab):] == 7.0).all()
+
+
+@st.composite
+def rows_and_operands(draw):
+    """A dense (N, D) matrix of mostly zeros, negatives included; a weight
+    vector; and distinct columns in any order."""
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.125, 3e-7, -1e5])
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8))
+    x = draw(hnp.arrays(np.float64, shape, elements=values))
+    w = draw(hnp.arrays(np.float64, shape[1], elements=st.floats(-10, 10)))
+    cols = draw(st.permutations(range(shape[1])))[:draw(st.integers(0, shape[1]))]
+    return x, w, np.array(cols, dtype=np.int64)
+
+
+@example((np.array([[0.0, -2.5, 0.0], [0.0, 0.0, 0.0], [1.0, 3e-7, 0.0]]),
+          np.array([0.5, -2.0, 4.0]), np.array([2, 0])))
+@given(rows_and_operands())
+def test_sparse_rows_equal_their_dense_matrix(case):
+    # Empty rows and all-zero columns included.
+    x, w, cols = case
+    rows = SparseRows.from_dense(x)
+    assert rows.shape == x.shape and len(rows) == len(x)
+    assert rows.toarray().tobytes() == x.tobytes()
+    assert (rows.data != 0).all()
+    for i in range(len(x)):
+        assert (np.diff(rows.indices[rows.indptr[i]:rows.indptr[i + 1]]) > 0).all()
+    in_column_order = [float(sum(x[i, j] * w[j] for j in np.flatnonzero(x[i])))
+                       for i in range(len(x))]
+    assert rows.matvec(w).tolist() == in_column_order
+    assert np.allclose(rows.matvec(w), x @ w, rtol=1e-12, atol=1e-9)
+    assert rows.columns(cols).tobytes() == x[:, cols].tobytes()
+    assert rows.transpose().toarray().tobytes() == np.ascontiguousarray(x.T).tobytes()
+
+
+def dense_features(enc, vocab, idf):
+    """The dense reference: dense_matrix of each text's vectorize."""
+    return dense_matrix([vectorize(t, vocab, idf) for t in enc.tokens], enc.aux, len(vocab))
+
+
+class TestBowFeatures:
+    """bow_features builds all rows in one batch; they must equal the dense
+    reference bit for bit."""
+
+    def assert_equals_dense(self, enc, vocab, idf):
+        x = bow_features(enc, vocab, idf)
+        assert x.shape == (len(enc), len(vocab) + AUX_DIM)
+        assert x.data.dtype == np.float64 and (x.data != 0).all()
+        assert x.toarray().tobytes() == dense_features(enc, vocab, idf).tobytes()
+        return x
+
+    def test_widened_texts(self):
+        # Filler tokens push the vocabulary far past the aux width; the last
+        # 40 texts are held out of the fit, so they hold unknown tokens.
+        local = np.random.default_rng(41)
+        wide = Dataset(Tweet(t.id, t.text + " " + " ".join(
+            f"zq{r}" for r in local.zipf(1.2, size=local.integers(20, 60))), t.label)
+            for t in synth.generate_dataset(60, 60, seed=9))
+        enc = encode_dataset(wide, fixture_context(8), with_word=False, with_char=False)
+        vocab, idf = fit_tfidf(enc.tokens[:80])
+        assert len(vocab) > 5 * AUX_DIM
+        self.assert_equals_dense(enc, vocab, idf)
+
+    def test_repeated_unknown_and_no_tokens_and_zero_aux(self):
+        vocab, idf = fit_tfidf([["a", "b"], ["b", "c", "c"], ["a"]])
+        tokens = [["c", "a", "c", "c", "b", "a"], ["zzz", "yyy"], [], ["b", "b", "b"]]
+        aux = np.zeros((4, AUX_DIM), dtype=np.float32)
+        aux[0, [0, 5]] = [2.0, -1.5]
+        aux[3, -1] = 0.25
+        x = self.assert_equals_dense(EncodedSet(aux=aux, tokens=tokens), vocab, idf)
+        assert np.diff(x.indptr).tolist() == [5, 0, 0, 2]
 
 
 def nb_posterior_oracle(docs, labels, query):
@@ -173,7 +249,8 @@ class TestSvm:
         x = np.array([[1.0, 0.5], [-1.0, -0.5]])
         y = [1, 0]
         model = train_svm(x, y, lam=1e-2, epochs=50, seed=0)
-        assert model.score(x[0]) > 0 and model.score(x[1]) < 0
+        s = model.score(x)
+        assert s[0] > 0 and s[1] < 0
 
     def test_objective_final_leq_initial(self):
         local = np.random.default_rng(4)
@@ -294,7 +371,7 @@ class TestRandomForest:
         y = labels[rows]
         candidates = [0, 3, 2, 1]
 
-        f, thr, impurity = _best_split(x, rows, y, candidates)
+        f, thr, impurity = sparse_split(x, rows, y, candidates)
 
         def weighted_gini(f, thr):
             left = x[rows, f] <= thr
@@ -383,21 +460,33 @@ class TestRandomForest:
             train_rf(np.zeros((4, 2)), [0, 1, 0, 1], trees=0)
 
 
+def sparse_split(x, rows, y, ids, best=None):
+    """_best_split over the CSR rows of a dense x."""
+    return _best_split(SparseRows.from_dense(x).transpose(), rows, y, ids, best)
+
+
 def split_in_blocks(x, rows, y, ids, size):
     """_best_split over consecutive slices of ids, carrying the best split."""
+    xt = SparseRows.from_dense(x).transpose()
     best = None
     for start in range(0, len(ids), size):
-        best = _best_split(x, rows, y, ids[start:start + size], best)
+        best = _best_split(xt, rows, y, ids[start:start + size], best)
     return best
 
 
 class TestBlockSplitSearch:
-    """_best_split scores its candidate columns as one block; each result must
-    equal, bit for bit, the one-column-at-a-time oracle's."""
+    """_best_split scores its candidate columns as one block over their nonzeros;
+    each result must equal, bit for bit, the one-column-at-a-time oracle's on
+    the dense rows, also with every value shifted down by one, so that the
+    run of zeros is no longer the smallest value of a column."""
 
     def assert_matches_oracle(self, x, rows, y, ids, size=None):
+        """The split on x, after checking it and the split on x - 1 against the oracle."""
         got = split_in_blocks(x, rows, y, ids, size or len(ids))
         assert got == best_split_oracle(x, rows, y, ids)
+        shifted = x - 1.0
+        assert split_in_blocks(shifted, rows, y, ids, size or len(ids)) == \
+            best_split_oracle(shifted, rows, y, ids)
         return got
 
     def test_integer_columns_with_ties(self):
@@ -422,7 +511,7 @@ class TestBlockSplitSearch:
         rows, y = np.array([0, 1, 2, 3, 1]), np.array([0, 1, 0, 1, 1])
         assert self.assert_matches_oracle(x, rows, y, [0, 1, 2, 3]) is None
         carried = (5, 0.5, 0.25)
-        assert _best_split(x, rows, y, [0, 1, 2, 3], carried) is carried
+        assert sparse_split(x, rows, y, [0, 1, 2, 3], carried) is carried
 
     @pytest.mark.parametrize("values,labels", [
         ((0.0, 1.0), (0, 1)), ((1.0, 0.0), (0, 1)), ((0.0, 1.0), (1, 1)),
@@ -468,29 +557,42 @@ class TestBlockSplitSearch:
         got = self.assert_matches_oracle(x, rows, labels[rows], ids, size=7)
         assert got[0] == 17 and got[2] == 0.0 and list(ids).index(17) >= 7
 
-    def test_forest_equals_oracle_forest_on_sparse_rows(self, monkeypatch):
+    def test_forest_equals_oracle_forest_on_sparse_rows(self):
         # TF-IDF-like rows: 0.5 % nonzero, so nodes often see only constant
-        # candidates and search the other columns block by block.
+        # candidates and search the other columns.
         local = np.random.default_rng(23)
         x = local.random((80, 600)) * (local.random((80, 600)) < 0.005)
         x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
         y = ((x[:, :40].sum(axis=1) > 0) ^ (local.random(80) < 0.1)).astype(np.int64)
-        block = train_rf(x, y, trees=3, max_depth=10, seed=4)
+        sparse = train_rf(SparseRows.from_dense(x), y, trees=3, max_depth=10, seed=4)
 
         fallback_calls = []
 
-        def oracle(*args):
-            if len(args) == 5:  # _grow passes the carried split only when falling back
+        def block_split(*args):
+            if len(args) == 5:  # the dense grower passes the carried split only when falling back
                 fallback_calls.append(len(args[3]))
-            return best_split_oracle(*args)
+            return block_split_oracle(*args)
 
-        monkeypatch.setattr(baselines, "_best_split", oracle)
-        reference = train_rf(x, y, trees=3, max_depth=10, seed=4)
+        reference = forest_oracle(x, y, trees=3, max_depth=10, seed=4, split=block_split)
         assert fallback_calls
-        for got, want in zip(block.trees, reference.trees):
+        assert len(sparse.trees) == len(reference)
+        for got, want in zip(sparse.trees, reference):
             for field in ("feature", "threshold", "left", "right", "counts"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_forest_on_mixed_sign_columns_equals_oracle_forest(self):
+        # Aux-like dense columns beside sparse ones, with negative values, so a
+        # column's run of zeros falls inside its sorted values.
+        local = np.random.default_rng(24)
+        x = local.random((60, 90)) * (local.random((60, 90)) < 0.05)
+        x[:, :6] = local.integers(-2, 3, size=(60, 6))
+        y = ((x[:, 0] > 0) ^ (local.random(60) < 0.2)).astype(np.int64)
+        sparse = train_rf(x, y, trees=4, max_depth=8, seed=5)
+        for got, want in zip(sparse.trees, forest_oracle(x, y, trees=4, max_depth=8, seed=5,
+                                                         split=best_split_oracle)):
+            for field in ("feature", "threshold", "left", "right", "counts"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 class TestLabelChecks:
@@ -555,7 +657,7 @@ class TestBatchedMatchesPerExampleOracle:
         _, vocab, idf, test = fitted
         oracle = np.stack([tfidf_row_oracle(t, vocab, idf, a)
                            for t, a in zip(test.tokens, test.aux)])
-        assert np.array_equal(bow_features(test, vocab, idf), oracle)
+        assert np.array_equal(bow_features(test, vocab, idf).toarray(), oracle)
 
     @pytest.mark.parametrize("kind", ["svm", "rf", "nb"])
     def test_member_predictions_match_oracle(self, fitted, kind):
@@ -580,7 +682,8 @@ class TestBatchedMatchesPerExampleOracle:
         members, vocab, idf, test = fitted
         x = bow_features(test, vocab, idf)
         for tree in members["rf"].model.trees:
-            assert np.array_equal(tree_vote(tree, x), [tree_vote_oracle(tree, r) for r in x])
+            assert np.array_equal(tree_vote(tree, x),
+                                  [tree_vote_oracle(tree, r) for r in x.toarray()])
 
 
 class TestPrefilter:

@@ -22,6 +22,7 @@ from ssc.corpus import (
     load_fold_plan,
     make_folds,
     make_scenario,
+    read_lines,
     save_dataset,
     save_fold_plan,
 )
@@ -338,14 +339,25 @@ READERS = {
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_every_bad_line_refused_once_with_the_path(tmp_path, name):
+    # The good first line follows a UTF-8 byte-order mark, and the last line
+    # is the good one with a byte that is not UTF-8.
     load, error, good, bad = READERS[name]
-    p = write(tmp_path, "input.txt", f"{good}\n{bad}\n{bad}\n")
+    p = tmp_path / "input.txt"
+    p.write_bytes(b"\xef\xbb\xbf" + f"{good}\n{bad}\n{bad}\n".encode() + good.encode() + b"\xff\n")
     with pytest.raises(error) as exc:
         load(p)
     assert type(exc.value) is error
     lines = str(exc.value).splitlines()
     assert lines[0] == f"malformed {name} file {p}:"
-    assert [line.split(":")[0] for line in lines[1:]] == ["line 2", "line 3"]
+    assert [line.split(":")[0] for line in lines[1:]] == ["line 2", "line 3", "line 4"]
+    assert lines[3] == f"line 4: not valid UTF-8 (byte 0xff at character {len(good) + 1})"
+
+
+def test_byte_order_mark_dropped_from_the_first_line(tmp_path):
+    p = tmp_path / "lexicon.txt"
+    p.write_bytes("high\nzooted\n".encode("utf-8-sig"))
+    assert read_lines(p, "lexicon", lambda line, lineno: line) == ["high", "zooted"]
+    assert load_lexicon(p).terms == {"high", "zooted"}
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
