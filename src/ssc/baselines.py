@@ -297,8 +297,9 @@ def train_svm(x, y: Sequence[int], lam: float = 1e-4,
 
     Uses the classic 1/(lam*t) step size with per-epoch reshuffling and no
     bias term, so scaling all inputs by c with lam rescaled to c^2*lam
-    leaves every decision sign unchanged. A step's margin and update read
-    only its row's nonzeros.
+    leaves every decision sign unchanged. Its decay (t-1)/t telescopes
+    (Pegasos in closed form): w = v/(lam*t), v summing y*x over the steps
+    with y*(v @ x) < lam*t; step 1 always updates, since 0 < lam at v = 0.
     """
     x = _as_rows(x)
     if len(x) == 0:
@@ -310,17 +311,15 @@ def train_svm(x, y: Sequence[int], lam: float = 1e-4,
     cuts = x.indptr[1:-1]
     row_cols, row_vals = np.split(x.indices, cuts), np.split(x.data, cuts)
     rng = np.random.default_rng(seed)
-    w = np.zeros(x.width)
+    v = np.zeros(x.width)
     t = 0
     for _ in range(epochs):
         for i in rng.permutation(len(x)):
             t += 1
-            eta = 1.0 / (lam * t)
-            w *= 1.0 - eta * lam
             cols, vals = row_cols[i], row_vals[i]
-            if sign[i] * (w[cols] @ vals) < 1.0:
-                w[cols] += eta * sign[i] * vals
-    return calibrate_svm(w, x, y)
+            if sign[i] * (v[cols] @ vals) < lam * t:
+                v[cols] += sign[i] * vals
+    return calibrate_svm(v / (lam * t), x, y)
 
 
 def svm_predict(model: SvmModel, x) -> tuple[np.ndarray, np.ndarray]:

@@ -77,10 +77,11 @@ def selu(x) -> Tensor:
     """Self-normalizing activation with the standard lambda/alpha constants."""
     x = astensor(x)
     pos = x.data > 0
-    out_data = np.where(pos, SELU_LAMBDA * x.data, SELU_LAMBDA * SELU_ALPHA * np.expm1(x.data))
+    neg = np.where(pos, 0, x.data)  # exp(large x) would overflow, though dropped
+    out_data = np.where(pos, SELU_LAMBDA * x.data, SELU_LAMBDA * SELU_ALPHA * np.expm1(neg))
 
     def bwd(g):
-        slope = np.where(pos, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(x.data))
+        slope = np.where(pos, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(neg))
         x.accumulate_grad(g * slope)
 
     return node(out_data.astype(x.data.dtype, copy=False), (x,), bwd)

@@ -173,6 +173,28 @@ def platt_oracle(score, a, b):
     return 1.0 / (1.0 + math.exp(z))
 
 
+def svm_decay_oracle(x, y, lam=1e-4, epochs=10, seed=0):
+    """train_svm's weights by the textbook loop: every step first scales the
+    whole w by 1 - eta*lam, then adds eta*y*x if the decayed w broke the margin.
+
+    Same seeded row order; x is SparseRows, each row read over its nonzeros.
+    """
+    sign = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(x.width)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(x)):
+            t += 1
+            eta = 1.0 / (lam * t)
+            w *= 1.0 - eta * lam
+            lo, hi = x.indptr[i], x.indptr[i + 1]
+            cols, vals = x.indices[lo:hi], x.data[lo:hi]
+            if sign[i] * (w[cols] @ vals) < 1.0:
+                w[cols] += eta * sign[i] * vals
+    return w
+
+
 def svm_predict_oracle(model, row):
     score = float(model.weights @ row)
     return int(score > 0), platt_oracle(score, model.platt_a, model.platt_b)

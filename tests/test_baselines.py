@@ -15,6 +15,7 @@ from conftest import (
     gini,
     nb_predict_oracle,
     rf_predict_oracle,
+    svm_decay_oracle,
     svm_objective,
     svm_predict_oracle,
     tfidf_row_oracle,
@@ -145,6 +146,15 @@ def dense_features(enc, vocab, idf):
     return dense_matrix([vectorize(t, vocab, idf) for t in enc.tokens], enc.aux, len(vocab))
 
 
+def widen(dataset, seed):
+    """Each text with 20-59 Zipf-drawn filler tokens appended, so the
+    vocabulary grows far past the aux width."""
+    local = np.random.default_rng(seed)
+    return Dataset(Tweet(t.id, t.text + " " + " ".join(
+        f"zq{r}" for r in local.zipf(1.2, size=local.integers(20, 60))), t.label)
+        for t in dataset)
+
+
 class TestBowFeatures:
     """bow_features builds all rows in one batch; they must equal the dense
     reference bit for bit."""
@@ -157,12 +167,8 @@ class TestBowFeatures:
         return x
 
     def test_widened_texts(self):
-        # Filler tokens push the vocabulary far past the aux width; the last
-        # 40 texts are held out of the fit, so they hold unknown tokens.
-        local = np.random.default_rng(41)
-        wide = Dataset(Tweet(t.id, t.text + " " + " ".join(
-            f"zq{r}" for r in local.zipf(1.2, size=local.integers(20, 60))), t.label)
-            for t in synth.generate_dataset(60, 60, seed=9))
+        # The last 40 texts are held out of the fit, so they hold unknown tokens.
+        wide = widen(synth.generate_dataset(60, 60, seed=9), seed=41)
         enc = encode_dataset(wide, fixture_context(8), with_word=False, with_char=False)
         vocab, idf = fit_tfidf(enc.tokens[:80])
         assert len(vocab) > 5 * AUX_DIM
@@ -292,8 +298,25 @@ class TestSvm:
         x = local.normal(size=(40, 4))
         y = (x[:, 1] + local.normal(scale=0.5, size=40) > 0).astype(int)
         model = train_svm(x, y, epochs=3, seed=2)
-        a, b = platt_fit(x @ model.weights, y)
+        a, b = platt_fit(model.score(x), y)  # the sum calibrate_svm takes, in its order
         assert (model.platt_a, model.platt_b) == (a, b)
+
+    @pytest.mark.parametrize("widened", [False, True])
+    def test_closed_form_equals_decay_oracle(self, widened):
+        # Fixed folds rather than random floats: a margin within an ulp of
+        # the threshold would let rounding alone flip one step's decision.
+        # One flipped decision moves the weights by a whole row / (lam * t),
+        # far past the 1e-12 bound.
+        dataset = synth.generate_dataset(100, 100, seed=12)
+        if widened:
+            dataset = widen(dataset, seed=43)
+        enc = encode_dataset(dataset, fixture_context(8), with_word=False, with_char=False)
+        x = bow_features(enc, *fit_tfidf(enc.tokens))
+        for seed in range(3):
+            model = train_svm(x, enc.labels, seed=seed)
+            want = svm_decay_oracle(x, enc.labels, seed=seed)
+            assert np.abs(model.weights - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(np.sign(x.matvec(model.weights)), np.sign(x.matvec(want)))
 
 
 class TestPlatt:

@@ -211,6 +211,22 @@ class TestActivations:
         x = np.array([-2.0])
         assert np.isclose(nn.selu(x).data[0], lam * alpha * (math.exp(-2.0) - 1.0))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selu_far_from_zero_without_overflow(self, dtype):
+        # exp(1000) overflows in both precisions; the positive branch must not
+        # compute it, forward or backward, even though np.where would drop it.
+        lam, alpha = nn.SELU_LAMBDA, nn.SELU_ALPHA
+        x = Tensor(np.array([[-1000.0, 1000.0]], dtype=dtype), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nn.selu(x)
+            project(out, np.ones(2)).backward()
+        rtol = 4 * np.finfo(dtype).eps
+        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        np.testing.assert_allclose(out.data, [[lam * alpha * math.expm1(-1000.0), lam * 1000.0]],
+                                   rtol=rtol)
+        np.testing.assert_allclose(x.grad, [[lam * alpha * math.exp(-1000.0), lam]], rtol=rtol)
+
 
 class TestDense:
     def test_identity(self):
