@@ -19,6 +19,9 @@ from .tensor import Tensor, astensor, node
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
+# Elements per char_branch block of whole batch rows: 3 rows at L' = 277, F = 128.
+# 1-row blocks lose to the GIL when two members run in two threads.
+ROW_BLOCK = 131072
 
 
 def _batch_of(a: np.ndarray, rank: int, shape: str) -> np.ndarray:
@@ -139,6 +142,7 @@ def maxpool1d(x, pool: int) -> Tensor:
     """Channel-wise maxima of non-overlapping windows of x (B, L, F).
 
     Output length is L // pool; trailing steps that fill no window are dropped.
+    The argmax the backward needs is taken only when x requires a gradient.
     """
     x = astensor(x)
     xd = _batch_of(x.data, 3, "(B, L, F)")
@@ -148,7 +152,7 @@ def maxpool1d(x, pool: int) -> Tensor:
     out_len = length // pool
     win = xd[:, :out_len * pool].reshape(b, out_len, pool, f)
     out_data = win.max(axis=2)
-    argmax = win.argmax(axis=2)  # (B, L', F)
+    argmax = win.argmax(axis=2) if x.requires_grad else None  # (B, L', F)
 
     def bwd(g):
         dx = np.zeros_like(xd)
@@ -184,12 +188,13 @@ def char_branch(table, idx, kernel, bias) -> Tensor:
     z[b, t] = bias + sum_i table[idx[b, t+i]] @ kernel[i], which is
     global_maxpool(tanh(conv1d(embedding_lookup(table, idx), kernel, bias,
     "valid"))). table is (V, C), idx is (B, L) row ids, kernel is (k, C, F)
-    and bias is (F,); the output is (B, F). The forward gathers rows of one
-    (V, F) product table per tap, T_i = table @ kernel[i], and keeps only h,
-    the argmax t* (ties to the first step, as in global_maxpool) and idx.
-    The backward reaches only t*: per tap, the gradient at t* summed by row
-    id into a (V, F) table S_i gives d kernel[i] = table^T S_i, and
-    d table = sum_i S_i kernel[i]^T.
+    and bias is (F,), ids in [0, V); the output is (B, F). The forward sums
+    rows of one (V, F) product table per tap, T_i = table @ kernel[i], for
+    ROW_BLOCK elements of whole batch rows at a time, and keeps h, idx and,
+    if an input requires a gradient, the argmax t* (ties to the first step,
+    as in global_maxpool). The backward reaches only t*: per tap, the
+    gradient at t* summed by row id into a (V, F) table S_i gives
+    d kernel[i] = table^T S_i, and d table = sum_i S_i kernel[i]^T.
     """
     table, kernel, bias = astensor(table), astensor(kernel), astensor(bias)
     idx = _batch_of(np.asarray(idx), 2, "(B, L)")
@@ -206,16 +211,30 @@ def char_branch(table, idx, kernel, bias) -> Tensor:
     b, length = idx.shape
     if k > length:
         raise ValueError(f"kernel size {k} exceeds input length {length}")
+    # Checked here so take can run with mode="clip", which writes straight into out.
+    if idx.size and not 0 <= idx.min() <= idx.max() < v:
+        raise IndexError(f"character ids must lie in [0, {v}), the table's rows")
     out_len = length - k + 1
 
     taps = table.data @ kernel.data  # (k, V, F): T_i = E @ K[i]
-    z = np.take(taps[0], idx[:, :out_len], axis=0)  # (B, L', F)
-    for i in range(1, k):
-        z += np.take(taps[i], idx[:, i:i + out_len], axis=0)
-    z += bias.data
-    np.tanh(z, out=z)
-    t_star = z.argmax(axis=1)  # (B, F)
-    out_data = np.take_along_axis(z, t_star[:, None, :], axis=1)[:, 0, :]
+    per_block = max(1, ROW_BLOCK // (out_len * f))
+    z, tap = np.empty((2, min(per_block, b), out_len, f), taps.dtype)
+    out_data = np.empty((b, f), taps.dtype)
+    needs_grad = table.requires_grad or kernel.requires_grad or bias.requires_grad
+    t_star = np.empty((b, f), np.intp) if needs_grad else None
+    for lo in range(0, b, per_block):
+        ids, hi = idx[lo:lo + per_block], min(lo + per_block, b)
+        zb, tb = z[:hi - lo], tap[:hi - lo]  # (rows, L', F)
+        np.take(taps[0], ids[:, :out_len], axis=0, out=zb, mode="clip")
+        for i in range(1, k):
+            zb += np.take(taps[i], ids[:, i:i + out_len], axis=0, out=tb, mode="clip")
+        zb += bias.data
+        np.tanh(zb, out=zb)
+        if needs_grad:
+            t = zb.argmax(axis=1, out=t_star[lo:hi])
+            out_data[lo:hi] = np.take_along_axis(zb, t[:, None], axis=1)[:, 0]
+        else:
+            zb.max(axis=1, out=out_data[lo:hi])
 
     def bwd(g):
         gz = g * (1 - out_data * out_data)  # (B, F)

@@ -51,6 +51,8 @@ class Tensor:
     def accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
+        if np.shape(g) != self.data.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} does not match tensor shape {self.data.shape}")
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g

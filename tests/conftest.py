@@ -53,6 +53,23 @@ def conv1d_oracle(x, kernel, bias, padding="valid"):
     return out
 
 
+def adam_oracle(opt):
+    """One nn.Adam step of opt as whole-array expressions, each building fresh
+    temporaries the size of the parameter; a missing gradient reads as 0.0."""
+    opt.t += 1
+    bc1 = 1.0 - nn.optim.BETA1 ** opt.t
+    bc2 = 1.0 - nn.optim.BETA2 ** opt.t
+    for name, p in opt.params.items():
+        g = p.grad if p.grad is not None else 0.0
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= nn.optim.BETA1
+        m += (1.0 - nn.optim.BETA1) * g
+        v *= nn.optim.BETA2
+        v += (1.0 - nn.optim.BETA2) * np.square(g)
+        p.data -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + nn.optim.EPS)
+
+
 def char_branch_composition(table, idx, kernel, bias):
     """nn.char_branch as the unfused engine ops it replaces, each checked on its own
     by the suite: global_maxpool(tanh(conv1d(embedding_lookup(...), "valid")))."""

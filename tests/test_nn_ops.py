@@ -7,7 +7,7 @@ import pytest
 from conftest import (char_branch_composition, central_difference, conv1d_oracle,
                       max_relative_error, maxpool1d_oracle)
 from ssc import nn
-from ssc.nn import Tensor
+from ssc.nn import Tensor, ops
 
 rng = np.random.default_rng(2024)
 
@@ -109,6 +109,22 @@ class TestPooling:
                 want = maxpool1d_oracle(x[row], pool, pool)
                 assert got[row].shape == want.shape and np.array_equal(got[row], want)
 
+    def test_argmax_only_when_a_gradient_is_needed(self):
+        class CountingArgmax(np.ndarray):
+            calls = 0
+
+            def argmax(self, *args, **kwargs):
+                CountingArgmax.calls += 1
+                return super().argmax(*args, **kwargs)
+
+        x = rng.normal(size=(2, 7, 3)).view(CountingArgmax)
+        frozen = nn.maxpool1d(x, 2)
+        assert CountingArgmax.calls == 0
+        assert not frozen.requires_grad and frozen._parents == () and frozen._bwd is None
+        trained = nn.maxpool1d(Tensor(x, requires_grad=True), 2)
+        assert CountingArgmax.calls == 1 and trained._bwd is not None
+        assert np.array_equal(frozen.data, trained.data)
+
     def test_pool_larger_than_input_rejected(self):
         with pytest.raises(ValueError):
             nn.maxpool1d(rng.normal(size=(2, 3, 2)), 4)
@@ -180,6 +196,39 @@ class TestCharBranch:
         want = _char_branch_grads(char_branch_composition, table, idx, kernel, bias,
                                   np.ones(1))
         assert np.array_equal(d_table, want[1])
+
+    @pytest.mark.parametrize("row_block", [1, 28, 42, 10 ** 6])
+    def test_row_blocks_match_one_block_and_composition(self, monkeypatch, row_block):
+        # B = 7 rows of L' = 7 steps and F = 2 filters: row_block 1 runs a row at a
+        # time (the floor), 28 blocks of 2 rows and 42 of 3, each with a ragged last
+        # block, and 10 ** 6 one block.
+        local = np.random.default_rng(26)
+        table, idx = local.normal(size=(6, 3)), local.integers(0, 6, size=(7, 9))
+        kernel, bias = local.normal(size=(3, 3, 2)), local.normal(size=(2,))
+        readout = local.normal(size=7 * 2)
+        whole = nn.char_branch(table, idx, kernel, bias).data
+        monkeypatch.setattr(ops, "ROW_BLOCK", row_block)
+        frozen = nn.char_branch(table, idx, kernel, bias)
+        got = _char_branch_grads(nn.char_branch, table, idx, kernel, bias, readout)
+        want = _char_branch_grads(char_branch_composition, table, idx, kernel, bias, readout)
+        assert np.array_equal(frozen.data, whole) and np.array_equal(got[0], whole)
+        for name, g, w in zip(("h", "dE", "dK", "dbias"), got, want):
+            assert _relative(g, w) <= 1e-12, name
+
+    def test_without_gradient_records_no_backward(self):
+        local = np.random.default_rng(27)
+        out = nn.char_branch(local.normal(size=(5, 2)), local.integers(0, 5, size=(3, 6)),
+                             local.normal(size=(2, 2, 4)), local.normal(size=(4,)))
+        assert not out.requires_grad and out._parents == () and out._bwd is None
+
+    @pytest.mark.parametrize("bad_id", [-1, 4], ids=["negative", "past_the_table"])
+    @pytest.mark.parametrize("trained", [True, False], ids=["trained", "frozen"])
+    def test_ids_outside_the_table_rejected(self, bad_id, trained):
+        idx = np.zeros((2, 5), dtype=int)
+        idx[1, 3] = bad_id
+        table = Tensor(np.zeros((4, 2)), requires_grad=trained)
+        with pytest.raises(IndexError, match=r"\[0, 4\)"):
+            nn.char_branch(table, idx, np.zeros((2, 2, 3)), np.zeros(3))
 
     @pytest.mark.parametrize("table,idx,kernel,bias", [
         (np.zeros((4, 2)), np.zeros((2, 3), dtype=int), np.zeros((4, 2, 1)), np.zeros(1)),
@@ -319,6 +368,12 @@ def test_unbatched_input_rejected(name, call):
 
 
 class TestBackwardBasics:
+    def test_gradient_of_another_shape_rejected(self):
+        t = grad_tensor((2, 3))
+        with pytest.raises(ValueError, match=r"gradient shape \(3,\) does not match tensor shape \(2, 3\)"):
+            t.accumulate_grad(np.ones(3))
+        assert t.grad is None
+
     def test_backward_requires_scalar(self):
         t = grad_tensor((3,))
         with pytest.raises(ValueError):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib import format as npy_format
 
+from conftest import adam_oracle
 from ssc import nn
 from ssc.nn import Adam, CheckpointError, ModelCheckpoint, ParamSet, ParamSpec
+from ssc.nn.optim import SLICE
 
 
 def simple_params(values):
@@ -78,6 +80,56 @@ class TestAdam:
         opt.step()
         assert params["frozen"].data[0] == 5.0
         assert params["w"].data[0] != 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_step_equals_whole_array_oracle(self, dtype):
+        # One tensor spans two slices and a ragged tail; one holds one element;
+        # one never gets a gradient.
+        shapes = {"big": (5, SLICE // 2 + 7), "one": (1,), "frozen": (4, 5)}
+        start = np.random.default_rng(5)
+        values = {name: start.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        runs = []
+        for step_fn in (Adam.step, adam_oracle):
+            params = ParamSet()
+            for name, arr in values.items():
+                params.add(name, arr.copy())
+            opt = Adam(params, lr=0.01)
+            grads = np.random.default_rng(6)
+            for _ in range(8):
+                for name in ("big", "one"):
+                    params[name].grad = grads.normal(size=shapes[name]).astype(dtype)
+                step_fn(opt)
+            runs.append(opt)
+        got, want = runs
+        assert got.params["big"].data.size > 2 * SLICE and got.params["big"].data.size % SLICE
+        for name in shapes:
+            assert np.array_equal(got.params[name].data, want.params[name].data), name
+            assert np.array_equal(got.m[name], want.m[name]), name
+            assert np.array_equal(got.v[name], want.v[name]), name
+            assert got.params[name].data.dtype == dtype
+        assert not np.array_equal(got.params["big"].data, values["big"])
+
+    @pytest.mark.parametrize("grad,match", [
+        (np.ones(3), r"w: parameter \(2, 3\) float64 .*, gradient \(3,\) float64$"),
+        (np.ones((2, 3), dtype=np.float32), r"w: parameter \(2, 3\) float64 .*, gradient \(2, 3\) float32$"),
+    ], ids=["shape", "dtype"])
+    def test_mismatched_gradient_rejected_before_any_update(self, grad, match):
+        params = simple_params({"a": [1.0], "w": np.zeros((2, 3))})
+        opt = Adam(params)
+        params["w"].grad = grad
+        params["a"].grad = np.ones(1)
+        with pytest.raises(ValueError, match=match):
+            opt.step()
+        assert opt.t == 0 and params["a"].data[0] == 1.0 and not opt.m["a"].any()
+        assert np.array_equal(params["w"].data, np.zeros((2, 3)))
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = simple_params({"w": np.zeros((2, 3))})
+        opt = Adam(params)
+        params["w"].data = np.asfortranarray(np.ones((2, 3)))
+        params["w"].grad = np.ones((2, 3))
+        with pytest.raises(ValueError, match=r"w: parameter \(2, 3\) float64 \(C-contiguous: False\)"):
+            opt.step()
 
 
 class TestInit:
