@@ -2,14 +2,14 @@
 scaling, random forest, TF-IDF vectorization, and the annotation pre-filter.
 
 All trainers are deterministic under their seeds. SVM and random forest
-read the CSR feature rows of bow_features (SparseRows; tfidf_features also
-fits the vectorizer), Naive Bayes the token lists; train_svm fits Platt
-scaling too. Each classical stage does work in proportion to the nonzeros:
-an SVM step reads one row's nonzeros, and a forest node scores all its
-candidate columns at once over their nonzeros at the node, in a few numpy
-calls (_best_split). A dense (N, D) matrix passed in is converted once.
-Each predict takes N rows and returns, like the CNN models, (int64 classes,
-float64 positive-class probabilities).
+read only the CSR feature rows of bow_features (SparseRows; tfidf_features
+also fits the vectorizer), Naive Bayes the token lists, counted through the
+same token-to-column map (_token_columns) as the TF-IDF rows; train_svm fits
+Platt scaling too. Each classical stage does work in proportion to the
+nonzeros: an SVM step reads one row's nonzeros, and a forest node scores all
+its candidate columns at once over their nonzeros at the node, in a few
+numpy calls (_best_split). Each predict takes N rows and returns, like the
+CNN models, (int64 classes, float64 positive-class probabilities).
 """
 
 from __future__ import annotations
@@ -59,19 +59,9 @@ class SparseRows:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, cols.astype(np.int64), vals.astype(np.float64), width)
 
-    @classmethod
-    def from_dense(cls, x: np.ndarray) -> "SparseRows":
-        rows, cols = np.nonzero(x)
-        return cls.from_entries(rows, cols, x[rows, cols], *x.shape)
-
     def row_ids(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.row_ids(), self.indices] = self.data
-        return out
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """x @ w, each row summed over its nonzeros in column order."""
@@ -101,16 +91,6 @@ def _entries(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndar
     lens = indptr[which + 1] - starts
     owner = np.repeat(np.arange(len(which)), lens)
     return owner, np.arange(lens.sum()) + (starts - (np.cumsum(lens) - lens))[owner]
-
-
-def _as_rows(x) -> SparseRows:
-    """x as SparseRows: itself, or a dense (N, D) matrix converted once."""
-    if isinstance(x, SparseRows):
-        return x
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"need an (N, D) feature matrix, not shape {x.shape}")
-    return SparseRows.from_dense(x)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +148,21 @@ def dense_matrix(parts: Sequence[dict[int, float]], aux: np.ndarray,
     return out
 
 
+def _token_columns(docs: Sequence[TokenSeq],
+                   vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the document and the column of each token vocab knows, in token order."""
+    cols = np.fromiter((vocab.get(t, -1) for t in chain.from_iterable(docs)), np.int64)
+    rows = np.repeat(np.arange(len(docs)), np.fromiter(map(len, docs), np.int64, len(docs)))
+    known = cols >= 0
+    return rows[known], cols[known]
+
+
 def bow_features(enc: EncodedSet, vocab: dict[str, int], idf: np.ndarray) -> SparseRows:
     """Feature rows of an encoded set under a fitted vectorizer: the L2-normalized
     TF-IDF columns, then the raw aux entries, equal bit for bit to
     dense_matrix of each text's vectorize."""
     n, v = len(enc.tokens), len(vocab)
-    cols = np.fromiter((vocab.get(t, -1) for t in chain.from_iterable(enc.tokens)), np.int64)
-    rows = np.repeat(np.arange(n), np.fromiter(map(len, enc.tokens), np.int64, n))
-    known = cols >= 0
-    rows, cols = rows[known], cols[known]
+    rows, cols = _token_columns(enc.tokens, vocab)
     _, first, tf = np.unique(rows * v + cols, return_index=True, return_counts=True)
     rows, cols = rows[first], cols[first]  # each (row, column) once, in that order
     weights = tf * idf[cols]
@@ -222,28 +208,22 @@ def train_nb(docs: Sequence[TokenSeq], labels: Sequence[int],
     differentiate otherwise-identical ensemble members).
     """
     docs = list(docs)
-    labels = _labels(docs, labels).tolist()
+    y = _labels(docs, labels)
     if not docs:
         raise ValueError("need at least one document")
     if bootstrap_seed is not None:
         rng = np.random.default_rng(bootstrap_seed)
         pick = rng.integers(0, len(docs), size=len(docs))
         docs = [docs[i] for i in pick]
-        labels = [labels[i] for i in pick]
-    if len(set(labels)) < 2:
+        y = y[pick]
+    if len(set(y.tolist())) < 2:
         raise ValueError("training set contains a single class")
-
-    vocab: dict[str, int] = {}
-    for doc in docs:
-        for tok in doc:
-            vocab.setdefault(tok, len(vocab))
+    # Terms numbered in order of first occurrence, as fit_tfidf numbers them.
+    vocab = {tok: i for i, tok in enumerate(dict.fromkeys(chain.from_iterable(docs)))}
     v = len(vocab)
-    term_counts = np.zeros((2, v))
-    class_counts = np.zeros(2)
-    for doc, label in zip(docs, labels):
-        class_counts[label] += 1
-        for tok in doc:
-            term_counts[label, vocab[tok]] += 1
+    rows, cols = _token_columns(docs, vocab)
+    term_counts = np.bincount(y[rows] * v + cols, minlength=2 * v).reshape(2, v)
+    class_counts = np.bincount(y, minlength=2)
     log_prior = np.log(class_counts / class_counts.sum())
     log_likelihood = np.log((term_counts + 1.0) /
                             (term_counts.sum(axis=1, keepdims=True) + v))
@@ -253,11 +233,9 @@ def train_nb(docs: Sequence[TokenSeq], labels: Sequence[int],
 def nb_predict(model: NbModel, docs: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
     """Posterior of each document by log-sum over known tokens; unknown ones are skipped."""
     n = len(docs)
-    cols = np.fromiter((model.vocab.get(t, -1) for t in chain.from_iterable(docs)), np.int64)
-    rows = np.repeat(np.arange(n), np.fromiter(map(len, docs), np.int64, n))
-    known = cols >= 0
+    rows, cols = _token_columns(docs, model.vocab)
     # bincount adds in input order: each row sums its prior, then its tokens in order.
-    rows, cols = np.concatenate([np.arange(n), rows[known]]), cols[known]
+    rows = np.concatenate([np.arange(n), rows])
     log_post = np.stack([np.bincount(rows, np.concatenate([np.full(n, prior), ll[cols]]), n)
                          for prior, ll in zip(model.log_prior, model.log_likelihood)], axis=1)
     post = np.exp(log_post - log_post.max(axis=1, keepdims=True))
@@ -287,11 +265,11 @@ class SvmModel:
     platt_a: float
     platt_b: float
 
-    def score(self, x) -> np.ndarray:
-        return _as_rows(x).matvec(self.weights)
+    def score(self, x: SparseRows) -> np.ndarray:
+        return x.matvec(self.weights)
 
 
-def train_svm(x, y: Sequence[int], lam: float = 1e-4,
+def train_svm(x: SparseRows, y: Sequence[int], lam: float = 1e-4,
               epochs: int = 10, seed: int = 0) -> SvmModel:
     """Minimize lam/2 ||w||^2 + mean hinge loss by seeded subgradient steps.
 
@@ -301,7 +279,6 @@ def train_svm(x, y: Sequence[int], lam: float = 1e-4,
     (Pegasos in closed form): w = v/(lam*t), v summing y*x over the steps
     with y*(v @ x) < lam*t; step 1 always updates, since 0 < lam at v = 0.
     """
-    x = _as_rows(x)
     if len(x) == 0:
         raise ValueError("need a non-empty (N, D) feature matrix")
     y = _labels(x, y)
@@ -322,15 +299,15 @@ def train_svm(x, y: Sequence[int], lam: float = 1e-4,
     return calibrate_svm(v / (lam * t), x, y)
 
 
-def svm_predict(model: SvmModel, x) -> tuple[np.ndarray, np.ndarray]:
+def svm_predict(model: SvmModel, x: SparseRows) -> tuple[np.ndarray, np.ndarray]:
     """Classes from the score signs; probabilities from the fitted Platt sigmoid."""
     s = model.score(x)
     return (s > 0).astype(np.int64), platt_probability(s, model.platt_a, model.platt_b)
 
 
-def calibrate_svm(weights: np.ndarray, x, y: Sequence[int]) -> SvmModel:
+def calibrate_svm(weights: np.ndarray, x: SparseRows, y: Sequence[int]) -> SvmModel:
     """The SVM of these weights, its Platt parameters fitted on the (x, y) scores."""
-    return SvmModel(weights, *platt_fit(_as_rows(x).matvec(weights), y))
+    return SvmModel(weights, *platt_fit(x.matvec(weights), y))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +496,7 @@ def _grow(x, xt, rows, y, rng, max_depth, n_candidates, nodes, depth):
     return node_id
 
 
-def train_rf(x, y: Sequence[int], trees: int = 50,
+def train_rf(x: SparseRows, y: Sequence[int], trees: int = 50,
              max_depth: int = 16, seed: int = 0) -> RfModel:
     """Random forest of Gini-split trees.
 
@@ -528,7 +505,6 @@ def train_rf(x, y: Sequence[int], trees: int = 50,
     when none of them splits), stopping at purity, max_depth, or fewer
     than 2 samples.
     """
-    x = _as_rows(x)
     if len(x) == 0:
         raise ValueError("need a non-empty (N, D) feature matrix")
     y = _labels(x, y)
@@ -553,18 +529,12 @@ def train_rf(x, y: Sequence[int], trees: int = 50,
     return RfModel(forest)
 
 
-def tree_vote(tree: Tree, x) -> np.ndarray:
-    """Leaf majority of each row: the classes of a one-tree forest."""
-    return rf_predict(RfModel([tree]), x)[0]
-
-
-def rf_predict(model: RfModel, x) -> tuple[np.ndarray, np.ndarray]:
+def rf_predict(model: RfModel, x: SparseRows) -> tuple[np.ndarray, np.ndarray]:
     """Majority vote over trees; p(positive) = fraction of positive votes.
 
     Reads a dense block of only the columns the forest splits on, and walks
     all rows down each tree one depth level at a time.
     """
-    x = _as_rows(x)
     split_on = np.unique(np.concatenate([t.feature[t.left != -1] for t in model.trees]))
     block = x.columns(split_on)
     votes = np.zeros(len(x), dtype=np.int64)
@@ -603,8 +573,11 @@ def prefilter(unlabeled: Dataset, classes: np.ndarray, p_pos: np.ndarray,
     classes and p_pos are a Platt-scaled member's predictions for the items, in
     order. Keeps items whose probability for the predicted class is strictly
     above the threshold, then draws a seeded uniform sample of sample_n of
-    them. If fewer qualify, all are returned and the result is flagged.
+    them. If fewer qualify, all are returned and the result is flagged. A
+    threshold outside [0, 1], NaN included, is refused.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], not {threshold!r}")
     p_predicted = np.where(classes == 1, p_pos, 1.0 - p_pos)
     qualified = [unlabeled[i] for i in np.flatnonzero(p_predicted > threshold)]
     if sample_n is None or len(qualified) <= sample_n:

@@ -81,6 +81,17 @@ def _at_least(low: int):
     return parse
 
 
+def _probability(text: str) -> float:
+    """Argparse type of a probability threshold: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, not {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], not {text!r}")
+    return value
+
+
 def _ratio(text: str) -> tuple[int, int]:
     pos, _, neg = text.partition(":")
     if not (pos.isdecimal() and neg.isdecimal()):
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_ratio, required=True, help="POS:NEG, e.g. 50:50")
     p.add_argument("--train", type=int, required=True)
     p.add_argument("--test", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--output-train", required=True)
     p.add_argument("--output-test", required=True)
     p = ds_sub.add_parser("folds")
@@ -296,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, required=True)
     p.add_argument("--test", type=int, required=True)
     p.add_argument("--k", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--output", required=True)
     p = ds_sub.add_parser("synth")
     p.add_argument("--positives", type=_at_least(0), required=True)
     p.add_argument("--negatives", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--fixtures", help="also write lexicon/embedding fixtures here")
     p.add_argument("--embed-dim", type=_at_least(1), default=50)
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--kind", required=True, choices=list(KINDS))
     tr.add_argument("--train-data", required=True)
     tr.add_argument("--output", required=True)
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--seed", type=_at_least(0))
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="evaluate a checkpoint on labeled data")
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("experiment", help="full scenario grid experiment")
     ex.add_argument("--config", required=True)
     ex.add_argument("--output")
-    ex.add_argument("--seed", type=int)
+    ex.add_argument("--seed", type=_at_least(0))
     ex.add_argument("--jobs", type=_at_least(1), default=1)
     ex.add_argument("--format", choices=["csv", "markdown"], default="csv")
     ex.set_defaults(func=cmd_experiment)
@@ -347,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--config", required=True)
     pf.add_argument("--checkpoint", required=True, help="SVM checkpoint")
     pf.add_argument("--input", required=True)
-    pf.add_argument("--threshold", type=float, default=0.8)
+    pf.add_argument("--threshold", type=_probability, default=0.8)
     pf.add_argument("--sample", type=_at_least(0))
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--seed", type=_at_least(0), default=0)
     pf.add_argument("--output", required=True)
     pf.set_defaults(func=cmd_prefilter)
 

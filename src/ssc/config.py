@@ -41,21 +41,17 @@ def parse_kernels(text: str, longest: int | None = None) -> tuple[int, ...]:
     return sizes
 
 
-def _integer(rule: str = "", ok=lambda value: True):
-    """Parser of one integer key: int(text), which ok must accept; rule says what ok asks."""
+def _at_least(low: int):
+    """Parser of one integer key that must be at least low."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise ValueError(f"{text!r} is not an integer") from None
-        if not ok(value):
-            raise ValueError(f"{value!r} must be {rule}")
+        if value < low:
+            raise ValueError(f"{value!r} must be >= {low}")
         return value
     return parse
-
-
-def _at_least(low: int):
-    return _integer(f">= {low}", lambda value: value >= low)
 
 
 def _text(check):
@@ -85,7 +81,7 @@ class ExperimentConfig:
     folds: int = _key("experiment", 6, _at_least(1))
     roster: str = _key("experiment", DEFAULT_ROSTER,
                        _text(lambda text: ExperimentConfig(roster=text).roster_members()))
-    seed: int = _key("experiment", 7, _integer())
+    seed: int = _key("experiment", 7, _at_least(0))
     epochs: int = _key("training", 30, _at_least(1))
     batch_size: int = _key("training", 32, _at_least(1))
     filters: int = _key("training", 128, _at_least(1))

@@ -49,7 +49,8 @@ def load_embeddings(path) -> EmbeddingTable:
     An optional header line ``V D`` (two integers) is accepted; data lines are
     ``word v1 ... vD``. The width D is the header's, or else the first data
     line's. A line of another width or with no components, a duplicate word
-    and a non-numeric component are refused with their line numbers.
+    and a non-numeric or non-finite (nan, inf, 1e999) component are refused
+    with their line numbers.
     """
     vectors: dict[str, np.ndarray] = {}
     declared_count = dim = width_from = None
@@ -74,9 +75,13 @@ def load_embeddings(path) -> EmbeddingTable:
         if word in vectors:
             raise ValueError(f"duplicate word {word!r}")
         try:
-            vectors[word] = np.array([float(c) for c in comps])
+            vec = np.array([float(c) for c in comps])
         except ValueError:
             raise ValueError(f"non-numeric component for {word!r}") from None
+        finite = np.isfinite(vec)
+        if not finite.all():
+            raise ValueError(f"non-finite component {comps[np.argmin(finite)]!r} for {word!r}")
+        vectors[word] = vec
     read_lines(path, "embeddings", parse, EmbeddingError)
     if declared_count is not None and declared_count != len(vectors):
         raise EmbeddingError(
@@ -90,11 +95,16 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 
     A word is the first whitespace-separated field of its line, so a word
     that is empty or holds whitespace is refused: it would not read back.
+    Nor would a non-finite component, which is refused too.
     """
     bad = next((w for w in table.vectors if not is_token(w)), None)
     if bad is not None:
         raise EmbeddingError(f"refusing to save the word {bad!r}: "
                              "a word must be one non-empty token without whitespace")
+    bad = next((w for w, vec in table.vectors.items() if not np.isfinite(vec).all()), None)
+    if bad is not None:
+        raise EmbeddingError(f"refusing to save the vector of {bad!r}: "
+                             "its components must be finite")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.vectors)} {table.dim}\n")
         for word, vec in table.vectors.items():

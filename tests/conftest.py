@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from ssc import nn, synth
-from ssc.baselines import Tree
+from ssc.baselines import SparseRows, Tree
 from ssc.config import ExperimentConfig
 from ssc.embeddings import MAX_TOKENS, oov_vector
 from ssc.experiment import build_feature_context
@@ -163,6 +163,48 @@ def max_relative_error(analytic, numeric):
 # ---------------------------------------------------------------------------
 # Classical members, one example at a time
 # ---------------------------------------------------------------------------
+
+def sparse(x):
+    """The SparseRows of a dense (N, D) matrix: its nonzeros, row by row."""
+    x = np.asarray(x, dtype=np.float64)
+    rows, cols = np.nonzero(x)
+    return SparseRows.from_entries(rows, cols, x[rows, cols], *x.shape)
+
+
+def dense(rows):
+    """The dense (N, width) matrix of SparseRows, entry by entry."""
+    out = np.zeros(rows.shape)
+    for i in range(len(rows)):
+        for at in range(rows.indptr[i], rows.indptr[i + 1]):
+            out[i, rows.indices[at]] = rows.data[at]
+    return out
+
+
+def nb_train_oracle(docs, labels, bootstrap_seed=None):
+    """train_nb's model by nested loops: each document's class, then each of its tokens
+    counted one at a time. Same bootstrap draw; terms numbered by first occurrence."""
+    docs, labels = list(docs), list(labels)
+    if bootstrap_seed is not None:
+        pick = np.random.default_rng(bootstrap_seed).integers(0, len(docs), size=len(docs))
+        docs = [docs[i] for i in pick]
+        labels = [labels[i] for i in pick]
+    if len(set(labels)) < 2:
+        raise ValueError("training set contains a single class")
+    vocab = {}
+    for doc in docs:
+        for tok in doc:
+            vocab.setdefault(tok, len(vocab))
+    v = len(vocab)
+    term_counts = np.zeros((2, v))
+    class_counts = np.zeros(2)
+    for doc, label in zip(docs, labels):
+        class_counts[label] += 1
+        for tok in doc:
+            term_counts[label, vocab[tok]] += 1
+    log_prior = np.log(class_counts / class_counts.sum())
+    log_likelihood = np.log((term_counts + 1.0) /
+                            (term_counts.sum(axis=1, keepdims=True) + v))
+    return vocab, log_prior, log_likelihood
 
 def tfidf_row_oracle(tokens, vocab, idf, aux):
     """One feature row from a per-example dict TF-IDF, densified entry by entry."""

@@ -10,11 +10,14 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     best_split_oracle,
     block_split_oracle,
+    dense,
     fixture_context,
     forest_oracle,
     gini,
     nb_predict_oracle,
+    nb_train_oracle,
     rf_predict_oracle,
+    sparse,
     svm_decay_oracle,
     svm_objective,
     svm_predict_oracle,
@@ -23,7 +26,7 @@ from conftest import (
 )
 from ssc import synth
 from ssc.baselines import (
-    SparseRows,
+    RfModel,
     SvmModel,
     _best_split,
     bow_features,
@@ -38,7 +41,6 @@ from ssc.baselines import (
     train_nb,
     train_rf,
     train_svm,
-    tree_vote,
     vectorize,
 )
 from ssc.corpus import Dataset, Tweet
@@ -127,9 +129,12 @@ def rows_and_operands(draw):
 def test_sparse_rows_equal_their_dense_matrix(case):
     # Empty rows and all-zero columns included.
     x, w, cols = case
-    rows = SparseRows.from_dense(x)
+    rows = sparse(x)
     assert rows.shape == x.shape and len(rows) == len(x)
-    assert rows.toarray().tobytes() == x.tobytes()
+    assert dense(rows).tobytes() == x.tobytes()
+    back = sparse(dense(rows))
+    for field in ("indptr", "indices", "data"):
+        assert getattr(back, field).tobytes() == getattr(rows, field).tobytes()
     assert (rows.data != 0).all()
     for i in range(len(x)):
         assert (np.diff(rows.indices[rows.indptr[i]:rows.indptr[i + 1]]) > 0).all()
@@ -138,7 +143,7 @@ def test_sparse_rows_equal_their_dense_matrix(case):
     assert rows.matvec(w).tolist() == in_column_order
     assert np.allclose(rows.matvec(w), x @ w, rtol=1e-12, atol=1e-9)
     assert rows.columns(cols).tobytes() == x[:, cols].tobytes()
-    assert rows.transpose().toarray().tobytes() == np.ascontiguousarray(x.T).tobytes()
+    assert dense(rows.transpose()).tobytes() == np.ascontiguousarray(x.T).tobytes()
 
 
 def dense_features(enc, vocab, idf):
@@ -163,7 +168,7 @@ class TestBowFeatures:
         x = bow_features(enc, vocab, idf)
         assert x.shape == (len(enc), len(vocab) + AUX_DIM)
         assert x.data.dtype == np.float64 and (x.data != 0).all()
-        assert x.toarray().tobytes() == dense_features(enc, vocab, idf).tobytes()
+        assert dense(x).tobytes() == dense_features(enc, vocab, idf).tobytes()
         return x
 
     def test_widened_texts(self):
@@ -250,9 +255,45 @@ class TestNaiveBayes:
         assert not np.array_equal(a.log_likelihood, b.log_likelihood) or a.vocab != b.vocab
 
 
+@st.composite
+def nb_corpora(draw):
+    """Documents over a small alphabet, empty ones and repeated tokens included;
+    one 0/1 label each; and a bootstrap seed or None."""
+    docs = draw(st.lists(st.lists(st.sampled_from("abcde"), max_size=6), min_size=1, max_size=12))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(docs), max_size=len(docs)))
+    return docs, labels, draw(st.none() | st.integers(0, 2**32 - 1))
+
+
+@example(([[], ["b", "a"], []], [0, 1, 1], None))  # empty documents
+@example(([[], ["b", "a"], [], ["a"]], [0, 1, 1, 0], 5))
+@example(([["a"], ["a"], ["a"]], [0, 1, 0], None))  # a one-token corpus
+@example(([["a"], ["a"], ["a"]], [0, 1, 0], 1))
+@example(([["c", "c", "a", "c"], ["a", "a"], ["b", "c"]], [1, 0, 1], None))  # repeated tokens
+@example(([["c", "c", "a", "c"], ["a", "a"], ["b", "c"]], [1, 0, 1], 2))
+@example(([[], []], [0, 1], None))  # no token at all: no likelihood sums to 1
+@given(nb_corpora())
+def test_nb_fit_equals_loop_oracle(case):
+    docs, labels, seed = case
+    try:
+        vocab, log_prior, log_likelihood = nb_train_oracle(docs, labels, seed)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            train_nb(docs, labels, bootstrap_seed=seed)
+        return
+    if not vocab:
+        with pytest.raises(ValueError, match="must sum to 1"):
+            train_nb(docs, labels, bootstrap_seed=seed)
+        return
+    model = train_nb(docs, labels, bootstrap_seed=seed)
+    assert list(model.vocab.items()) == list(vocab.items())
+    for got, want in ((model.log_prior, log_prior), (model.log_likelihood, log_likelihood)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSvm:
     def test_separable_pair(self):
-        x = np.array([[1.0, 0.5], [-1.0, -0.5]])
+        x = sparse([[1.0, 0.5], [-1.0, -0.5]])
         y = [1, 0]
         model = train_svm(x, y, lam=1e-2, epochs=50, seed=0)
         s = model.score(x)
@@ -265,15 +306,15 @@ class TestSvm:
         y = [1] * 40 + [0] * 40
         lam = 1e-3
         initial = svm_objective(SvmModel(np.zeros(5), 0.0, 0.0), x, y, lam)
-        model = train_svm(x, y, lam=lam, epochs=5, seed=0)
+        model = train_svm(sparse(x), y, lam=lam, epochs=5, seed=0)
         assert svm_objective(model, x, y, lam) <= initial
 
     def test_deterministic_under_seed(self):
         local = np.random.default_rng(5)
         x = local.normal(size=(30, 4))
         y = (x[:, 0] > 0).astype(int)
-        a = train_svm(x, y, seed=3)
-        b = train_svm(x, y, seed=3)
+        a = train_svm(sparse(x), y, seed=3)
+        b = train_svm(sparse(x), y, seed=3)
         assert np.array_equal(a.weights, b.weights)
 
     def test_scale_invariance_at_matched_lambda(self):
@@ -283,22 +324,22 @@ class TestSvm:
         x = local.normal(size=(50, 6))
         y = (x @ local.normal(size=6) > 0).astype(int)
         lam = 1e-3
-        base = train_svm(x, y, lam=lam, epochs=3, seed=1)
-        scaled = train_svm(2.0 * x, y, lam=4.0 * lam, epochs=3, seed=1)
+        base = train_svm(sparse(x), y, lam=lam, epochs=3, seed=1)
+        scaled = train_svm(sparse(2.0 * x), y, lam=4.0 * lam, epochs=3, seed=1)
         s_base = np.sign(x @ base.weights)
         s_scaled = np.sign((2.0 * x) @ scaled.weights)
         assert np.array_equal(s_base, s_scaled)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            train_svm(np.ones((3, 2)), [1, 1, 1])
+            train_svm(sparse(np.ones((3, 2))), [1, 1, 1])
 
     def test_platt_parameters_fitted_on_the_training_scores(self):
         local = np.random.default_rng(8)
         x = local.normal(size=(40, 4))
         y = (x[:, 1] + local.normal(scale=0.5, size=40) > 0).astype(int)
-        model = train_svm(x, y, epochs=3, seed=2)
-        a, b = platt_fit(model.score(x), y)  # the sum calibrate_svm takes, in its order
+        model = train_svm(sparse(x), y, epochs=3, seed=2)
+        a, b = platt_fit(model.score(sparse(x)), y)  # the sum calibrate_svm takes, in its order
         assert (model.platt_a, model.platt_b) == (a, b)
 
     @pytest.mark.parametrize("widened", [False, True])
@@ -416,30 +457,30 @@ class TestRandomForest:
         local = np.random.default_rng(10)
         x = local.normal(size=(40, 6))
         y = (x[:, 2] * x[:, 4] > 0).astype(int)
-        model = train_rf(x, y, trees=1, max_depth=len(x), seed=0)
+        model = train_rf(sparse(x), y, trees=1, max_depth=len(x), seed=0)
         pick = np.unique(np.random.default_rng([0, 0]).integers(0, 40, size=40))
-        pred = [rf_predict(model, row[None])[0][0] for row in x[pick]]
+        pred = [rf_predict(model, sparse(row[None]))[0][0] for row in x[pick]]
         assert (np.array(pred) == y[pick]).all()
 
     def test_prediction_invariant_to_tree_order(self):
         local = np.random.default_rng(11)
         x = local.normal(size=(30, 4))
         y = (x[:, 0] > 0).astype(int)
-        model = train_rf(x, y, trees=9, max_depth=4, seed=1)
-        probe = local.normal(size=4)
-        before = rf_predict(model, probe[None])
+        model = train_rf(sparse(x), y, trees=9, max_depth=4, seed=1)
+        probe = sparse(local.normal(size=(1, 4)))
+        before = rf_predict(model, probe)
         model.trees.reverse()
-        after = rf_predict(model, probe[None])
+        after = rf_predict(model, probe)
         assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
 
     def test_majority_equals_explicit_tally(self):
         local = np.random.default_rng(12)
         x = local.normal(size=(30, 4))
         y = (x[:, 1] > 0).astype(int)
-        model = train_rf(x, y, trees=7, max_depth=3, seed=2)
-        probe = local.normal(size=4)
-        votes = [tree_vote(t, probe[None])[0] for t in model.trees]
-        cls, p = rf_predict(model, probe[None])
+        model = train_rf(sparse(x), y, trees=7, max_depth=3, seed=2)
+        probe = sparse(local.normal(size=(1, 4)))
+        votes = [rf_predict(RfModel([t]), probe)[0][0] for t in model.trees]
+        cls, p = rf_predict(model, probe)
         assert p[0] == sum(votes) / 7
         assert cls[0] == int(sum(votes) > 3.5)
 
@@ -449,7 +490,7 @@ class TestRandomForest:
         local = np.random.default_rng(16)
         x = local.normal(size=(60, 5))
         y = (x[:, 0] + 0.5 * local.normal(size=60) > 0).astype(int)
-        model = train_rf(x, y, trees=4, max_depth=5, seed=3)
+        model = train_rf(sparse(x), y, trees=4, max_depth=5, seed=3)
         for i, tree in enumerate(model.trees):
             pick = np.random.default_rng([3, i]).integers(0, 60, size=60)
             counts = np.zeros_like(tree.counts)
@@ -467,30 +508,30 @@ class TestRandomForest:
         local = np.random.default_rng(13)
         x = local.normal(size=(25, 3))
         y = (x[:, 0] > 0).astype(int)
-        a = train_rf(x, y, trees=5, seed=7)
-        b = train_rf(x, y, trees=5, seed=7)
+        a = train_rf(sparse(x), y, trees=5, seed=7)
+        b = train_rf(sparse(x), y, trees=5, seed=7)
         for ta, tb in zip(a.trees, b.trees):
             assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.threshold, tb.threshold)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_rf(np.zeros((0, 3)), [])
+            train_rf(sparse(np.zeros((0, 3))), [])
 
     def test_zero_trees_rejected(self):
         # A forest of no trees has no vote, and its checkpoint would hold no node field.
         with pytest.raises(ValueError, match="at least one tree"):
-            train_rf(np.zeros((4, 2)), [0, 1, 0, 1], trees=0)
+            train_rf(sparse(np.zeros((4, 2))), [0, 1, 0, 1], trees=0)
 
 
 def sparse_split(x, rows, y, ids, best=None):
     """_best_split over the CSR rows of a dense x."""
-    return _best_split(SparseRows.from_dense(x).transpose(), rows, y, ids, best)
+    return _best_split(sparse(x).transpose(), rows, y, ids, best)
 
 
 def split_in_blocks(x, rows, y, ids, size):
     """_best_split over consecutive slices of ids, carrying the best split."""
-    xt = SparseRows.from_dense(x).transpose()
+    xt = sparse(x).transpose()
     best = None
     for start in range(0, len(ids), size):
         best = _best_split(xt, rows, y, ids[start:start + size], best)
@@ -587,7 +628,7 @@ class TestBlockSplitSearch:
         x = local.random((80, 600)) * (local.random((80, 600)) < 0.005)
         x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
         y = ((x[:, :40].sum(axis=1) > 0) ^ (local.random(80) < 0.1)).astype(np.int64)
-        sparse = train_rf(SparseRows.from_dense(x), y, trees=3, max_depth=10, seed=4)
+        forest = train_rf(sparse(x), y, trees=3, max_depth=10, seed=4)
 
         fallback_calls = []
 
@@ -598,8 +639,8 @@ class TestBlockSplitSearch:
 
         reference = forest_oracle(x, y, trees=3, max_depth=10, seed=4, split=block_split)
         assert fallback_calls
-        assert len(sparse.trees) == len(reference)
-        for got, want in zip(sparse.trees, reference):
+        assert len(forest.trees) == len(reference)
+        for got, want in zip(forest.trees, reference):
             for field in ("feature", "threshold", "left", "right", "counts"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -611,8 +652,8 @@ class TestBlockSplitSearch:
         x = local.random((60, 90)) * (local.random((60, 90)) < 0.05)
         x[:, :6] = local.integers(-2, 3, size=(60, 6))
         y = ((x[:, 0] > 0) ^ (local.random(60) < 0.2)).astype(np.int64)
-        sparse = train_rf(x, y, trees=4, max_depth=8, seed=5)
-        for got, want in zip(sparse.trees, forest_oracle(x, y, trees=4, max_depth=8, seed=5,
+        forest = train_rf(sparse(x), y, trees=4, max_depth=8, seed=5)
+        for got, want in zip(forest.trees, forest_oracle(x, y, trees=4, max_depth=8, seed=5,
                                                          split=best_split_oracle)):
             for field in ("feature", "threshold", "left", "right", "counts"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
@@ -621,29 +662,34 @@ class TestBlockSplitSearch:
 class TestLabelChecks:
     """The forest, SVM and Naive Bayes trainers refuse labels that are not one 0/1 per row.
 
-    Naive Bayes takes the rows of np.eye(4) as its four documents.
+    The forest and SVM take np.eye(4) as four feature rows, Naive Bayes its
+    rows as four documents.
     """
+
+    @staticmethod
+    def four_rows(train):
+        return np.eye(4) if train is train_nb else sparse(np.eye(4))
 
     @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_more_labels_than_rows(self, train):
         with pytest.raises(ValueError, match="4 rows, 6 labels"):
-            train(np.eye(4), [0, 1, 0, 1, 1, 1])
+            train(self.four_rows(train), [0, 1, 0, 1, 1, 1])
 
     @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_fewer_labels_than_rows(self, train):
         with pytest.raises(ValueError, match="4 rows, 3 labels"):
-            train(np.eye(4), [0, 1, 0])
+            train(self.four_rows(train), [0, 1, 0])
 
     @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_label_other_than_0_or_1(self, train):
         with pytest.raises(ValueError, match="must be 0 or 1, not 2"):
-            train(np.eye(4), [0, 1, 2, 1])
+            train(self.four_rows(train), [0, 1, 2, 1])
 
     # Naive Bayes once counted a -1 label as the positive class.
     @pytest.mark.parametrize("train", [train_rf, train_svm, train_nb])
     def test_negative_label(self, train):
         with pytest.raises(ValueError, match="must be 0 or 1, not -1"):
-            train(np.eye(4), [0, 1, -1, 1])
+            train(self.four_rows(train), [0, 1, -1, 1])
 
 
 def make_calibrated_svm():
@@ -651,7 +697,7 @@ def make_calibrated_svm():
     x = np.vstack([local.normal(2.0, 0.7, size=(60, 3)),
                    local.normal(-2.0, 0.7, size=(60, 3))])
     y = [1] * 60 + [0] * 60
-    return train_svm(x, y, lam=1e-3, epochs=20, seed=0)
+    return train_svm(sparse(x), y, lam=1e-3, epochs=20, seed=0)
 
 
 class TestBatchedMatchesPerExampleOracle:
@@ -680,7 +726,7 @@ class TestBatchedMatchesPerExampleOracle:
         _, vocab, idf, test = fitted
         oracle = np.stack([tfidf_row_oracle(t, vocab, idf, a)
                            for t, a in zip(test.tokens, test.aux)])
-        assert np.array_equal(bow_features(test, vocab, idf).toarray(), oracle)
+        assert np.array_equal(dense(bow_features(test, vocab, idf)), oracle)
 
     @pytest.mark.parametrize("kind", ["svm", "rf", "nb"])
     def test_member_predictions_match_oracle(self, fitted, kind):
@@ -705,8 +751,8 @@ class TestBatchedMatchesPerExampleOracle:
         members, vocab, idf, test = fitted
         x = bow_features(test, vocab, idf)
         for tree in members["rf"].model.trees:
-            assert np.array_equal(tree_vote(tree, x),
-                                  [tree_vote_oracle(tree, r) for r in x.toarray()])
+            assert np.array_equal(rf_predict(RfModel([tree]), x)[0],
+                                  [tree_vote_oracle(tree, r) for r in dense(x)])
 
 
 class TestPrefilter:
@@ -716,7 +762,7 @@ class TestPrefilter:
         """A calibrated SVM's (classes, p_pos) for the 40 items."""
         local = np.random.default_rng(15)
         x = np.stack([local.normal(scale=2.0, size=3) for _ in self.DATASET])
-        return svm_predict(make_calibrated_svm(), x)
+        return svm_predict(make_calibrated_svm(), sparse(x))
 
     def test_threshold_one_empty(self):
         result = prefilter(self.DATASET, *self.predictions(), threshold=1.0, sample_n=5)
@@ -743,6 +789,12 @@ class TestPrefilter:
         ids = {t.id for t in self.DATASET}
         assert all(t.id in ids for t in result.sample)
         assert len(result.sample) <= 7
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
+    def test_threshold_outside_0_1_refused(self, threshold):
+        # NaN compares false with every probability, -0.1 keeps everything and 1.5 nothing.
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            prefilter(self.DATASET, *self.predictions(), threshold=threshold)
 
     def test_deterministic_sampling(self):
         a = prefilter(self.DATASET, *self.predictions(), 0.0, 5, seed=9)

@@ -139,7 +139,8 @@ class TestConfig:
         ("experiment", "scenarios", "50:40:10:10"),
         ("experiment", "scenarios", "50:50:40:20,50:50:20:10"), ("experiment", "roster", "nb:two"),
         ("experiment", "roster", "nb:0"), ("experiment", "roster", "lstm:2"),
-        ("experiment", "folds", "0"), ("training", "epochs", "0"),
+        ("experiment", "folds", "0"), ("experiment", "seed", "-3"),
+        ("training", "epochs", "0"),
         ("training", "batch_size", "0"), ("training", "filters", "0"),
         ("training", "embedding_dim", "0"), ("training", "char_embed_dim", "0"),
         ("training", "max_append", "-1"), ("training", "val_fraction", "0.7"),
@@ -305,6 +306,45 @@ class TestDatasetCommands:
             main([*argv, "--output", str(tmp_path / "out.tsv"), flag, value])
         assert exit_info.value.code != 0
         assert f"{flag}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["resample", "folds", "synth", "train", "experiment",
+                                         "prefilter"])
+    def test_negative_seed_refused_by_the_parser(self, workspace, tmp_path, capsys, command):
+        conf, corpus = str(workspace / "exp.conf"), str(workspace / "corpus.tsv")
+        split = ["--input", corpus, "--ratio", "50:50", "--train", "40", "--test", "20"]
+        argv = {
+            "resample": ["dataset", "resample", *split, "--output-train",
+                         str(tmp_path / "tr.tsv"), "--output-test", str(tmp_path / "te.tsv")],
+            "folds": ["dataset", "folds", *split, "--output", str(tmp_path / "plan.folds")],
+            "synth": ["dataset", "synth", "--positives", "3", "--negatives", "3",
+                      "--output", str(tmp_path / "s.tsv")],
+            "train": ["train", "--config", conf, "--kind", "nb", "--train-data", corpus,
+                      "--output", str(tmp_path / "nb.ckpt")],
+            "experiment": ["experiment", "--config", conf, "--output", str(tmp_path / "out")],
+            "prefilter": ["prefilter", "--config", conf, "--checkpoint",
+                          str(tmp_path / "svm.ckpt"), "--input", corpus,
+                          "--output", str(tmp_path / "sample.tsv")],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--seed", "-1"])
+        assert exit_info.value.code != 0
+        assert "--seed: must be at least 0, not -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threshold, message", [
+        ("nan", "must be in [0, 1], not 'nan'"), ("2", "must be in [0, 1], not '2'"),
+        ("-1", "must be in [0, 1], not '-1'"), ("x", "must be a number, not 'x'"),
+    ])
+    def test_threshold_outside_0_1_refused_by_the_parser(self, workspace, tmp_path, capsys,
+                                                         threshold, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["prefilter", "--config", str(workspace / "exp.conf"),
+                  "--checkpoint", str(tmp_path / "svm.ckpt"),
+                  "--input", str(workspace / "corpus.tsv"),
+                  "--output", str(tmp_path / "sample.tsv"), "--threshold", threshold])
+        assert exit_info.value.code != 0
+        assert f"--threshold: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("embed_dim, seed", sorted(EMBEDDINGS_SHA256))

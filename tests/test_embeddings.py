@@ -90,6 +90,16 @@ def test_non_numeric_component(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e999", "NaN"])
+def test_non_finite_component_names_line_and_word(tmp_path, component):
+    # A nan or inf would load and only stop a word model at its first non-finite loss.
+    p = tmp_path / "emb.txt"
+    p.write_text(f"cat 1 2 3\nweed 0.1 {component} 0.3\n")
+    with pytest.raises(EmbeddingError,
+                       match=f"line 2: non-finite component '{component}' for 'weed'"):
+        load_embeddings(p)
+
+
 def test_empty_table_rejected():
     with pytest.raises(EmbeddingError):
         EmbeddingTable(4, {})
@@ -105,14 +115,15 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded.vectors[word], table.vectors[word])
 
 
-# Any word save_embeddings accepts, any width, any non-NaN components; the
+# Any word save_embeddings accepts, any width, any finite components; the
 # file is read back with its header and, its first line dropped, without.
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 6), header=st.booleans(), data=st.data())
 def test_save_load_round_trip_property(dim, header, data):
     words = data.draw(st.lists(st.text(st.characters(codec="utf-8"), min_size=1, max_size=6)
                                .filter(is_token), min_size=1, max_size=6, unique=True))
-    components = st.lists(st.floats(allow_nan=False), min_size=dim, max_size=dim)
+    components = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=dim, max_size=dim)
     table = EmbeddingTable(dim, {w: np.array(data.draw(components)) for w in words})
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "emb.txt"
@@ -131,6 +142,15 @@ def test_save_refuses_word_that_would_not_read_back(tmp_path, word):
     table = EmbeddingTable(2, {"ok": np.array([1.0, 2.0]), word: np.array([3.0, 4.0])})
     p = tmp_path / "emb.txt"
     with pytest.raises(EmbeddingError, match=re.escape(f"word {word!r}")):
+        save_embeddings(table, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("component", [np.nan, np.inf, -np.inf])
+def test_save_refuses_non_finite_component(tmp_path, component):
+    table = EmbeddingTable(2, {"ok": np.array([1.0, 2.0]), "weed": np.array([3.0, component])})
+    p = tmp_path / "emb.txt"
+    with pytest.raises(EmbeddingError, match="vector of 'weed'"):
         save_embeddings(table, p)
     assert not p.exists()
 
