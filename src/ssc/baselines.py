@@ -67,16 +67,6 @@ class SparseRows:
         """x @ w, each row summed over its nonzeros in column order."""
         return np.bincount(self.row_ids(), self.data * w[self.indices], len(self))
 
-    def columns(self, cols: np.ndarray) -> np.ndarray:
-        """The dense (N, len(cols)) block x[:, cols] of distinct columns."""
-        at = np.full(self.width, -1)
-        at[cols] = np.arange(len(cols))
-        k = at[self.indices]
-        keep = k >= 0
-        out = np.zeros((len(self), len(cols)))
-        out[self.row_ids()[keep], k[keep]] = self.data[keep]
-        return out
-
     def transpose(self) -> "SparseRows":
         """The columns as rows (CSC), each listing its rows in increasing order."""
         order = np.argsort(self.indices, kind="stable")
@@ -532,22 +522,31 @@ def train_rf(x: SparseRows, y: Sequence[int], trees: int = 50,
 def rf_predict(model: RfModel, x: SparseRows) -> tuple[np.ndarray, np.ndarray]:
     """Majority vote over trees; p(positive) = fraction of positive votes.
 
-    Reads a dense block of only the columns the forest splits on, and walks
-    all rows down each tree one depth level at a time.
+    Walks all rows down each tree one depth level at a time, looking up each
+    row's value at its node's feature among the stored entries (a miss is 0).
     """
-    split_on = np.unique(np.concatenate([t.feature[t.left != -1] for t in model.trees]))
-    block = x.columns(split_on)
+    if not model.trees:
+        raise ValueError("a forest needs at least one tree to vote")
+    for tree in model.trees:
+        bad = tree.feature[(tree.left != -1) & ((tree.feature < 0) | (tree.feature >= x.width))]
+        if bad.size:
+            raise ValueError(f"a tree splits on feature {bad[0]}, outside rows {x.width} wide")
+    # Keys row * width + column rise strictly through the CSR entries; the
+    # sentinel ends every search inside the arrays, at an implicit zero.
+    keys = np.append(x.row_ids() * x.width + x.indices, np.iinfo(np.int64).max)
+    values = np.append(x.data, 0.0)
     votes = np.zeros(len(x), dtype=np.int64)
     for tree in model.trees:
-        feature = np.searchsorted(split_on, tree.feature)  # block column of each inner node
         node = np.zeros(len(x), dtype=np.int64)
         active = np.arange(len(x))
         while active.size:
             at = node[active]
             inner = tree.left[at] != -1
             active, at = active[inner], at[inner]
-            go_left = block[active, feature[at]] <= tree.threshold[at]
-            node[active] = np.where(go_left, tree.left[at], tree.right[at])
+            key = active * x.width + tree.feature[at]
+            k = np.searchsorted(keys, key)
+            value = np.where(keys[k] == key, values[k], 0.0)
+            node[active] = np.where(value <= tree.threshold[at], tree.left[at], tree.right[at])
         counts = tree.counts[node]
         votes += counts[:, 1] > counts[:, 0]
     p_pos = votes / len(model.trees)

@@ -1,14 +1,15 @@
 """Majority-vote ensembling over CNN and classical members.
 
 A member has a kind and a batched predict returning (classes, positive
-probabilities), run PREDICT_ROWS rows at a time; predict(enc, i) is that
-predict on a set of one. The member kinds and COMPOSITIONS, the two
-paper-faithful six-member rosters, are declared in encoding: 2x char_aux +
-2x char_cnn + 2x word_aux (CNN ensemble) and 2x svm + 2x rf + 2x nb
-(classical ensemble); "free" mode allows arbitrary compositions. A vote of
-one member returns that member's own classes, so ssc evaluate is a
-one-member ssc ensemble. A classical checkpoint is refused at load unless
-its arrays fit its vocabulary and each other.
+probabilities) for a whole set in one call, the CNN's network run
+PREDICT_ROWS rows at a time; predict(enc, i) is that predict on a set of
+one. The member kinds and COMPOSITIONS, the two paper-faithful six-member
+rosters, are declared in encoding: 2x char_aux + 2x char_cnn + 2x word_aux
+(CNN ensemble) and 2x svm + 2x rf + 2x nb (classical ensemble); "free" mode
+allows arbitrary compositions. A vote of one member returns that member's
+own classes, so ssc evaluate is a one-member ssc ensemble. A classical
+checkpoint is refused at load unless its arrays fit its vocabulary and each
+other.
 """
 
 from __future__ import annotations
@@ -81,14 +82,10 @@ class BowMember(Member):
     idf: np.ndarray | None = None
 
     def predict_batch(self, enc: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
-        """Features are built per block of rows, so their size is bounded."""
-        def predict(rows: EncodedSet):
-            if not encoding.KINDS[self.kind].tfidf:
-                return baselines.nb_predict(self.model, rows.tokens)
-            predict_x = {"svm": baselines.svm_predict, "rf": baselines.rf_predict}[self.kind]
-            return predict_x(self.model, baselines.bow_features(rows, self.vocab, self.idf))
-
-        return models.predict_in_blocks(predict, enc)
+        if not encoding.KINDS[self.kind].tfidf:
+            return baselines.nb_predict(self.model, enc.tokens)
+        predict = {"svm": baselines.svm_predict, "rf": baselines.rf_predict}[self.kind]
+        return predict(self.model, baselines.bow_features(enc, self.vocab, self.idf))
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,10 @@ def train_member(kind: str, member_idx_of_kind: int, enc_train: EncodedSet,
     The one training path of the fold units and of ssc train. A kind that
     reads TF-IDF trains on tfidf (a fold's tfidf_features) or, without
     one, fits its own on enc_train. Naive Bayes bootstraps from seed for
-    every member of its kind but the first.
+    every member of its kind but the first. A set with an unlabeled item is refused.
     """
+    if enc_train.labels is None:
+        raise ValueError("every training item needs a label (0 or 1), not '-'")
     if kind in CNN_KINDS:
         # By this module's global name, so that bench/tracing.py's wrapper sees the call.
         return train_cnn_member(kind, enc_train, cfg, seed)

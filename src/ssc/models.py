@@ -222,27 +222,20 @@ def _stratified_val_split(labels: np.ndarray, fraction: float,
     return np.concatenate(fit_idx), np.concatenate(val_idx)
 
 
-def predict_in_blocks(predict, batch: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, positive probabilities) of batch from predict(PREDICT_ROWS rows)."""
+def predict_batch(model: Model, batch: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax classes, float64 positive-class probabilities) for every row.
+
+    Rows go through the network PREDICT_ROWS at a time, so a forward pass's
+    inputs and activations stay bounded for any set; an exact tie of the two
+    probabilities gives the negative class.
+    """
     classes = np.zeros(len(batch), dtype=np.int64)
     p_pos = np.zeros(len(batch))
     for start in range(0, len(batch), PREDICT_ROWS):
         rows = np.arange(start, min(start + PREDICT_ROWS, len(batch)))
-        classes[rows], p_pos[rows] = predict(batch.subset(rows))
+        probs = nn.softmax(model.forward(batch.subset(rows), train=False).data)
+        classes[rows], p_pos[rows] = np.argmax(probs, axis=1), probs[:, 1]
     return classes, p_pos
-
-
-def predict_batch(model: Model, batch: EncodedSet) -> tuple[np.ndarray, np.ndarray]:
-    """(argmax classes, float64 positive-class probabilities) for every row.
-
-    Rows go through the network PREDICT_ROWS at a time; an exact tie of the
-    two probabilities gives the negative class.
-    """
-    def forward(rows: EncodedSet):
-        probs = nn.softmax(model.forward(rows, train=False).data)
-        return np.argmax(probs, axis=1), probs[:, 1]
-
-    return predict_in_blocks(forward, batch)
 
 
 def train(model: Model, data: EncodedSet, cfg: TrainConfig) -> list[ModelCheckpoint]:

@@ -28,6 +28,7 @@ from ssc import synth
 from ssc.baselines import (
     RfModel,
     SvmModel,
+    Tree,
     _best_split,
     bow_features,
     dense_matrix,
@@ -111,24 +112,25 @@ class TestTfidf:
         assert (dense[len(vocab):] == 7.0).all()
 
 
+# Mostly zeros, negatives included.
+SPARSE_VALUES = [0.0, 0.0, 0.0, 1.0, -2.5, 0.125, 3e-7, -1e5]
+
+
 @st.composite
 def rows_and_operands(draw):
-    """A dense (N, D) matrix of mostly zeros, negatives included; a weight
-    vector; and distinct columns in any order."""
-    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.125, 3e-7, -1e5])
+    """A dense (N, D) matrix of SPARSE_VALUES and a weight vector."""
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8))
-    x = draw(hnp.arrays(np.float64, shape, elements=values))
+    x = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(SPARSE_VALUES)))
     w = draw(hnp.arrays(np.float64, shape[1], elements=st.floats(-10, 10)))
-    cols = draw(st.permutations(range(shape[1])))[:draw(st.integers(0, shape[1]))]
-    return x, w, np.array(cols, dtype=np.int64)
+    return x, w
 
 
 @example((np.array([[0.0, -2.5, 0.0], [0.0, 0.0, 0.0], [1.0, 3e-7, 0.0]]),
-          np.array([0.5, -2.0, 4.0]), np.array([2, 0])))
+          np.array([0.5, -2.0, 4.0])))
 @given(rows_and_operands())
 def test_sparse_rows_equal_their_dense_matrix(case):
     # Empty rows and all-zero columns included.
-    x, w, cols = case
+    x, w = case
     rows = sparse(x)
     assert rows.shape == x.shape and len(rows) == len(x)
     assert dense(rows).tobytes() == x.tobytes()
@@ -142,7 +144,6 @@ def test_sparse_rows_equal_their_dense_matrix(case):
                        for i in range(len(x))]
     assert rows.matvec(w).tolist() == in_column_order
     assert np.allclose(rows.matvec(w), x @ w, rtol=1e-12, atol=1e-9)
-    assert rows.columns(cols).tobytes() == x[:, cols].tobytes()
     assert dense(rows.transpose()).tobytes() == np.ascontiguousarray(x.T).tobytes()
 
 
@@ -522,6 +523,56 @@ class TestRandomForest:
         # A forest of no trees has no vote, and its checkpoint would hold no node field.
         with pytest.raises(ValueError, match="at least one tree"):
             train_rf(sparse(np.zeros((4, 2))), [0, 1, 0, 1], trees=0)
+        with pytest.raises(ValueError, match="at least one tree"):
+            rf_predict(RfModel([]), sparse(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("feature", [2, 3, -1])
+    def test_split_outside_the_rows_refused(self, feature):
+        # Unchecked, row 0's key at column 2 would be row 1's at column 0, a stored 1.0.
+        tree = Tree(feature=np.array([feature, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+                    left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                    counts=np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match=f"feature {feature}, outside rows 2 wide"):
+            rf_predict(RfModel([tree]), sparse([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@st.composite
+def forest_cases(draw):
+    """Training rows of SPARSE_VALUES with labels, a forest's tree count and
+    seed, and probe codes of the same width: code c >= 0 stands for
+    SPARSE_VALUES[c], c < 0 for entry -c - 1, cyclically, of the forest's
+    split thresholds followed by 0.0."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=st.sampled_from(SPARSE_VALUES)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    codes = draw(hnp.arrays(np.int64, (draw(st.integers(0, 6)), d),
+                            elements=st.integers(-6, len(SPARSE_VALUES) - 1)))
+    return x, y, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)), codes
+
+
+# A split of negatives only, so that an implicit zero goes right; a probe
+# value equal to a threshold (code -1), an empty row, no row at all.
+@example((np.array([[-1e5], [-2.5]] * 4), np.array([0, 1] * 4), 1, 0,
+          np.array([[0], [-1], [4], [7]])))
+@example((np.array([[-1e5], [-2.5]] * 4), np.array([0, 1] * 4), 1, 0,
+          np.zeros((0, 1), dtype=np.int64)))
+# Only the last column splits; the last probe row's one entry, equal to the
+# threshold, is the last stored one, next to the sentinel; the row before is empty.
+@example((np.array([[0.0, -2.5, 1.0], [0.0, -2.5, 0.0]] * 4), np.array([1, 0] * 4), 3, 1,
+          np.array([[0, 4, 3], [0, 0, 0], [0, 0, -1]])))
+@given(forest_cases())
+def test_forest_walk_equals_per_row_oracle(case):
+    x, y, trees, seed, codes = case
+    model = train_rf(sparse(x), y, trees=trees, max_depth=4, seed=seed)
+    thresholds = np.concatenate([t.threshold[t.left != -1] for t in model.trees] + [[0.0]])
+    probe = np.where(codes >= 0, np.take(SPARSE_VALUES, np.maximum(codes, 0)),
+                     thresholds[(-codes - 1) % len(thresholds)])
+    rows = sparse(probe)
+    classes, p_pos = rf_predict(model, rows)
+    want = [rf_predict_oracle(model, r) for r in dense(rows)]
+    assert classes.dtype == np.int64 and p_pos.dtype == np.float64
+    assert classes.tolist() == [c for c, _ in want]
+    assert p_pos.tolist() == [p for _, p in want]
 
 
 def sparse_split(x, rows, y, ids, best=None):
@@ -703,8 +754,8 @@ def make_calibrated_svm():
 class TestBatchedMatchesPerExampleOracle:
     """Features and predictions on a synthetic corpus, against one-example oracles.
 
-    The held-out set is longer than PREDICT_ROWS, so members predict it in
-    more than one block.
+    The held-out set is longer than PREDICT_ROWS, the rows a CNN member
+    forwards at a time, and each classical member predicts it in one call.
     """
 
     @pytest.fixture(scope="class")

@@ -438,6 +438,17 @@ class TestModelCommands:
         assert "word models need an embeddings path" in capsys.readouterr().err
         assert not (tmp_path / "word.ckpt").exists()
 
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_train_on_unlabeled_items_says_so(self, workspace, tmp_path, capsys, kind):
+        ds = load_dataset(workspace / "corpus.tsv")
+        save_dataset(Dataset(Tweet(t.id, t.text, None if i % 4 == 0 else t.label)
+                             for i, t in enumerate(ds)), tmp_path / "partly.tsv")
+        assert main(["train", "--config", str(workspace / "exp.conf"), "--kind", kind,
+                     "--train-data", str(tmp_path / "partly.tsv"),
+                     "--output", str(tmp_path / "m.ckpt")]) == 1
+        assert "every training item needs a label" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_prefilter_matches_library_on_encoded_features(self, workspace, tmp_path, capsys):
         conf, corpus = str(workspace / "exp.conf"), str(workspace / "corpus.tsv")
         ckpt, out = tmp_path / "svm.ckpt", tmp_path / "sample.tsv"
@@ -456,6 +467,17 @@ class TestModelCommands:
                                        threshold=0.7, sample_n=30, seed=4)
         assert [(t.id, t.text) for t in load_dataset(out)] == \
             [(t.id, t.text) for t in expected.sample]
+
+    def test_prefilter_on_an_empty_input_writes_an_empty_file(self, workspace, tmp_path, capsys):
+        conf, ckpt, out = str(workspace / "exp.conf"), tmp_path / "svm.ckpt", tmp_path / "pf.tsv"
+        assert main(["train", "--config", conf, "--kind", "svm",
+                     "--train-data", str(workspace / "corpus.tsv"), "--output", str(ckpt)]) == 0
+        (tmp_path / "empty.tsv").write_text("")
+        assert main(["prefilter", "--config", conf, "--checkpoint", str(ckpt),
+                     "--input", str(tmp_path / "empty.tsv"), "--threshold", "0.5",
+                     "--sample", "5", "--output", str(out)]) == 0
+        assert out.read_text() == ""
+        assert "0 items above threshold, wrote 0" in capsys.readouterr().out
 
     def test_prefilter_refuses_another_kind_before_building_it(self, workspace, tmp_path,
                                                                 capsys):
@@ -539,23 +561,27 @@ class TestEnsembleSurface:
         for i in (0, 3, 7):
             assert votes[i] == nb.predict(probe, i)[0]
 
+    def member_of_kind(self, workspace, tmp_path, kind, path):
+        """A member of any kind, saved to path; CNN members are built in float64."""
+        if kind in ML_KINDS:
+            members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
+            member = next(m for m in members if m.kind == kind)
+            nn.save_checkpoint(baseline_checkpoint(member), path)
+            return member
+        cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=4,
+                               embed_dim=16 if kind == "word_aux" else 8)
+        model = models.build_model(kind, cfg, seed=3, dtype=np.float64)
+        nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
+                                              metadata=model.metadata()), path)
+        return CnnMember(model)
+
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_every_kind_round_trips_exactly(self, workspace, tmp_path, kind):
         # CNN members are built in float64, so a float32 container would lose bits.
         ctx = fixture_context(16)
         enc = encode_dataset(load_dataset(workspace / "corpus.tsv"), ctx)
         path = tmp_path / f"{kind}.exact.ckpt"
-        if kind in ML_KINDS:
-            members, _, _ = self.members_via_checkpoints(workspace, tmp_path)
-            member = next(m for m in members if m.kind == kind)
-            nn.save_checkpoint(baseline_checkpoint(member), path)
-        else:
-            cfg = models.CnnConfig(kernel_sizes=(2, 3), filters=4,
-                                   embed_dim=16 if kind == "word_aux" else 8)
-            model = models.build_model(kind, cfg, seed=3, dtype=np.float64)
-            member = CnnMember(model)
-            nn.save_checkpoint(nn.ModelCheckpoint(1, model.params.state_dict(),
-                                                  metadata=model.metadata()), path)
+        member = self.member_of_kind(workspace, tmp_path, kind, path)
         loaded = load_member(kind, path)
         before, after = _member_arrays(member), _member_arrays(loaded)
         assert before.keys() == after.keys()
@@ -566,6 +592,16 @@ class TestEnsembleSurface:
         a_cls, a_p = member.predict_batch(probe)
         b_cls, b_p = loaded.predict_batch(probe)
         assert np.array_equal(a_cls, b_cls) and np.array_equal(a_p, b_p)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_kind_predicts_an_empty_set(self, workspace, tmp_path, kind):
+        member = self.member_of_kind(workspace, tmp_path, kind, tmp_path / f"{kind}.empty.ckpt")
+        empty = encode_dataset(Dataset([]), fixture_context(16))
+        classes, p_pos = member.predict_batch(empty)
+        assert classes.dtype == np.int64 and classes.shape == (0,)
+        assert p_pos.dtype == np.float64 and p_pos.shape == (0,)
+        votes = ensemble_vote_batch([member], empty)
+        assert votes.dtype == np.int64 and votes.shape == (0,)
 
     def test_member_load_failure_names_member(self, tmp_path):
         spec = EnsembleSpec((("nb", tmp_path / "missing.ckpt"),), mode="free")
