@@ -1,4 +1,9 @@
-"""Bridge from datasets to the numeric arrays the models consume; the member kinds and rosters."""
+"""Bridge from datasets to the numeric arrays the models consume; the member kinds and rosters.
+
+A FeatureContext holds the feature resources as the plain containers that
+their loaders in features return (a frozenset and two dicts, checked once
+when read), plus the embedding table.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 from . import features
 from .corpus import Dataset
 from .embeddings import EmbeddingTable, encode_words
-from .features import ClusterMap, Lexicon, SynonymMap, TokenSeq
+from .features import TokenSeq
 from .nn import default_dtype
 
 
@@ -73,12 +78,12 @@ class EncodedSet:
 
 @dataclass(frozen=True)
 class FeatureContext:
-    """Everything needed to turn raw text into model inputs."""
+    """Everything needed to turn raw text into model inputs; an absent resource file reads as empty."""
 
-    abuse: Lexicon
-    slang: Lexicon
-    clusters: ClusterMap
-    synonyms: SynonymMap | None = None
+    abuse: frozenset[str]
+    slang: frozenset[str]
+    clusters: dict[str, int]
+    synonyms: dict[str, tuple[str, ...]]
     table: EmbeddingTable | None = None
 
 
@@ -91,10 +96,10 @@ def encode_dataset(
     """Tokenize and vectorize every item of a dataset.
 
     The auxiliary vector is computed from the raw tokens; synonym expansion
-    (when a synonym map is present) applies to the token stream fed to the
-    word model and the bag-of-words baselines. The character path encodes
-    the raw text. Requires an embedding table when with_word is set. Float
-    arrays take the default dtype (SSC_PRECISION).
+    applies to the token stream fed to the word model and the bag-of-words
+    baselines. The character path encodes the raw text. Requires an
+    embedding table when with_word is set. Float arrays take the default
+    dtype (SSC_PRECISION).
     """
     dtype = default_dtype()
     n = len(dataset)
@@ -107,10 +112,8 @@ def encode_dataset(
 
     for i, tweet in enumerate(dataset):
         tokens = features.tokenize(tweet.text)
-        aux[i] = features.build_aux_vector(tokens, ctx.abuse, ctx.slang, ctx.clusters)
-        if ctx.synonyms is not None:
-            tokens = features.expand_synonyms(tokens, ctx.synonyms)
-        token_seqs.append(tokens)
+        aux[i] = features.aux_vector(tokens, ctx.abuse, ctx.slang, ctx.clusters)
+        token_seqs.append(features.expand_synonyms(tokens, ctx.synonyms))
         if char is not None:
             char[i] = features.encode_chars(tweet.text)
         if labels is not None:

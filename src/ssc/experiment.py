@@ -43,7 +43,7 @@ from .ensemble import (
     baseline_checkpoint,
     ensemble_vote_batch,  # unused here; bench/tracing.py wraps it by this module's name
 )
-from .features import ClusterMap, Lexicon, load_cluster_map, load_lexicon, load_synonym_map
+from .features import load_cluster_map, load_lexicon, load_synonym_map
 from .metrics import CSV_HEADER, MEASURES, MetricsReport, compute_metrics, mean_report
 from .models import CnnConfig, TrainConfig
 from .nn import ModelCheckpoint, default_dtype, save_checkpoint
@@ -67,15 +67,15 @@ def build_feature_context(cfg: ExperimentConfig, kinds=None) -> FeatureContext:
     """Load the lexicon/cluster/synonym/embedding files named in the config.
 
     The embedding table is read only when one of kinds (by default the
-    config's roster) reads word vectors. Absent optional paths fall back to
-    empty resources; the embedding table stays None (word models then
-    refuse to encode).
+    config's roster) reads word vectors. An absent optional path gives an
+    empty frozenset or dict; the embedding table stays None (word models
+    then refuse to encode).
     """
     kinds = cfg.roster_members() if kinds is None else kinds
-    abuse = load_lexicon(cfg.abuse_lexicon) if cfg.abuse_lexicon else Lexicon(frozenset())
-    slang = load_lexicon(cfg.slang_lexicon, min_length=6) if cfg.slang_lexicon else Lexicon(frozenset())
-    clusters = load_cluster_map(cfg.cluster_map) if cfg.cluster_map else ClusterMap({})
-    synonyms = load_synonym_map(cfg.synonym_map) if cfg.synonym_map else None
+    abuse = load_lexicon(cfg.abuse_lexicon) if cfg.abuse_lexicon else frozenset()
+    slang = load_lexicon(cfg.slang_lexicon, min_length=6) if cfg.slang_lexicon else frozenset()
+    clusters = load_cluster_map(cfg.cluster_map) if cfg.cluster_map else {}
+    synonyms = load_synonym_map(cfg.synonym_map) if cfg.synonym_map else {}
     reads_words = cfg.embeddings and any(KINDS[k].word for k in kinds)
     table = load_embeddings(cfg.embeddings) if reads_words else None
     return FeatureContext(abuse=abuse, slang=slang, clusters=clusters,

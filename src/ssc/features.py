@@ -1,6 +1,9 @@
-"""Tokenization, lexicon/cluster features, auxiliary vectors, char encoding.
+"""Tokenization, the feature resources, the auxiliary vector, synonym expansion, char encoding.
 
-The engineered auxiliary vector has a fixed 154-entry layout:
+The resources are plain containers, checked once where their files are
+read: a lexicon is a frozenset of lowercased terms, a cluster map a dict
+term -> cluster id, a synonym map a dict term -> synonyms. A term set twice
+in one map file is refused. The auxiliary vector has a fixed 154-entry layout:
 [abuse_presence, abuse_count, slang_presence, slang_count, cluster_hot[0..150)].
 """
 
@@ -8,8 +11,6 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,52 +91,33 @@ def _term(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """A set of lowercase terms, optionally length-filtered at load time."""
-
-    terms: frozenset[str]
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[str], min_length: int = 1) -> "Lexicon":
-        return cls(frozenset(t.lower() for t in terms if len(t) >= min_length))
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
+def _set_once(first_line: dict[str, int], term: str, lineno: int) -> str:
+    """term, refused when an earlier line of the same map set it: else the last line would win."""
+    if first_line.setdefault(term, lineno) != lineno:
+        raise ValueError(f"term {term!r} is set again (first set on line {first_line[term]})")
+    return term
 
 
-def load_lexicon(path, min_length: int = 1) -> Lexicon:
-    """Load a one-term-per-line lexicon; a term is one token, ``# ...`` lines are comments.
+def load_lexicon(path, min_length: int = 1) -> frozenset[str]:
+    """The lowercased terms of a one-term-per-line lexicon; ``# ...`` lines are comments.
 
     min_length drops shorter terms at load time (the drug-slang lexicon is
-    loaded with min_length=6, i.e. terms longer than five characters).
+    loaded with min_length=6, i.e. terms longer than five characters). A term
+    is one token; a repeated term is harmless, since a lexicon is a set.
     """
     def parse(line: str, lineno: int) -> str | None:
         line = line.strip()
         return None if _skipped(line) else _term(line)
-    return Lexicon.from_terms(read_lines(path, "lexicon", parse), min_length=min_length)
+    return frozenset(t.lower() for t in read_lines(path, "lexicon", parse) if len(t) >= min_length)
 
 
-@dataclass(frozen=True)
-class ClusterMap:
-    """term -> cluster id in [0, 150)."""
+def load_cluster_map(path) -> dict[str, int]:
+    """term -> cluster id in [0, 150), from ``term<TAB>cluster_id`` lines.
 
-    assignments: dict[str, int]
+    A term is one token, set on one line only (up to case); ``# ...`` lines are comments.
+    """
+    first_line: dict[str, int] = {}
 
-    def __post_init__(self):
-        for term, cid in self.assignments.items():
-            if not 0 <= cid < N_CLUSTERS:
-                raise ValueError(f"cluster id {cid} for {term!r} outside [0, {N_CLUSTERS})")
-
-    def get(self, term: str) -> int | None:
-        return self.assignments.get(term)
-
-
-def load_cluster_map(path) -> ClusterMap:
-    """Load ``term<TAB>cluster_id`` lines; a term is one token, ``# ...`` lines are comments."""
     def parse(line: str, lineno: int) -> tuple[str, int] | None:
         if _skipped(line):
             return None
@@ -145,58 +127,37 @@ def load_cluster_map(path) -> ClusterMap:
         cid = int(parts[1])
         if not 0 <= cid < N_CLUSTERS:
             raise ValueError(f"cluster id {cid} outside [0, {N_CLUSTERS})")
-        return _term(parts[0]).lower(), cid
-    return ClusterMap(dict(read_lines(path, "cluster map", parse)))
+        return _set_once(first_line, _term(parts[0]).lower(), lineno), cid
+    return dict(read_lines(path, "cluster map", parse))
 
 
-@dataclass(frozen=True)
-class SynonymMap:
-    """term -> synonyms; self-mappings are dropped at construction.
+def load_synonym_map(path) -> dict[str, tuple[str, ...]]:
+    """term -> its synonyms, from ``term<TAB>syn1,syn2,...`` lines; ``# ...`` lines are comments.
 
-    A synonym is appended to a token sequence, so it must be one token.
+    The term and each synonym are single tokens, and a term is set on one
+    line only (up to case). Both are lowercased; a synonym equal to its term
+    or to an earlier synonym is dropped, and so is a term with none left.
     """
+    first_line: dict[str, int] = {}
 
-    entries: dict[str, tuple[str, ...]]
-
-    @classmethod
-    def from_entries(cls, entries: dict[str, Sequence[str]]) -> "SynonymMap":
-        cleaned = {}
-        for term, syns in entries.items():
-            bad = next((s for s in syns if not is_token(s)), None)
-            if bad is not None:
-                raise ValueError(f"synonym {bad!r} of {term!r} is not a single token")
-            term = term.lower()
-            kept = tuple(dict.fromkeys(s.lower() for s in syns if s.lower() != term))
-            if kept:
-                cleaned[term] = kept
-        return cls(cleaned)
-
-    def get(self, term: str) -> tuple[str, ...]:
-        return self.entries.get(term, ())
-
-
-def load_synonym_map(path) -> SynonymMap:
-    """Load ``term<TAB>syn1,syn2,...`` lines; ``# ...`` lines are comments.
-
-    The term and each synonym are single tokens.
-    """
-    def parse(line: str, lineno: int) -> tuple[str, list[str]] | None:
+    def parse(line: str, lineno: int) -> tuple[str, tuple[str, ...]] | None:
         if _skipped(line):
             return None
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError("expected term<TAB>syn1,syn2,...")
-        term = _term(parts[0])
+        term = _term(parts[0]).lower()
         syns = [s for s in parts[1].split(",") if s]
         bad = next((s for s in syns if not is_token(s)), None)
         if bad is not None:
             raise ValueError(f"synonym {bad!r} is empty or holds whitespace; "
                              "synonyms are single tokens")
-        return term, syns
-    return SynonymMap.from_entries(dict(read_lines(path, "synonym map", parse)))
+        syns = tuple(dict.fromkeys(s.lower() for s in syns if s.lower() != term))
+        return _set_once(first_line, term, lineno), syns
+    return {term: syns for term, syns in read_lines(path, "synonym map", parse) if syns}
 
 
-def expand_synonyms(tokens: TokenSeq, synonyms: SynonymMap) -> TokenSeq:
+def expand_synonyms(tokens: TokenSeq, synonyms: dict[str, tuple[str, ...]]) -> TokenSeq:
     """Append synonyms of known tokens to the sequence.
 
     Original tokens come first; synonyms follow in first-occurrence order,
@@ -206,7 +167,7 @@ def expand_synonyms(tokens: TokenSeq, synonyms: SynonymMap) -> TokenSeq:
     seen = set(tokens)
     appended: TokenSeq = []
     for tok in tokens:
-        for syn in synonyms.get(tok):
+        for syn in synonyms.get(tok, ()):
             if len(appended) >= MAX_APPEND:
                 return tokens + appended
             if syn not in seen:
@@ -215,35 +176,23 @@ def expand_synonyms(tokens: TokenSeq, synonyms: SynonymMap) -> TokenSeq:
     return tokens + appended
 
 
-def lexicon_features(tokens: TokenSeq, abuse: Lexicon, slang: Lexicon) -> np.ndarray:
-    """[abuse presence, abuse count, slang presence, slang count].
+def aux_vector(tokens: TokenSeq, abuse: frozenset[str], slang: frozenset[str],
+               clusters: dict[str, int]) -> np.ndarray:
+    """The 154-entry auxiliary vector of a token sequence, in one pass.
 
-    Counts are raw token-hit multiplicities; presence is 1 iff count > 0.
+    [abuse presence, abuse count, slang presence, slang count] counts raw
+    token hits, presence being 1 iff the count is positive; cluster_hot[c]
+    is 1 iff some token is in cluster c.
     """
-    abuse_count = sum(1 for t in tokens if t in abuse)
-    slang_count = sum(1 for t in tokens if t in slang)
-    return np.array(
-        [float(abuse_count > 0), float(abuse_count), float(slang_count > 0), float(slang_count)]
-    )
-
-
-def cluster_features(tokens: TokenSeq, clusters: ClusterMap) -> np.ndarray:
-    """150-entry multi-hot presence vector over word clusters."""
-    vec = np.zeros(N_CLUSTERS)
+    vec = np.zeros(AUX_DIM)
+    abuse_count = slang_count = 0
     for tok in tokens:
+        abuse_count += tok in abuse
+        slang_count += tok in slang
         cid = clusters.get(tok)
         if cid is not None:
-            vec[cid] = 1.0
-    return vec
-
-
-def build_aux_vector(
-    tokens: TokenSeq, abuse: Lexicon, slang: Lexicon, clusters: ClusterMap
-) -> np.ndarray:
-    """Fixed-layout 154-entry auxiliary feature vector."""
-    vec = np.concatenate([lexicon_features(tokens, abuse, slang),
-                          cluster_features(tokens, clusters)])
-    assert vec.shape == (AUX_DIM,)
+            vec[4 + cid] = 1.0
+    vec[:4] = (abuse_count > 0, abuse_count, slang_count > 0, slang_count)
     return vec
 
 

@@ -16,6 +16,7 @@ from ssc.baselines import SparseRows, Tree
 from ssc.config import ExperimentConfig
 from ssc.embeddings import MAX_TOKENS, oov_vector
 from ssc.experiment import build_feature_context
+from ssc.features import N_CLUSTERS
 
 
 @functools.cache
@@ -33,6 +34,21 @@ def fixture_context(embed_dim):
     """A fresh FeatureContext, loaded by build_feature_context from the fixture files."""
     _, paths = _fixture_files(embed_dim)
     return build_feature_context(ExperimentConfig(**paths))
+
+
+def aux_vector_oracle(tokens, abuse, slang, clusters):
+    """features.aux_vector in three steps: the four lexicon entries, then the
+    150 cluster bits, then their concatenation."""
+    abuse_count = sum(1 for t in tokens if t in abuse)
+    slang_count = sum(1 for t in tokens if t in slang)
+    lexicon = np.array(
+        [float(abuse_count > 0), float(abuse_count), float(slang_count > 0), float(slang_count)])
+    cluster = np.zeros(N_CLUSTERS)
+    for tok in tokens:
+        cid = clusters.get(tok)
+        if cid is not None:
+            cluster[cid] = 1.0
+    return np.concatenate([lexicon, cluster])
 
 
 def conv1d_oracle(x, kernel, bias, padding="valid"):

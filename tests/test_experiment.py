@@ -315,17 +315,23 @@ def test_roster_encoder_encodes_what_the_kinds_read(kinds, word, char):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _fresh_interpreter_env(**overrides):
+    """This environment with overrides, and the directory holding the ssc under test first on PYTHONPATH."""
+    import ssc
+
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ssc.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 def test_golden_run_reproduces_checked_in_outputs(tmp_path):
     # tests/golden/run.py reruns the golden experiment in a fresh interpreter
     # at SSC_PRECISION=64 and PYTHONHASHSEED=0, with the directory holding the
     # ssc under test first on PYTHONPATH. Reports, per-fold CSVs and fold plans
     # must match byte for byte; checkpoint arrays match by their summaries.
-    import ssc
-
-    env = dict(os.environ, SSC_PRECISION="64", PYTHONHASHSEED="0")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(ssc.__file__).resolve().parents[1])]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = _fresh_interpreter_env(SSC_PRECISION="64", PYTHONHASHSEED="0")
     done = subprocess.run([sys.executable, str(GOLDEN / "run.py"), str(tmp_path)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -347,3 +353,73 @@ def test_golden_run_reproduces_checked_in_outputs(tmp_path):
     for g, w in zip(got, want):
         for a, b in zip(g[2:], w[2:]):
             assert math.isclose(float(a), float(b), rel_tol=1e-12), (g, w)
+
+
+# A dress rehearsal of the paper grid: its whole shape (five class ratios, six
+# folds, the twelve-member roster, 360 units) at tiny widths.
+REHEARSAL_CONFIG = """
+[paths]
+dataset = {root}/corpus.tsv
+abuse_lexicon = {root}/fix/abuse_terms.txt
+slang_lexicon = {root}/fix/drug_slang.txt
+cluster_map = {root}/fix/clusters.tsv
+synonym_map = {root}/fix/synonyms.tsv
+embeddings = {root}/fix/embeddings.txt
+
+[experiment]
+scenarios = 50:50:140:30,40:60:110:20,30:70:100:20,20:80:90:20,10:90:80:20
+folds = 6
+
+[training]
+epochs = 1
+batch_size = 16
+filters = 2
+char_kernels = 2,3
+char_embed_dim = 4
+
+[baselines]
+rf_trees = 5
+"""
+REHEARSAL_SCENARIOS = ["50:50", "40:60", "30:70", "20:80", "10:90"]
+REHEARSAL_TAGS = [s.replace(":", "-") for s in REHEARSAL_SCENARIOS]
+
+
+def test_paper_grid_rehearsal_identical_at_two_and_one_jobs(tmp_path):
+    # Each run is `python -m ssc.cli experiment` in a fresh interpreter on one
+    # BLAS thread, so that two members in two threads do not oversubscribe a 2-core box.
+    assert main(["dataset", "synth", "--positives", "200", "--negatives", "400", "--seed", "1",
+                 "--embed-dim", "8", "--output", str(tmp_path / "corpus.tsv"),
+                 "--fixtures", str(tmp_path / "fix")]) == 0
+    (tmp_path / "grid.conf").write_text(REHEARSAL_CONFIG.format(root=tmp_path.as_posix()))
+    env = _fresh_interpreter_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                                 MKL_NUM_THREADS="1")
+    models_ = ["ensemble_cnn", "ensemble_ml", *KINDS]
+    measures = ["accuracy", "precision_p", "recall_p", "f1_p"]
+    outputs = []
+    for jobs in ("2", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        done = subprocess.run([sys.executable, "-m", "ssc.cli", "experiment", "--config",
+                               str(tmp_path / "grid.conf"), "--jobs", jobs, "--output", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and "error" not in done.stderr, done.stderr
+        assert not (out / "failures.txt").exists()
+        assert sorted(p.name for p in (out / "fold_plans").iterdir()) == sorted(
+            f"scenario_{tag}.folds" for tag in REHEARSAL_TAGS)
+        assert sorted(p.name for p in (out / "per_fold").iterdir()) == sorted(
+            f"{tag}.csv" for tag in REHEARSAL_TAGS)
+        for tag in REHEARSAL_TAGS:
+            rows = (out / "per_fold" / f"{tag}.csv").read_text().splitlines()[1:]
+            assert Counter(row.rsplit(",", 1)[1] for row in rows) == {str(f): 14 for f in range(6)}
+        report = (out / "report.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in report[1:]] == [
+            f"{s},{m},{measure}" for s in REHEARSAL_SCENARIOS for m in models_
+            for measure in measures]
+        assert all(0.0 <= float(line.rsplit(",", 1)[1]) <= 1.0 for line in report[1:])
+        assert len(list(out.glob("checkpoints/**/*.ckpt"))) == 360
+        outputs.append(out)
+    compared = ["report.csv", *(p.relative_to(outputs[0]).as_posix() for pattern in
+                                ("per_fold/*.csv", "checkpoints/**/*.ckpt")
+                                for p in sorted(outputs[0].glob(pattern)))]
+    assert len(compared) == 1 + 5 + 360
+    for name in compared:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
