@@ -1,4 +1,8 @@
-"""Inter-annotator reliability: Krippendorff's alpha and Cohen's kappa."""
+"""Inter-annotator reliability: Krippendorff's alpha and Cohen's kappa.
+
+Alpha reads annotations as load_annotations returns them, a dict of item
+id -> ((annotator id, label), ...); kappa reads two raters' paired labels.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationSet
 
-
-def krippendorff_alpha(ann: AnnotationSet) -> float | None:
+def krippendorff_alpha(annotations: dict[str, tuple[tuple[str, int], ...]]) -> float | None:
     """Nominal-data alpha via the coincidence-matrix formulation.
 
     Items with fewer than two annotations are excluded. Returns None when
@@ -17,7 +19,7 @@ def krippendorff_alpha(ann: AnnotationSet) -> float | None:
     perfect agreement.
     """
     units = [np.array([label for _, label in anns])
-             for anns in ann.entries.values() if len(anns) >= 2]
+             for anns in annotations.values() if len(anns) >= 2]
     if not units:
         return None
 

@@ -92,6 +92,15 @@ def _probability(text: str) -> float:
     return value
 
 
+def _annotator_pair(text: str) -> tuple[str, str]:
+    """Argparse type of --kappa: two distinct, non-empty annotator ids, comma-separated."""
+    ids = text.split(",")
+    if len(ids) != 2 or not all(ids) or ids[0] == ids[1]:
+        raise argparse.ArgumentTypeError(
+            f"must be two distinct annotator ids, e.g. a1,a2, not {text!r}")
+    return ids[0], ids[1]
+
+
 def _ratio(text: str) -> tuple[int, int]:
     pos, _, neg = text.partition(":")
     if not (pos.isdecimal() and neg.isdecimal()):
@@ -117,17 +126,16 @@ def cmd_dataset(args) -> int:
         print(f"removed {removed} duplicates, kept {len(deduped)}")
         return 0
     if args.action == "aggregate":
-        ann = load_annotations(args.annotations)
-        result = aggregate_labels(ann)
+        labels, rejected = aggregate_labels(load_annotations(args.annotations))
         ds = load_dataset(args.input)
         labeled = []
         for t in ds:
-            label = result.labels.get(t.id, t.label)
+            label = labels.get(t.id, t.label)
             labeled.append(Tweet(t.id, t.text, label))
         save_dataset(Dataset(labeled), args.output)
-        print(f"aggregated {len(result.labels)} labels")
-        if result.rejected:
-            for item_id, reason in result.rejected.items():
+        print(f"aggregated {len(labels)} labels")
+        if rejected:
+            for item_id, reason in rejected.items():
                 print(f"rejected {item_id}: {reason}", file=sys.stderr)
             return 1
         return 0
@@ -230,16 +238,16 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_agreement(args) -> int:
-    ann = load_annotations(args.annotations)
-    alpha = krippendorff_alpha(ann)
+    annotations = load_annotations(args.annotations)
+    alpha = krippendorff_alpha(annotations)
     if alpha is None:
         print("alpha=not computable (no pairable values)")
     else:
         print(f"alpha={alpha:.6f}")
     if args.kappa:
-        a_id, _, b_id = args.kappa.partition(",")
+        a_id, b_id = args.kappa
         a, b = [], []
-        for anns in ann.entries.values():
+        for anns in annotations.values():
             by = dict(anns)
             if a_id in by and b_id in by:
                 a.append(by[a_id])
@@ -351,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ag = sub.add_parser("agreement", help="annotation reliability statistics")
     ag.add_argument("--annotations", required=True)
-    ag.add_argument("--kappa", help="two annotator ids, comma-separated")
+    ag.add_argument("--kappa", type=_annotator_pair,
+                    help="two distinct annotator ids, comma-separated")
     ag.set_defaults(func=cmd_agreement)
 
     pf = sub.add_parser("prefilter", help="confidently machine-labeled sample")

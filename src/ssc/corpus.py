@@ -1,8 +1,10 @@
 """Dataset ingestion, annotation aggregation, deduplication, and resampling.
 
 Text items are immutable records with a string id and an optional binary
-label (1 = positive, 0 = negative). All file formats are line-oriented,
-tab-separated UTF-8 so they diff cleanly and round-trip exactly.
+label (1 = positive, 0 = negative). Annotations are a plain dict of item id
+-> ((annotator id, label), ...), checked once by load_annotations. All file
+formats are line-oriented, tab-separated UTF-8 so they diff cleanly and
+round-trip exactly.
 
 Every line-oriented input file of ssc, the config, lexicons, maps and
 embeddings included, is read by read_lines: a malformed file is refused
@@ -163,26 +165,12 @@ def save_dataset(dataset: Dataset, path) -> None:
 # Annotations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnotationSet:
-    """Per-item annotations: item id -> ((annotator id, label), ...)."""
+def load_annotations(path) -> dict[str, tuple[tuple[str, int], ...]]:
+    """Parse ``item_id<TAB>annotator_id<TAB>label`` lines: item id -> ((annotator, label), ...).
 
-    entries: dict[str, tuple[tuple[str, int], ...]]
-
-    def __post_init__(self):
-        for item_id, anns in self.entries.items():
-            if len(anns) < 1:
-                raise CorpusError(f"item {item_id!r}: needs at least one annotation")
-            annotators = [a for a, _ in anns]
-            if len(set(annotators)) != len(annotators):
-                raise CorpusError(f"item {item_id!r}: duplicate annotator")
-            for _, label in anns:
-                if label not in (NEGATIVE, POSITIVE):
-                    raise CorpusError(f"item {item_id!r}: label must be 0 or 1")
-
-
-def load_annotations(path) -> AnnotationSet:
-    """Parse ``item_id<TAB>annotator_id<TAB>label`` lines."""
+    Ids are non-empty, labels 0 or 1, and an item's annotators distinct; a
+    line that breaks one of these is refused with its line number.
+    """
     entries: dict[str, list[tuple[str, int]]] = {}
 
     def parse(line: str, lineno: int) -> None:
@@ -190,32 +178,29 @@ def load_annotations(path) -> AnnotationSet:
         if len(parts) != 3:
             raise ValueError("expected item_id<TAB>annotator_id<TAB>label")
         item_id, annotator, label_tok = parts
+        if not item_id:
+            raise ValueError("empty item id")
+        if not annotator:
+            raise ValueError("empty annotator id")
         if label_tok not in ("0", "1"):
             raise ValueError(f"invalid label {label_tok!r}")
         if any(a == annotator for a, _ in entries.get(item_id, [])):
             raise ValueError(f"duplicate annotator {annotator!r} for item {item_id!r}")
         entries.setdefault(item_id, []).append((annotator, int(label_tok)))
     read_lines(path, "annotation", parse, CorpusError)
-    return AnnotationSet({k: tuple(v) for k, v in entries.items()})
+    return {k: tuple(v) for k, v in entries.items()}
 
 
-@dataclass(frozen=True)
-class AggregationResult:
-    """Majority-vote labels plus the items that could not be aggregated."""
-
-    labels: dict[str, int]
-    rejected: dict[str, str]  # item id -> reason
-
-
-def aggregate_labels(ann: AnnotationSet) -> AggregationResult:
-    """Aggregate each item's annotations by strict majority vote.
+def aggregate_labels(annotations: dict[str, tuple[tuple[str, int], ...]]
+                     ) -> tuple[dict[str, int], dict[str, str]]:
+    """Aggregate each item's annotations by strict majority vote: (labels, rejected).
 
     Items with fewer than 3 annotations or an even number of annotations are
-    rejected (listed with a reason) rather than guessed.
+    rejected (item id -> reason) rather than guessed.
     """
     labels: dict[str, int] = {}
     rejected: dict[str, str] = {}
-    for item_id, anns in ann.entries.items():
+    for item_id, anns in annotations.items():
         n = len(anns)
         if n < 3:
             rejected[item_id] = f"needs at least 3 annotations, got {n}"
@@ -225,7 +210,7 @@ def aggregate_labels(ann: AnnotationSet) -> AggregationResult:
             continue
         votes = sum(label for _, label in anns)
         labels[item_id] = POSITIVE if votes * 2 > n else NEGATIVE
-    return AggregationResult(labels, rejected)
+    return labels, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +421,7 @@ def load_fold_plan(path) -> FoldPlan:
         slot[0 if role == "train" else 1].append(item_id)
     read_lines(path, "fold plan", parse, CorpusError)
     if not by_fold or sorted(by_fold) != list(range(len(by_fold))):
-        raise CorpusError("fold plan file: fold indices must be 0..k-1")
+        raise CorpusError(f"malformed fold plan file {path}: fold indices must be 0..k-1")
 
     folds = tuple(
         (tuple(by_fold[i][0]), tuple(by_fold[i][1])) for i in range(len(by_fold))

@@ -1,14 +1,16 @@
 """Pretrained word-embedding tables and the word ids of encoded texts.
 
-A text's first MAX_TOKENS tokens become ids of rows in one matrix per set:
-a token's table vector, or a deterministic pseudo-random vector for a
-token the table lacks; row 0 is zeros and pads after the last token.
+An embedding table is a plain dict of word -> 1-D vector, in file order,
+every vector of one length; load_embeddings checks this once where the file
+is read, and save_embeddings where one is written. A text's first
+MAX_TOKENS tokens become ids of rows in one matrix per set: a token's table
+vector, or a deterministic pseudo-random vector for a token the table
+lacks; row 0 is zeros and pads after the last token.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,35 +24,15 @@ class EmbeddingError(ValueError):
     """Malformed embedding file."""
 
 
-@dataclass
-class EmbeddingTable:
-    """term -> dense vector, all of length dim."""
-
-    dim: int
-    vectors: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        if not self.vectors:
-            raise EmbeddingError("embedding table must not be empty")
-        for term, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise EmbeddingError(f"vector for {term!r} has length {vec.shape}, expected {self.dim}")
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def load_embeddings(path) -> EmbeddingTable:
-    """Load a whitespace-separated text embedding file.
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """Load a whitespace-separated text embedding file as word -> vector, in file order.
 
     An optional header line ``V D`` (two integers) is accepted; data lines are
     ``word v1 ... vD``. The width D is the header's, or else the first data
     line's. A line of another width or with no components, a duplicate word
     and a non-numeric or non-finite (nan, inf, 1e999) component are refused
-    with their line numbers.
+    with their line numbers; a file with no word, or with another word count
+    than its header declares, is refused naming the file.
     """
     vectors: dict[str, np.ndarray] = {}
     declared_count = dim = width_from = None
@@ -83,31 +65,41 @@ def load_embeddings(path) -> EmbeddingTable:
             raise ValueError(f"non-finite component {comps[np.argmin(finite)]!r} for {word!r}")
         vectors[word] = vec
     read_lines(path, "embeddings", parse, EmbeddingError)
+    if not vectors:
+        raise EmbeddingError(f"malformed embeddings file {path}: it holds no word")
     if declared_count is not None and declared_count != len(vectors):
-        raise EmbeddingError(
-            f"header declares {declared_count} words but file contains {len(vectors)}"
-        )
-    return EmbeddingTable(dim, vectors)
+        raise EmbeddingError(f"malformed embeddings file {path}: header declares "
+                             f"{declared_count} words but file contains {len(vectors)}")
+    return vectors
 
 
-def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Write a table, with its ``V D`` header, in the format load_embeddings reads.
+def save_embeddings(vectors: dict[str, np.ndarray], path) -> None:
+    """Write word -> vector, with its ``V D`` header, in the format load_embeddings reads.
 
-    A word is the first whitespace-separated field of its line, so a word
-    that is empty or holds whitespace is refused: it would not read back.
-    Nor would a non-finite component, which is refused too.
+    Whatever would not read back is refused: an empty mapping, vectors that
+    are not all 1-D of one non-zero length, a word that is empty or holds
+    whitespace (a word is the first whitespace-separated field of its line)
+    and a non-finite component.
     """
-    bad = next((w for w in table.vectors if not is_token(w)), None)
+    if not vectors:
+        raise EmbeddingError("refusing to save an empty table: a file with no word does not load")
+    first = next(iter(vectors.values()))
+    shape = first.shape if first.ndim == 1 and len(first) else None
+    bad = next((w for w, vec in vectors.items() if vec.shape != shape), None)
+    if bad is not None:
+        raise EmbeddingError(f"refusing to save the vector of {bad!r}: its shape is "
+                             f"{vectors[bad].shape}, and all must be 1-D of one non-zero length")
+    bad = next((w for w in vectors if not is_token(w)), None)
     if bad is not None:
         raise EmbeddingError(f"refusing to save the word {bad!r}: "
                              "a word must be one non-empty token without whitespace")
-    bad = next((w for w, vec in table.vectors.items() if not np.isfinite(vec).all()), None)
+    bad = next((w for w, vec in vectors.items() if not np.isfinite(vec).all()), None)
     if bad is not None:
         raise EmbeddingError(f"refusing to save the vector of {bad!r}: "
                              "its components must be finite")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(table.vectors)} {table.dim}\n")
-        for word, vec in table.vectors.items():
+        fh.write(f"{len(vectors)} {len(first)}\n")
+        for word, vec in vectors.items():
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 
@@ -124,7 +116,7 @@ def oov_vector(token: str, dim: int) -> np.ndarray:
     return vec / peak if peak > 0 else vec
 
 
-def encode_words(texts: list[TokenSeq], table: EmbeddingTable,
+def encode_words(texts: list[TokenSeq], vectors: dict[str, np.ndarray],
                  dtype) -> tuple[np.ndarray, np.ndarray]:
     """(N, MAX_TOKENS) ids of the texts' first tokens, and the (U, dim) rows they index."""
     ids = np.zeros((len(texts), MAX_TOKENS), dtype=np.int32)
@@ -132,6 +124,7 @@ def encode_words(texts: list[TokenSeq], table: EmbeddingTable,
     for i, tokens in enumerate(texts):
         row_ids = [rows.setdefault(tok, len(rows) + 1) for tok in tokens[:MAX_TOKENS]]
         ids[i, :len(row_ids)] = row_ids
-    vectors = [np.zeros(table.dim)]
-    vectors += [table.vectors[w] if w in table else oov_vector(w, table.dim) for w in rows]
-    return ids, np.array(vectors, dtype=dtype)
+    dim = len(next(iter(vectors.values())))
+    matrix = [np.zeros(dim)]
+    matrix += [vectors[w] if w in vectors else oov_vector(w, dim) for w in rows]
+    return ids, np.array(matrix, dtype=dtype)

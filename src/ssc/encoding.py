@@ -1,8 +1,8 @@
 """Bridge from datasets to the numeric arrays the models consume; the member kinds and rosters.
 
 A FeatureContext holds the feature resources as the plain containers that
-their loaders in features return (a frozenset and two dicts, checked once
-when read), plus the embedding table.
+their loaders return, each checked once when read: a frozenset and two
+dicts from features, and the word -> vector dict from embeddings (or None).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import features
 from .corpus import Dataset
-from .embeddings import EmbeddingTable, encode_words
+from .embeddings import encode_words
 from .features import TokenSeq
 from .nn import default_dtype
 
@@ -84,7 +84,7 @@ class FeatureContext:
     slang: frozenset[str]
     clusters: dict[str, int]
     synonyms: dict[str, tuple[str, ...]]
-    table: EmbeddingTable | None = None
+    table: dict[str, np.ndarray] | None = None  # word -> vector, as load_embeddings returns
 
 
 def encode_dataset(

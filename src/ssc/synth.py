@@ -4,9 +4,10 @@ Positive texts are first-person drug-use messages; negative texts are news,
 research, opinion, third-party mentions, and off-topic chatter. The two
 classes deliberately share vocabulary (drug names appear on both sides) so
 classifiers must use context, not just keyword presence. write_fixture_files
-writes the lexicons, cluster map, synonym map and random embedding table (over
-the template vocabulary) that the full feature pipeline reads; they exist only
-as files, which runs and tests load through experiment.build_feature_context.
+writes the lexicons, cluster map, synonym map and random embedding table (a
+word -> vector dict over the template vocabulary) that the full feature
+pipeline reads; they exist only as files, which runs and tests load through
+experiment.build_feature_context.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Dataset, Tweet
-from .embeddings import EmbeddingTable, save_embeddings
+from .embeddings import save_embeddings
 from .features import N_CLUSTERS, tokenize
 
 # Drug terms appear in both classes.
@@ -212,14 +213,14 @@ def vocabulary() -> list[str]:
     return list(vocab)
 
 
-def build_embedding_table(dim: int = 50, seed: int = 0) -> EmbeddingTable:
-    """Random unit-max-norm vectors over the template vocabulary."""
+def build_embedding_table(dim: int = 50, seed: int = 0) -> dict[str, np.ndarray]:
+    """Random unit-max-norm vectors over the template vocabulary, word -> vector."""
     rng = np.random.default_rng(seed)
     vectors = {}
     for word in vocabulary():
         v = rng.uniform(-1.0, 1.0, dim)
         vectors[word] = v / np.abs(v).max()
-    return EmbeddingTable(dim, vectors)
+    return vectors
 
 
 def write_fixture_files(directory, embed_dim: int = 50, seed: int = 0) -> dict[str, Path]:

@@ -96,11 +96,12 @@ def char_branch_composition(table, idx, kernel, bias):
 def embed_words(tokens, table, dtype=np.float64):
     """A text's (40, dim) word matrix, row by row: the table vector of each of
     the first 40 tokens, else its out-of-vocabulary vector; zero rows after."""
-    out = np.zeros((MAX_TOKENS, table.dim), dtype=dtype)
+    dim = len(next(iter(table.values())))
+    out = np.zeros((MAX_TOKENS, dim), dtype=dtype)
     for i, tok in enumerate(tokens[:MAX_TOKENS]):
-        vec = table.vectors.get(tok)
+        vec = table.get(tok)
         if vec is None:
-            vec = oov_vector(tok, table.dim)
+            vec = oov_vector(tok, dim)
         out[i] = vec
     return out
 

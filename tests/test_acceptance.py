@@ -16,7 +16,7 @@ from conftest import (char_branch_composition, central_difference, conv1d_oracle
                       fixture_context, max_relative_error, maxpool1d_oracle)
 from ssc import baselines, models, nn, synth
 from ssc.agreement import cohen_kappa, krippendorff_alpha
-from ssc.corpus import AnnotationSet, ScenarioPlan, make_folds, make_scenario, save_dataset
+from ssc.corpus import ScenarioPlan, make_folds, make_scenario, save_dataset
 from ssc.config import load_config
 from ssc.encoding import EncodedSet, encode_dataset
 from ssc.ensemble import vote
@@ -312,16 +312,14 @@ def test_criterion_4_agreement():
     rng = np.random.default_rng(1004)
     for _ in range(100):
         entries = random_annotations(rng, n_items=int(rng.integers(2, 51)))
-        ann = AnnotationSet(entries)
         expected = alpha_pairwise_oracle(entries)
-        got = krippendorff_alpha(ann)
+        got = krippendorff_alpha(entries)
         if expected is None:
             assert got is None
         else:
             assert abs(got - expected) < 1e-12
 
-    perfect = AnnotationSet({f"i{k}": tuple((f"a{j}", k % 2) for j in range(3))
-                             for k in range(10)})
+    perfect = {f"i{k}": tuple((f"a{j}", k % 2) for j in range(3)) for k in range(10)}
     assert krippendorff_alpha(perfect) == 1.0
     assert cohen_kappa([1, 1, 0, 0], [1, 0, 0, 0]) == pytest.approx(0.5, abs=1e-12)
     report(4, "alpha matches the coincidence-matrix oracle on 100 random "

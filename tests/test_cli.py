@@ -428,6 +428,23 @@ class TestModelCommands:
         assert "word_aux has embed_dim 8, but its word vectors are 16 wide" in err
         assert "the config's embeddings file sets that width" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\ncat 1 2\n", "header declares 3 words but file contains 1"),
+        ("0 5\n", "it holds no word"),
+    ])
+    def test_train_names_the_refused_embeddings_file(self, workspace, tmp_path, capsys,
+                                                     text, message):
+        (tmp_path / "emb.txt").write_text(text)
+        conf = tmp_path / "emb.conf"
+        conf.write_text((workspace / "exp.conf").read_text().replace(
+            f"{workspace}/fix/embeddings.txt", f"{tmp_path}/emb.txt"))
+        assert main(["train", "--config", str(conf), "--kind", "word_aux",
+                     "--train-data", str(workspace / "corpus.tsv"),
+                     "--output", str(tmp_path / "word.ckpt")]) == 1
+        assert (capsys.readouterr().err
+                == f"error: malformed embeddings file {tmp_path}/emb.txt: {message}\n")
+        assert not (tmp_path / "word.ckpt").exists()
+
     def test_train_word_member_without_embeddings_fails(self, workspace, tmp_path, capsys):
         conf = tmp_path / "no_embeddings.conf"
         lines = (workspace / "exp.conf").read_text().splitlines()
@@ -499,6 +516,17 @@ class TestModelCommands:
                      "--kappa", "a,b"]) == 0
         out = capsys.readouterr().out
         assert "alpha=" in out and "kappa[a,b]=" in out
+
+    @pytest.mark.parametrize("pair", ["a,a", "a", "a,b,c", ",b", "a,", ""])
+    def test_kappa_not_two_distinct_ids_refused_by_the_parser(self, tmp_path, capsys, pair):
+        (tmp_path / "ann.tsv").write_text("t1\ta\t1\nt1\tb\t1\nt2\ta\t0\nt2\tb\t1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["agreement", "--annotations", str(tmp_path / "ann.tsv"), "--kappa", pair])
+        assert exit_info.value.code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"--kappa: must be two distinct annotator ids, e.g. a1,a2, not {pair!r}"
+                in captured.err)
 
     def test_missing_file_errors(self, capsys):
         assert main(["dataset", "validate", "--input", "/no/such.tsv"]) == 1

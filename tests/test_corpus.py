@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ssc.config import ConfigFileError, load_config
 from ssc.corpus import (
     MAX_BAD_LINES,
-    AnnotationSet,
     CorpusError,
     Dataset,
     FoldPlan,
@@ -123,34 +122,30 @@ class TestTweetInvariants:
 
 class TestAggregate:
     def test_two_of_three_majority(self):
-        ann = AnnotationSet({"t": (("a", 1), ("b", 1), ("c", 0))})
-        assert aggregate_labels(ann).labels == {"t": 1}
+        assert aggregate_labels({"t": (("a", 1), ("b", 1), ("c", 0))}) == ({"t": 1}, {})
 
     def test_unanimous_negative(self):
-        ann = AnnotationSet({"t": (("a", 0), ("b", 0), ("c", 0))})
-        assert aggregate_labels(ann).labels == {"t": 0}
+        assert aggregate_labels({"t": (("a", 0), ("b", 0), ("c", 0))}) == ({"t": 0}, {})
 
     def test_two_annotations_rejected(self):
-        ann = AnnotationSet({"t": (("a", 1), ("b", 0))})
-        result = aggregate_labels(ann)
-        assert "t" in result.rejected and not result.labels
+        labels, rejected = aggregate_labels({"t": (("a", 1), ("b", 0))})
+        assert "t" in rejected and not labels
 
     def test_even_count_rejected(self):
-        ann = AnnotationSet({"t": (("a", 1), ("b", 1), ("c", 0), ("d", 0))})
-        assert "t" in aggregate_labels(ann).rejected
+        _, rejected = aggregate_labels({"t": (("a", 1), ("b", 1), ("c", 0), ("d", 0))})
+        assert "t" in rejected
 
     @given(st.lists(st.sampled_from([0, 1]), min_size=3, max_size=9).filter(
         lambda v: len(v) % 2 == 1))
     def test_permutation_invariance(self, labels):
-        base = AnnotationSet({"t": tuple((f"a{i}", l) for i, l in enumerate(labels))})
-        flipped = AnnotationSet({"t": tuple((f"a{i}", l) for i, l in
-                                            enumerate(reversed(labels)))})
-        assert aggregate_labels(base).labels == aggregate_labels(flipped).labels
+        base = {"t": tuple((f"a{i}", l) for i, l in enumerate(labels))}
+        flipped = {"t": tuple((f"a{i}", l) for i, l in enumerate(reversed(labels)))}
+        assert aggregate_labels(base) == aggregate_labels(flipped)
 
     def test_load_annotations(self, tmp_path):
-        p = write(tmp_path, "ann.tsv", "t1\tw1\t1\nt1\tw2\t0\nt1\tw3\t1\n")
-        ann = load_annotations(p)
-        assert ann.entries["t1"] == (("w1", 1), ("w2", 0), ("w3", 1))
+        p = write(tmp_path, "ann.tsv", "t1\tw1\t1\nt1\tw2\t0\nt2\tw1\t0\nt1\tw3\t1\n")
+        assert load_annotations(p) == {"t1": (("w1", 1), ("w2", 0), ("w3", 1)),
+                                       "t2": (("w1", 0),)}
 
     def test_load_annotations_duplicate_annotator(self, tmp_path):
         p = write(tmp_path, "ann.tsv", "t1\tw1\t1\nt1\tw1\t0\n")
@@ -312,6 +307,13 @@ class TestMakeFolds:
         with pytest.raises(CorpusError, match="line 2: invalid fold index"):
             load_fold_plan(p)
 
+    @pytest.mark.parametrize("text", ["", "1\ttrain\ta\n", "0\ttest\ta\n2\ttest\tb\n"])
+    def test_fold_indices_not_0_to_k_minus_1_refused_naming_the_file(self, tmp_path, text):
+        p = write(tmp_path, "plan.folds", text)
+        with pytest.raises(CorpusError) as exc:
+            load_fold_plan(p)
+        assert str(exc.value) == f"malformed fold plan file {p}: fold indices must be 0..k-1"
+
     def test_fold_datasets_resolves_ids(self):
         pool = labeled_pool(60, 60)
         plan = ScenarioPlan((50, 50), 40, 20, seed=11)
@@ -335,6 +337,17 @@ READERS = {
     "synonym map": (load_synonym_map, ValueError, "happy\tglad", "weed\tmary jane"),
     "embeddings": (load_embeddings, EmbeddingError, "cat 1 2", "dog"),
 }
+
+
+@pytest.mark.parametrize("line, message", [("\ta1\t1", "empty item id"),
+                                           ("x\t\t0", "empty annotator id"),
+                                           ("\t\t1", "empty item id")])
+def test_annotation_with_an_empty_id_refused_with_its_line(tmp_path, line, message):
+    # A dataset refuses an empty item id too, so such a label could never be applied.
+    p = write(tmp_path, "ann.tsv", f"a\tw1\t1\n{line}\n")
+    with pytest.raises(CorpusError) as exc:
+        load_annotations(p)
+    assert str(exc.value).splitlines() == [f"malformed annotation file {p}:", f"line 2: {message}"]
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

@@ -11,7 +11,6 @@ from conftest import embed_words, fixture_context
 from ssc import embeddings, nn, synth
 from ssc.embeddings import (
     EmbeddingError,
-    EmbeddingTable,
     encode_words,
     load_embeddings,
     oov_vector,
@@ -27,8 +26,9 @@ def test_load_fixture(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text(FIXTURE)
     table = load_embeddings(p)
-    assert len(table) == 3 and table.dim == 4
-    assert np.allclose(table.vectors["dog"], [-1.0, 0.0, 0.5, 2.0])
+    assert list(table) == ["cat", "dog", "fish"]
+    assert all(vec.shape == (4,) for vec in table.values())
+    assert np.allclose(table["dog"], [-1.0, 0.0, 0.5, 2.0])
 
 
 def test_header_accepted(tmp_path):
@@ -45,11 +45,15 @@ def test_header_dim_mismatch(tmp_path):
         load_embeddings(p)
 
 
-def test_header_count_mismatch(tmp_path):
+@pytest.mark.parametrize("text, declared, found", [("7 4\n" + FIXTURE, 7, 3),
+                                                  ("3 2\ncat 1 2\n", 3, 1)])
+def test_header_count_mismatch_names_the_file(tmp_path, text, declared, found):
     p = tmp_path / "emb.txt"
-    p.write_text("7 4\n" + FIXTURE)
-    with pytest.raises(EmbeddingError, match="declares 7"):
+    p.write_text(text)
+    with pytest.raises(EmbeddingError) as exc:
         load_embeddings(p)
+    assert str(exc.value) == (f"malformed embeddings file {p}: header declares {declared} "
+                              f"words but file contains {found}")
 
 
 def test_non_ascii_digit_header_names_line_number(tmp_path):
@@ -100,19 +104,45 @@ def test_non_finite_component_names_line_and_word(tmp_path, component):
         load_embeddings(p)
 
 
-def test_empty_table_rejected():
-    with pytest.raises(EmbeddingError):
-        EmbeddingTable(4, {})
+@pytest.mark.parametrize("text", ["", "\n\n", "0 5\n", "3 2\n"])
+def test_file_with_no_word_refused_naming_the_file(tmp_path, text):
+    p = tmp_path / "emb.txt"
+    p.write_text(text)
+    with pytest.raises(EmbeddingError) as exc:
+        load_embeddings(p)
+    assert str(exc.value) == f"malformed embeddings file {p}: it holds no word"
+
+
+def test_save_refuses_an_empty_table(tmp_path):
+    p = tmp_path / "emb.txt"
+    with pytest.raises(EmbeddingError, match="empty table"):
+        save_embeddings({}, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("vectors, word", [
+    ({"ok": np.array([1.0, 2.0]), "weed": np.array([1.0, 2.0, 3.0])}, "weed"),
+    ({"ok": np.array([1.0, 2.0]), "weed": np.array([[1.0, 2.0]])}, "weed"),
+    ({"ok": np.array([[1.0, 2.0]]), "weed": np.array([[1.0, 2.0]])}, "ok"),
+    ({"ok": np.array(1.0)}, "ok"),
+    ({"ok": np.array([])}, "ok"),
+])
+def test_save_refuses_vectors_not_all_1d_of_one_length(tmp_path, vectors, word):
+    # Each would write a file that load_embeddings refuses.
+    p = tmp_path / "emb.txt"
+    with pytest.raises(EmbeddingError, match=f"vector of '{word}': its shape is"):
+        save_embeddings(vectors, p)
+    assert not p.exists()
 
 
 def test_save_load_round_trip(tmp_path):
-    table = EmbeddingTable(3, {"a": np.array([0.25, -1.5, 3.0]),
-                               "b": np.array([1e-8, 2.0, -0.125])})
+    table = {"a": np.array([0.25, -1.5, 3.0]), "b": np.array([1e-8, 2.0, -0.125])}
     p = tmp_path / "emb.txt"
     save_embeddings(table, p)
     loaded = load_embeddings(p)
-    for word in table.vectors:
-        assert np.array_equal(loaded.vectors[word], table.vectors[word])
+    assert list(loaded) == list(table)
+    for word in table:
+        assert np.array_equal(loaded[word], table[word])
 
 
 # Any word save_embeddings accepts, any width, any finite components; the
@@ -124,7 +154,7 @@ def test_save_load_round_trip_property(dim, header, data):
                                .filter(is_token), min_size=1, max_size=6, unique=True))
     components = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                           min_size=dim, max_size=dim)
-    table = EmbeddingTable(dim, {w: np.array(data.draw(components)) for w in words})
+    table = {w: np.array(data.draw(components)) for w in words}
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "emb.txt"
         save_embeddings(table, p)
@@ -132,14 +162,14 @@ def test_save_load_round_trip_property(dim, header, data):
             lines = p.read_text(encoding="utf-8").split("\n")
             p.write_text("\n".join(lines[1:]), encoding="utf-8")
         loaded = load_embeddings(p)
-    assert loaded.dim == dim and list(loaded.vectors) == words
+    assert list(loaded) == words
     for word in words:
-        assert np.array_equal(loaded.vectors[word], table.vectors[word])
+        assert loaded[word].shape == (dim,) and np.array_equal(loaded[word], table[word])
 
 
 @pytest.mark.parametrize("word", ["a\xa0b", "a b", "a\tb", "", "\u2028"])
 def test_save_refuses_word_that_would_not_read_back(tmp_path, word):
-    table = EmbeddingTable(2, {"ok": np.array([1.0, 2.0]), word: np.array([3.0, 4.0])})
+    table = {"ok": np.array([1.0, 2.0]), word: np.array([3.0, 4.0])}
     p = tmp_path / "emb.txt"
     with pytest.raises(EmbeddingError, match=re.escape(f"word {word!r}")):
         save_embeddings(table, p)
@@ -148,7 +178,7 @@ def test_save_refuses_word_that_would_not_read_back(tmp_path, word):
 
 @pytest.mark.parametrize("component", [np.nan, np.inf, -np.inf])
 def test_save_refuses_non_finite_component(tmp_path, component):
-    table = EmbeddingTable(2, {"ok": np.array([1.0, 2.0]), "weed": np.array([3.0, component])})
+    table = {"ok": np.array([1.0, 2.0]), "weed": np.array([3.0, component])}
     p = tmp_path / "emb.txt"
     with pytest.raises(EmbeddingError, match="vector of 'weed'"):
         save_embeddings(table, p)
@@ -158,8 +188,7 @@ def test_save_refuses_non_finite_component(tmp_path, component):
 class TestEmbedWords:
     """A text's word rows, gathered from the ids and vectors encode_words returns."""
 
-    TABLE = EmbeddingTable(4, {"cat": np.array([0.1, 0.2, 0.3, 0.4]),
-                               "dog": np.array([-1.0, 0.0, 0.5, 2.0])})
+    TABLE = {"cat": np.array([0.1, 0.2, 0.3, 0.4]), "dog": np.array([-1.0, 0.0, 0.5, 2.0])}
 
     def embed(self, tokens, dtype=np.float64):
         ids, vectors = encode_words([tokens], self.TABLE, dtype)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import vote_oracle
 from ssc.agreement import cohen_kappa, krippendorff_alpha
-from ssc.corpus import AnnotationSet
 from ssc.ensemble import EnsembleSpec, vote
 from ssc.metrics import MetricsReport, compute_metrics, mean_report
 
@@ -232,25 +231,22 @@ def random_annotations(rng, n_items=50, annotators=3):
 
 class TestKrippendorffAlpha:
     def test_perfect_agreement_exactly_one(self):
-        ann = AnnotationSet({f"i{k}": (("a", 1), ("b", 1), ("c", 1))
-                             if k % 2 else (("a", 0), ("b", 0))
-                             for k in range(6)})
+        ann = {f"i{k}": (("a", 1), ("b", 1), ("c", 1)) if k % 2 else (("a", 0), ("b", 0))
+               for k in range(6)}
         assert krippendorff_alpha(ann) == 1.0
 
     def test_worked_two_item_case_vs_oracle(self):
         entries = {"i1": (("a", 1), ("b", 1)), "i2": (("a", 1), ("b", 0))}
-        ann = AnnotationSet(entries)
         expected = alpha_pairwise_oracle(entries)
-        assert abs(krippendorff_alpha(ann) - expected) < 1e-12
+        assert abs(krippendorff_alpha(entries) - expected) < 1e-12
 
     def test_100_random_sets_match_oracle(self):
         rng = np.random.default_rng(23)
         checked = 0
         while checked < 100:
             entries = random_annotations(rng)
-            ann = AnnotationSet(entries)
             expected = alpha_pairwise_oracle(entries)
-            got = krippendorff_alpha(ann)
+            got = krippendorff_alpha(entries)
             if expected is None:
                 assert got is None
             else:
@@ -260,25 +256,25 @@ class TestKrippendorffAlpha:
     def test_single_annotation_items_excluded(self):
         entries = {"solo": (("a", 1),),
                    "i1": (("a", 1), ("b", 1)), "i2": (("a", 0), ("b", 0))}
-        assert krippendorff_alpha(AnnotationSet(entries)) == 1.0
+        assert krippendorff_alpha(entries) == 1.0
 
     def test_not_computable(self):
-        assert krippendorff_alpha(AnnotationSet({"solo": (("a", 1),)})) is None
+        assert krippendorff_alpha({"solo": (("a", 1),)}) is None
 
     def test_random_annotations_near_zero(self):
         rng = np.random.default_rng(29)
         entries = {f"i{k}": tuple((f"a{a}", int(rng.integers(0, 2)))
                                   for a in range(3))
                    for k in range(3000)}
-        alpha = krippendorff_alpha(AnnotationSet(entries))
+        alpha = krippendorff_alpha(entries)
         assert abs(alpha) < 0.05
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(31)
         entries = random_annotations(rng)
         swapped = {k: tuple((a, 1 - l) for a, l in v) for k, v in entries.items()}
-        a1 = krippendorff_alpha(AnnotationSet(entries))
-        a2 = krippendorff_alpha(AnnotationSet(swapped))
+        a1 = krippendorff_alpha(entries)
+        a2 = krippendorff_alpha(swapped)
         assert a1 == pytest.approx(a2, abs=1e-12)
 
 
